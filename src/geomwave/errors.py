@@ -24,9 +24,22 @@ class BaseMismatchError(SchemaError):
 
 class CutLocusError(GeomwaveError):
     """A geometry operation was asked to cross (or get too close to) the
-    cut locus; the data is not dense enough."""
+    cut locus; the data is not dense enough.  ``index`` is the first
+    failing entry of an array call (None for a single point)."""
 
     exit_code = 3
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+    def _location(self):
+        return [] if self.index is None else [f"index {self.index}"]
+
+    def __str__(self):
+        base = super().__str__()
+        loc = self._location()
+        return f"{base} ({', '.join(loc)})" if loc else base
 
 
 class DensityError(CutLocusError):
@@ -34,18 +47,12 @@ class DensityError(CutLocusError):
     level and index where it occurred."""
 
     def __init__(self, message, level=None, index=None):
-        super().__init__(message)
+        super().__init__(message, index)
         self.level = level
-        self.index = index
 
-    def __str__(self):
-        base = super().__str__()
-        loc = []
-        if self.level is not None:
-            loc.append(f"level {self.level}")
-        if self.index is not None:
-            loc.append(f"index {self.index}")
-        return f"{base} ({', '.join(loc)})" if loc else base
+    def _location(self):
+        level = [] if self.level is None else [f"level {self.level}"]
+        return level + super()._location()
 
 
 class VerificationFailure(GeomwaveError):

@@ -3,10 +3,13 @@ rotation group SO(3) realized as unit quaternions with the round geometry of
 S^3.
 
 Points and tangent vectors are plain numpy arrays in the ambient
-representation; every manifold enforces its own invariants (unit norm,
-tangency) via ``project_point`` / ``project_tangent``.  Operations requiring
-inversion of the exponential map raise :class:`CutLocusError` near the cut
-locus, which downstream code reports as "data not dense enough".
+representation, of shape ``(..., d)``: every operation maps whole arrays of
+points entry by entry, with numpy broadcasting over the leading axes.  Every
+manifold enforces its own invariants (unit norm, tangency) via
+``project_point`` / ``project_tangent``.  Operations requiring inversion of
+the exponential map raise :class:`CutLocusError` near the cut locus, naming
+the first failing entry; downstream code reports it as "data not dense
+enough".
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class Manifold:
         """Parallel transport of v from T_p to T_q along the geodesic."""
         raise NotImplementedError
 
-    def dist(self, p: np.ndarray, q: np.ndarray) -> float:
+    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Geodesic distance over the last axis."""
         raise NotImplementedError
 
     def injectivity_bound(self) -> float:
@@ -96,7 +100,7 @@ class Euclidean(Manifold):
         return np.array(v, dtype=float)
 
     def dist(self, p, q):
-        return float(np.linalg.norm(q - p))
+        return np.linalg.norm(np.asarray(q) - p, axis=-1)
 
     def injectivity_bound(self):
         return math.inf
@@ -106,6 +110,28 @@ class Euclidean(Manifold):
 
     def random_point(self, rng):
         return rng.normal(size=self.ambient_dim)
+
+
+_ANTIPODAL = (
+    "points at angle {:g} are antipodal within tolerance; data not dense enough"
+)
+
+
+def _raise_first(bad: np.ndarray, theta: np.ndarray, message: str):
+    """Raise CutLocusError at the first entry of the violation mask ``bad``
+    (``message`` is formatted with that entry's angle)."""
+    if not bad.any():
+        return
+    at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    index = tuple(int(i) for i in at)
+    if len(index) < 2:
+        index = index[0] if index else None
+    raise CutLocusError(message.format(float(theta[at])), index)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, kept as a length-1 axis."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
 
 
 class _RoundSphere(Manifold):
@@ -120,61 +146,57 @@ class _RoundSphere(Manifold):
 
     def project_point(self, p):
         p = np.asarray(p, dtype=float)
-        n = np.linalg.norm(p)
-        if n == 0.0:
+        n = np.linalg.norm(p, axis=-1, keepdims=True)
+        if (n == 0.0).any():
             raise ValueError("cannot normalize the zero vector to the sphere")
         return p / n
 
     def project_tangent(self, p, v):
         v = np.asarray(v, dtype=float)
-        return v - np.dot(p, v) * p
+        return v - _dot(p, v) * p
 
     def check_point(self, p, tol=1e-9):
-        return abs(np.linalg.norm(p) - 1.0) <= tol
+        return abs(np.linalg.norm(p, axis=-1) - 1.0) <= tol
 
     def exp(self, p, v):
-        theta = np.linalg.norm(v)
-        if theta == 0.0:
-            return np.array(p, dtype=float)
-        if theta >= self.injectivity_bound():
-            raise CutLocusError(
-                f"tangent norm {theta:g} reaches the cut locus; "
-                "data not dense enough"
-            )
-        return math.cos(theta) * p + math.sin(theta) / theta * v
+        p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        _raise_first(
+            theta[..., 0] >= self.injectivity_bound(), theta[..., 0],
+            "tangent norm {:g} reaches the cut locus; data not dense enough",
+        )
+        zero = theta == 0.0
+        safe = np.where(zero, 1.0, theta)
+        return np.where(zero, p, np.cos(theta) * p + np.sin(theta) / safe * v)
 
     def log(self, p, q):
-        if np.array_equal(p, q):
-            return np.zeros(self.ambient_dim)
-        inner = float(np.clip(np.dot(p, q), -1.0, 1.0))
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        equal = np.all(p == q, axis=-1, keepdims=True)
+        inner = np.clip(_dot(p, q), -1.0, 1.0)
         u = q - inner * p
-        s = np.linalg.norm(u)
-        theta = math.atan2(s, inner)
-        if theta >= self.injectivity_bound():
-            raise CutLocusError(
-                f"points at angle {theta:g} are antipodal within tolerance; "
-                "data not dense enough"
-            )
-        if s == 0.0:
-            return np.zeros(self.ambient_dim)
-        return (theta / s) * u
+        s = np.linalg.norm(u, axis=-1, keepdims=True)
+        theta = np.arctan2(s, inner)
+        _raise_first(
+            ~equal[..., 0] & (theta[..., 0] >= self.injectivity_bound()),
+            theta[..., 0],
+            _ANTIPODAL,
+        )
+        zero = equal | (s == 0.0)
+        return np.where(zero, 0.0, theta / np.where(zero, 1.0, s) * u)
 
     def transport(self, p, v, q):
-        if np.array_equal(p, q):
-            return np.array(v, dtype=float)
-        u = self.log(p, q)
-        theta = np.linalg.norm(u)
-        if theta == 0.0:
-            return np.array(v, dtype=float)
-        e = u / theta
-        coeff = float(np.dot(e, v))
-        out = v + coeff * ((math.cos(theta) - 1.0) * e - math.sin(theta) * p)
-        return self.project_tangent(q, out)
+        # closed form along the minimal geodesic, for v tangent at p
+        p, v, q = (np.asarray(x, dtype=float) for x in (p, v, q))
+        c = _dot(p, q)
+        theta = np.arccos(np.clip(c[..., 0], -1.0, 1.0))
+        _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
+        return v - _dot(q, v) / (1.0 + c) * (p + q)
 
     def dist(self, p, q):
-        inner = float(np.clip(np.dot(p, q), -1.0, 1.0))
-        u = q - inner * p
-        return math.atan2(np.linalg.norm(u), inner)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        inner = np.clip(_dot(p, q), -1.0, 1.0)
+        s = np.linalg.norm(q - inner * p, axis=-1)
+        return np.arctan2(s, inner[..., 0])
 
     def random_point(self, rng):
         return self.project_point(rng.normal(size=self.ambient_dim))

@@ -32,6 +32,7 @@ __all__ = [
     "reconstruct_manifold",
     "proximity_ratio",
     "proximity_numerator",
+    "proximity_denominator",
     "ominus_lipschitz_ratio",
     "detail_sup_norm",
     "to_linear",
@@ -97,51 +98,46 @@ class ManifoldPyramid:
         return len(self.details)
 
 
-def _base_points(
-    M: Manifold, points: np.ndarray, rule: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Base points for even outputs (always p_i) and odd outputs."""
-    L = len(points)
-    if rule == "leftpoint":
-        odd = points.copy()
-    elif rule == "midpoint":
-        odd = np.array(
-            [M.midpoint(points[i], points[(i + 1) % L]) for i in range(L)]
-        )
-    else:
-        raise ValueError(f"unknown base point rule {rule!r}")
-    return points, odd
-
-
 def manifold_subdivide_once(
     mask: Mask, c: ManifoldHermiteSeq, rule: str = "midpoint"
 ) -> ManifoldHermiteSeq:
     """One step of the manifold Hermite subdivision operator built from a
-    linear mask: stencil combined in the tangent space at a base point."""
+    linear mask: stencil combined in the tangent space at a base point.
+
+    Even outputs are the interpolatory copy D c_i.  Each odd output 2i+1 is
+    based at the midpoint of (p_i, p_{i+1}) or at p_i (``rule``).  All odd
+    outputs and all odd mask taps go through one array log and transport,
+    then one exp and one transport."""
     if not interpolatory_check(mask):
         raise ValueError("manifold subdivision requires an interpolatory mask")
     M = c.manifold
-    L = len(c)
-    even_bases, odd_bases = _base_points(M, c.points, rule)
-    P = np.empty((2 * L, M.ambient_dim))
-    V = np.empty((2 * L, M.ambient_dim))
-    for j in range(2 * L):
-        m = even_bases[j // 2] if j % 2 == 0 else odd_bases[j // 2]
-        w0 = np.zeros(M.ambient_dim)
-        w1 = np.zeros(M.ambient_dim)
-        for t in range(mask.lo, mask.hi + 1):
-            if (j - t) % 2 != 0:
-                continue
-            blk = mask.block(t)
-            if not blk.any():
-                continue
-            k = (j - t) // 2 % L
-            y = M.log(m, c.points[k])
-            z = M.transport(c.points[k], c.vectors[k], m)
-            w0 += blk[0, 0] * y + blk[0, 1] * z
-            w1 += blk[1, 0] * y + blk[1, 1] * z
-        P[j] = M.exp(m, w0)
-        V[j] = M.transport(m, w1, P[j])
+    if rule == "leftpoint":
+        m = c.points
+    elif rule == "midpoint":
+        m = M.midpoint(c.points, np.roll(c.points, -1, axis=0))
+    else:
+        raise ValueError(f"unknown base point rule {rule!r}")
+    taps = [
+        t for t in range(mask.lo, mask.hi + 1) if t % 2 and mask.block(t).any()
+    ]
+    # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; axes are
+    # (output, tap, coordinate), so errors name the output first
+    shift = np.array([(1 - t) // 2 for t in taps], dtype=int)
+    src = (np.arange(len(c))[:, None] + shift) % len(c)
+    y = M.log(m[:, None], c.points[src])
+    z = M.transport(c.points[src], c.vectors[src], m[:, None])
+    w0 = np.zeros_like(m)
+    w1 = np.zeros_like(m)
+    for k, t in enumerate(taps):
+        blk = mask.block(t)
+        w0 += blk[0, 0] * y[:, k] + blk[0, 1] * z[:, k]
+        w1 += blk[1, 0] * y[:, k] + blk[1, 1] * z[:, k]
+    P = np.empty((2 * len(c), M.ambient_dim))
+    V = np.empty_like(P)
+    P[::2] = c.points
+    V[::2] = 0.5 * c.vectors
+    P[1::2] = M.exp(m, w0)
+    V[1::2] = M.transport(m, w1, P[1::2])
     return ManifoldHermiteSeq(M, P, V, level=c.level + 1)
 
 
@@ -158,10 +154,9 @@ def oplus(
     its own base would pick up holonomy and break the exact inversion
     property)."""
     p, v = a
-    u0p = M.transport(b_base, u0, p)
-    u1p = M.transport(b_base, u1, p)
+    u0p, u1p = M.transport(b_base, np.stack([u0, u1]), p)
     q = M.exp(p, u0p)
-    return q, M.transport(p, v, q) + M.transport(p, u1p, q)
+    return q, M.transport(p, v + u1p, q)  # transport is linear in v
 
 
 def ominus(
@@ -174,6 +169,13 @@ def ominus(
     q, u = a
     p, v = b
     return p, M.log(p, q), M.transport(q, u, p) - v
+
+
+def _density_error(err: CutLocusError, level: int) -> DensityError:
+    """Locate a cut-locus failure at a pyramid level and at the odd output
+    (the leading array index) where it happened."""
+    index = err.index[0] if isinstance(err.index, tuple) else err.index
+    return DensityError(err.args[0], level=level, index=index)
 
 
 def _halve(c: ManifoldHermiteSeq) -> ManifoldHermiteSeq:
@@ -197,23 +199,15 @@ def decompose_manifold(
         coarse = _halve(c)
         try:
             pred = manifold_subdivide_once(provider.mask_at(n), coarse, rule)
+            bases, u0, u1 = ominus(
+                M,
+                (c.points[1::2], c.vectors[1::2]),
+                (pred.points[1::2], pred.vectors[1::2]),
+            )
         except CutLocusError as err:
-            raise DensityError(str(err), level=n) from err
-        L = len(coarse)
-        bases = np.empty((L, M.ambient_dim))
-        u0 = np.empty((L, M.ambient_dim))
-        u1 = np.empty((L, M.ambient_dim))
-        for i in range(L):
-            j = 2 * i + 1
-            try:
-                bases[i], u0[i], u1[i] = ominus(
-                    M,
-                    (c.points[j], c.vectors[j]),
-                    (pred.points[j], pred.vectors[j]),
-                )
-            except CutLocusError as err:
-                raise DensityError(str(err), level=n, index=i) from err
-        details.append(TangentPairSeq(M, bases, u0, u1, level=n))
+            raise _density_error(err, n) from err
+        # bases is a view of the whole prediction; keep only the odd rows
+        details.append(TangentPairSeq(M, bases.copy(), u0, u1, level=n))
         c = coarse
     return ManifoldPyramid(c, tuple(reversed(details)), provider, rule)
 
@@ -235,32 +229,19 @@ def reconstruct_manifold(
             )
         try:
             pred = manifold_subdivide_once(provider.mask_at(n), c, rule)
-        except CutLocusError as err:
-            raise DensityError(str(err), level=n) from err
-        L = len(c)
-        P = np.empty((2 * L, M.ambient_dim))
-        V = np.empty((2 * L, M.ambient_dim))
-        P[::2] = c.points
-        V[::2] = 0.5 * c.vectors
-        for i in range(L):
-            j = 2 * i + 1
-            drift = M.dist(d.bases[i], pred.points[j])
-            if drift > _BASE_AUDIT_TOL:
+            P, V = pred.points, pred.vectors
+            drift = M.dist(d.bases, P[1::2])
+            bad = drift > _BASE_AUDIT_TOL
+            if bad.any():
+                i = int(np.argmax(bad))
                 raise BaseMismatchError(
-                    f"detail base at level {n}, index {i} is {drift:g} away "
-                    "from the recomputed prediction (corrupted pyramid or "
-                    "wrong predictor/rule)"
+                    f"detail base at level {n}, index {i} is {drift[i]:g} "
+                    "away from the recomputed prediction (corrupted pyramid "
+                    "or wrong predictor/rule)"
                 )
-            try:
-                P[j], V[j] = oplus(
-                    M,
-                    (pred.points[j], pred.vectors[j]),
-                    d.bases[i],
-                    d.u0[i],
-                    d.u1[i],
-                )
-            except CutLocusError as err:
-                raise DensityError(str(err), level=n, index=i) from err
+            P[1::2], V[1::2] = oplus(M, (P[1::2], V[1::2]), d.bases, d.u0, d.u1)
+        except CutLocusError as err:
+            raise _density_error(err, n) from err
         c = ManifoldHermiteSeq(M, P, V, level=c.level + 1)
     return c
 
@@ -285,12 +266,16 @@ def proximity_ratio(
     mask: Mask, c: ManifoldHermiteSeq, rule: str = "midpoint"
 ) -> float:
     """||(S_A - T_A) c||_inf / ||(delta p, v)||_inf^2 in ambient coordinates."""
-    num = proximity_numerator(mask, c, rule)
+    return proximity_numerator(mask, c, rule) / proximity_denominator(c)
+
+
+def proximity_denominator(c: ManifoldHermiteSeq) -> float:
+    """||(delta p, v)||_inf^2, the scale the proximity numerator is held to."""
     dp = np.roll(c.points, -1, axis=0) - c.points
     denom = max(np.abs(dp).max(), np.abs(c.vectors).max())
     if denom == 0.0:
         raise ValueError("proximity ratio undefined for constant zero data")
-    return num / denom**2
+    return float(denom**2)
 
 
 def proximity_numerator(

@@ -1,9 +1,14 @@
 """End-to-end CLI contract: subcommands, file handoff, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import geomwave
 from geomwave.cli import main
 from geomwave.io import write_samples
 from geomwave.manifolds import Sphere2
@@ -119,3 +124,16 @@ def test_verify_cli(tmp_path, capsys):
 def test_verify_missing_config(tmp_path):
     assert run("verify", "--config", str(tmp_path / "none.txt"),
                "--out", str(tmp_path / "v.json")) == 2
+
+
+def test_module_entry_point():
+    """``python -m geomwave.cli`` runs the CLI."""
+    src = str(Path(geomwave.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomwave.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "decompose" in proc.stdout

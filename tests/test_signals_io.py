@@ -20,6 +20,7 @@ from geomwave.io import (
     write_report,
     write_samples,
 )
+from geomwave.manifolds import Sphere2
 from geomwave.predictors import cubic_provider
 from geomwave.signals import SignalSpec, get_preset, preset_names, sample_signal
 from geomwave.transform import decompose_manifold, reconstruct_manifold
@@ -239,6 +240,26 @@ def test_verify_suite_density_failure_is_structured():
     entry = [c for c in rep.checks if "sphere2" in c.name and "reconstruction" in c.name]
     assert len(entry) == 1 and not entry[0].passed
     assert "density" in entry[0].note
+
+
+def test_verify_suite_reports_transport_fault(monkeypatch):
+    """S^2 transport scaled by 0.9 is a first-order proximity fault: the
+    round trip fails its base audit and the numerator exponent drops to 1.
+    Both come back as failed checks, not as an exception."""
+    transport = Sphere2.transport
+    monkeypatch.setattr(
+        Sphere2, "transport", lambda self, p, v, q: 0.9 * transport(self, p, v, q)
+    )
+    rep = verify_suite({"probes": 2, "cases": 5})
+    failed = {c.name: c for c in rep.checks if not c.passed}
+    assert not rep.passed
+    rt = failed["manifold perfect reconstruction [sphere2]"]
+    assert rt.residual is None and "BaseMismatchError" in rt.note
+    exponent = failed["proximity numerator exponent [sphere2]"]
+    assert exponent.residual < 1.7
+    # the boundedness check alone cannot see this fault (growth 2^3 < 10)
+    assert "proximity ratio boundedness [sphere2]" not in failed
+    assert "manifold perfect reconstruction [so3-quat]" not in failed
 
 
 def test_interior_euclidean_decay_pipeline():

@@ -254,6 +254,41 @@ def test_base_audit_aborts_on_corruption():
         reconstruct_manifold(pyr, rule="leftpoint")
 
 
+@pytest.mark.parametrize("rule", ["midpoint", "leftpoint"])
+def test_density_error_names_level_and_index(rule):
+    """Coarse points 3 and 4 are antipodal; every other gap is short."""
+    M = Sphere2()
+    angles = np.array([0.0, 0.5, 1.0, 1.5, 1.5 + math.pi, 2.0 + math.pi,
+                       2.5 + math.pi, 3.0 + math.pi])
+    fine = np.repeat(angles, 2)
+    fine[1::2] += 0.1  # odd samples: anywhere nearby
+    P = np.stack([np.cos(fine), np.sin(fine), np.zeros_like(fine)], axis=1)
+    c = ManifoldHermiteSeq(M, P, np.zeros_like(P), level=4)
+    with pytest.raises(DensityError) as exc:
+        decompose_manifold(c, cubic_provider(), rule, 1)
+    assert (exc.value.level, exc.value.index) == (3, 3)
+    assert "(level 3, index 3)" in str(exc.value)
+
+
+def test_base_mismatch_names_first_index():
+    cN = sample_signal(get_preset("sphere2", "wobble"), 5)
+    pyr = decompose_manifold(cN, cubic_provider(), "midpoint", 2)
+    M = cN.manifold
+    d0 = pyr.details[0]
+    bases = d0.bases.copy()
+    for i in (5, 3):
+        bases[i] = M.exp(bases[i], M.project_tangent(bases[i], [0.0, 0.0, 1e-4]))
+    corrupted = ManifoldPyramid(
+        pyr.coarse,
+        (TangentPairSeq(M, bases, d0.u0, d0.u1, d0.level),) + pyr.details[1:],
+        pyr.provider,
+        pyr.rule,
+    )
+    with pytest.raises(BaseMismatchError) as exc:
+        reconstruct_manifold(corrupted)
+    assert f"level {d0.level}, index 3 " in str(exc.value)
+
+
 def test_proximity_ratio_and_errors(rng):
     mask = cubic_provider().mask_at(0)
     c = sample_signal(get_preset("sphere2", "wobble"), 5)
