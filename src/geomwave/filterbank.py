@@ -5,9 +5,12 @@ detail-placement filter B with symbol z*I, the dual filter At with constant
 symbol D^-1, and the dual wavelet filter Bt with blocks
 Bt_k = (-1)^(1-k) D^-1 A_{1-k}^T.  Decomposition keeps the even subsamples
 (un-normalized by D^-1) and stores the odd prediction residuals; reconstruction
-adds the residuals back onto the prediction.  Biorthogonality is certified
-numerically both on probe sequences (operator form) and as Laurent-polynomial
-coefficient identities (symbol form).
+adds the residuals back onto the prediction.  The linear pyramid is the
+manifold pyramid of ``transform`` on flat R^m; ``dual_filter_details``
+computes the same details with the analysis filters At and Bt alone, as an
+independent reference.  Biorthogonality is certified numerically both on
+probe sequences (operator form) and as Laurent-polynomial coefficient
+identities (symbol form).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .manifolds import Euclidean
 from .predictors import MaskProvider, interpolatory_check, sample_hermite_interior
 from .sequences import (
     HermiteSequence,
@@ -24,17 +28,22 @@ from .sequences import (
     apply_decomposition,
     apply_subdivision,
     diag_d,
-    periodic_sequence,
     seq_sub,
     single_block_mask,
     sup_norm,
+)
+from .transform import (
+    ManifoldPyramid,
+    decompose_manifold,
+    from_linear,
+    reconstruct_manifold,
+    to_linear,
 )
 
 __all__ = [
     "MatLaurent",
     "LevelFilters",
     "PredictionCorrectionBank",
-    "MultiscalePyramid",
     "build_bank",
     "decompose_linear",
     "reconstruct_linear",
@@ -42,11 +51,8 @@ __all__ = [
     "laurent_symbol",
     "symbol_biorthogonality_residuals",
     "vanishing_moment_residual",
+    "dual_filter_details",
 ]
-
-# Even-index prediction residuals vanish identically for interpolatory masks;
-# anything above this signals a broken predictor, not roundoff.
-_EVEN_RESIDUAL_TOL = 1e-10
 
 
 class MatLaurent:
@@ -160,81 +166,22 @@ def build_bank(provider: MaskProvider) -> PredictionCorrectionBank:
     return bank
 
 
-@dataclass(frozen=True)
-class MultiscalePyramid:
-    """Coarse sequence c^[0] plus detail sequences d^[0..N-1] (critical
-    sampling: one detail per odd fine index, stored at the coarse index)."""
-
-    coarse: HermiteSequence
-    details: tuple  # of HermiteSequence, d^[0] first
-    provider: MaskProvider
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-
-def _halve(c: HermiteSequence) -> HermiteSequence:
-    """c^[n]_i = D^-1 c^[n+1]_{2i} (periodic)."""
-    return periodic_sequence(
-        c.points[::2].copy(), 2.0 * c.vectors[::2], level=c.level - 1
-    )
-
-
 def decompose_linear(
     cN: HermiteSequence, bank: PredictionCorrectionBank, levels: int
-) -> MultiscalePyramid:
-    """Prediction-correction decomposition of periodic Hermite data."""
-    if not cN.periodic:
-        raise ValueError("decompose_linear expects periodic data")
-    if len(cN) % (1 << levels) != 0:
-        raise ValueError(
-            f"length {len(cN)} not divisible by 2^{levels}"
-        )
-    c = cN
-    details: list[HermiteSequence] = []
-    for _ in range(levels):
-        n = c.level - 1  # mask level: the grid the coarse data lives on
-        coarse = _halve(c)
-        pred = apply_subdivision(bank.filters_at(n).A, coarse)
-        resid = seq_sub(c, pred)
-        even_resid = max(
-            np.abs(resid.points[::2]).max(), np.abs(resid.vectors[::2]).max()
-        )
-        if even_resid > _EVEN_RESIDUAL_TOL:
-            raise ValueError(
-                f"even-index residual {even_resid:g} at level {n}; "
-                "predictor is not interpolatory"
-            )
-        details.append(
-            periodic_sequence(
-                resid.points[1::2].copy(), resid.vectors[1::2].copy(), level=n
-            )
-        )
-        c = coarse
-    return MultiscalePyramid(c, tuple(reversed(details)), bank.provider)
+) -> ManifoldPyramid:
+    """Prediction-correction decomposition of periodic Hermite data: the
+    manifold pyramid on flat R^m.  Interpolatory masks reproduce constants,
+    so on flat data every base point gives the same prediction; the left
+    point skips computing the midpoint."""
+    M = Euclidean(cN.dim)
+    return decompose_manifold(from_linear(M, cN), bank.provider, "leftpoint", levels)
 
 
 def reconstruct_linear(
-    pyr: MultiscalePyramid, bank: PredictionCorrectionBank
+    pyr: ManifoldPyramid, bank: PredictionCorrectionBank
 ) -> HermiteSequence:
-    """Invert decompose_linear: evens from D c^[n], odds prediction + detail."""
-    c = pyr.coarse
-    for d in pyr.details:
-        n = c.level
-        if len(d) != len(c):
-            raise ValueError(
-                f"detail length {len(d)} != coarse length {len(c)} at level {n}"
-            )
-        pred = apply_subdivision(bank.filters_at(n).A, c)
-        P = pred.points.copy()
-        V = pred.vectors.copy()
-        P[::2] = c.points
-        V[::2] = 0.5 * c.vectors
-        P[1::2] += d.points
-        V[1::2] += d.vectors
-        c = periodic_sequence(P, V, level=c.level + 1)
-    return c
+    """Invert decompose_linear."""
+    return to_linear(reconstruct_manifold(pyr, bank.provider))
 
 
 def _dual_decomp(mask: Mask, s: HermiteSequence) -> HermiteSequence:
@@ -300,3 +247,20 @@ def vanishing_moment_residual(
     c = sample_hermite_interior(f, df, level + 1, window)
     out = _dual_decomp(filters.Bt, c)
     return sup_norm(out)
+
+
+def dual_filter_details(
+    cN: HermiteSequence, bank: PredictionCorrectionBank, levels: int
+) -> tuple[HermiteSequence, ...]:
+    """Details d^[n] = D_{Bt^T} c^[n+1] of the linear Hermite wavelet, with
+    c^[n] = D_{At^T} c^[n+1] (the even subsample, times D^-1), d^[0] first.
+
+    Only the analysis filters of the bank enter, so this shares no code with
+    the pyramid engine and checks it independently."""
+    c = cN
+    details = []
+    for _ in range(levels):
+        filters = bank.filters_at(c.level - 1)
+        details.append(_dual_decomp(filters.Bt, c))
+        c = _dual_decomp(filters.At, c)
+    return tuple(reversed(details))

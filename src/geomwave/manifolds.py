@@ -71,16 +71,6 @@ class Manifold:
     def check_point(self, p: np.ndarray, tol: float = 1e-9) -> bool:
         return True
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def random_tangent(
-        self, rng: np.random.Generator, p: np.ndarray, scale: float = 1.0
-    ) -> np.ndarray:
-        v = self.project_tangent(p, rng.normal(size=self.ambient_dim))
-        n = np.linalg.norm(v)
-        return v * (scale / n) if n > 0 else v
-
 
 class Euclidean(Manifold):
     """Flat space: exp is +, log is -, transport is the identity."""
@@ -107,9 +97,6 @@ class Euclidean(Manifold):
 
     def midpoint(self, p, q):
         return 0.5 * (p + q)
-
-    def random_point(self, rng):
-        return rng.normal(size=self.ambient_dim)
 
 
 _ANTIPODAL = (
@@ -197,9 +184,6 @@ class _RoundSphere(Manifold):
         inner = np.clip(_dot(p, q), -1.0, 1.0)
         s = np.linalg.norm(q - inner * p, axis=-1)
         return np.arctan2(s, inner[..., 0])
-
-    def random_point(self, rng):
-        return self.project_point(rng.normal(size=self.ambient_dim))
 
 
 class Sphere2(_RoundSphere):

@@ -283,7 +283,7 @@ def sup_norm(s: HermiteSequence) -> float:
     """Max over valid entries of the max-abs over all 2m components."""
     if not s.valid.any():
         raise ValueError("sup_norm of a sequence with no valid entries")
-    p = np.abs(s.points[s.valid]).max() if s.valid.any() else 0.0
+    p = np.abs(s.points[s.valid]).max()
     v = np.abs(s.vectors[s.valid]).max()
     return float(max(p, v))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaseMismatchError, CutLocusError, DensityError
+from .errors import BaseMismatchError, CutLocusError, DensityError, SchemaError
 from .manifolds import Manifold
 from .predictors import MaskProvider, interpolatory_check
 from .sequences import HermiteSequence, Mask, apply_subdivision, periodic_sequence
@@ -122,16 +122,17 @@ def manifold_subdivide_once(
     ]
     # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; axes are
     # (output, tap, coordinate), so errors name the output first
-    shift = np.array([(1 - t) // 2 for t in taps], dtype=int)
-    src = (np.arange(len(c))[:, None] + shift) % len(c)
-    y = M.log(m[:, None], c.points[src])
-    z = M.transport(c.points[src], c.vectors[src], m[:, None])
+    src = np.arange(len(c))[:, None] + [(1 - t) // 2 for t in taps]
+    p_src = np.take(c.points, src, axis=0, mode="wrap")
+    y = M.log(m[:, None], p_src)
+    z = M.transport(p_src, np.take(c.vectors, src, axis=0, mode="wrap"), m[:, None])
     w0 = np.zeros_like(m)
     w1 = np.zeros_like(m)
     for k, t in enumerate(taps):
         blk = mask.block(t)
         w0 += blk[0, 0] * y[:, k] + blk[0, 1] * z[:, k]
         w1 += blk[1, 0] * y[:, k] + blk[1, 1] * z[:, k]
+    del src, p_src, y, z  # free the per-tap arrays before allocating the outputs
     P = np.empty((2 * len(c), M.ambient_dim))
     V = np.empty_like(P)
     P[::2] = c.points
@@ -189,6 +190,9 @@ def decompose_manifold(
     cN: ManifoldHermiteSeq, provider: MaskProvider, rule: str, levels: int
 ) -> ManifoldPyramid:
     """Manifold prediction-correction decomposition of a closed curve."""
+    finite = np.isfinite(cN.points).all(axis=1) & np.isfinite(cN.vectors).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"sample {int(np.argmin(finite))} is not finite")
     if len(cN) % (1 << levels) != 0:
         raise ValueError(f"length {len(cN)} not divisible by 2^{levels}")
     M = cN.manifold
@@ -252,14 +256,17 @@ def detail_sup_norm(d: TangentPairSeq) -> float:
 
 
 def to_linear(c: ManifoldHermiteSeq) -> HermiteSequence:
-    """Reinterpret ambient coordinates as a flat Hermite sequence."""
-    return periodic_sequence(c.points.copy(), c.vectors.copy(), level=c.level)
+    """Reinterpret ambient coordinates as a flat Hermite sequence (sharing
+    the arrays)."""
+    return periodic_sequence(c.points, c.vectors, level=c.level)
 
 
 def from_linear(M: Manifold, s: HermiteSequence) -> ManifoldHermiteSeq:
+    """View a periodic flat Hermite sequence as data on M (sharing the
+    arrays)."""
     if not s.periodic:
         raise ValueError("manifold sequences are periodic")
-    return ManifoldHermiteSeq(M, s.points.copy(), s.vectors.copy(), level=s.level)
+    return ManifoldHermiteSeq(M, s.points, s.vectors, level=s.level)
 
 
 def proximity_ratio(

@@ -19,6 +19,7 @@ from geomwave.filterbank import (
     biorthogonality_residuals,
     build_bank,
     decompose_linear,
+    dual_filter_details,
     reconstruct_linear,
     symbol_biorthogonality_residuals,
     vanishing_moment_residual,
@@ -42,6 +43,7 @@ from geomwave.transform import (
     reconstruct_manifold,
     to_linear,
 )
+from random_cases import random_point, random_tangent
 
 SEED = 20240817
 
@@ -176,11 +178,11 @@ def test_criterion_05_geometry_kernel(criterion):
     worst = 0.0
     for M in (Sphere2(), SO3Quat(), Euclidean(3)):
         for _ in range(1000):
-            p = M.random_point(rng)
-            v = M.random_tangent(rng, p, scale=float(rng.uniform(0.01, 2.5)))
+            p = random_point(M, rng)
+            v = random_tangent(M, rng, p, scale=float(rng.uniform(0.01, 2.5)))
             q = M.exp(p, v)
             worst = max(worst, float(np.abs(M.log(p, q) - v).max()))
-            w = M.random_tangent(rng, p, scale=float(rng.uniform(0.1, 2.0)))
+            w = random_tangent(M, rng, p, scale=float(rng.uniform(0.1, 2.0)))
             wq = M.transport(p, w, q)
             worst = max(worst, abs(float(np.linalg.norm(wq) - np.linalg.norm(w))))
             worst = max(worst, float(np.abs(M.transport(q, wq, p) - w).max()))
@@ -199,17 +201,17 @@ def test_criterion_06_fiber_algebra(criterion):
     worst_same_fiber = 0.0
     for M in (Sphere2(), SO3Quat(), Euclidean(3)):
         for _ in range(1000):
-            p = M.random_point(rng)
-            a = (p, M.random_tangent(rng, p, scale=0.5))
+            p = random_point(M, rng)
+            a = (p, random_tangent(M, rng, p, scale=0.5))
             pt = M.exp(
-                p, M.random_tangent(rng, p, scale=float(rng.uniform(0.05, 1.0)))
+                p, random_tangent(M, rng, p, scale=float(rng.uniform(0.05, 1.0)))
             )
-            at = (pt, M.random_tangent(rng, pt, scale=0.5))
+            at = (pt, random_tangent(M, rng, pt, scale=0.5))
             base, u0, u1 = ominus(M, at, a)
             q, v = oplus(M, a, base, u0, u1)
             worst = max(worst, M.dist(q, at[0]), float(np.abs(v - at[1]).max()))
-            u0b = M.random_tangent(rng, p, scale=0.5)
-            u1b = M.random_tangent(rng, p, scale=0.5)
+            u0b = random_tangent(M, rng, p, scale=0.5)
+            u1b = random_tangent(M, rng, p, scale=0.5)
             q2, v2 = oplus(M, a, p, u0b, u1b)
             _, r0, r1 = ominus(M, (q2, v2), a)
             sf = max(float(np.abs(r0 - u0b).max()), float(np.abs(r1 - u1b).max()))
@@ -247,17 +249,16 @@ def test_criterion_08_euclidean_reduction(criterion):
     data = periodic_sequence(
         rng.normal(size=(64, 3)), rng.normal(size=(64, 3)), level=4
     )
-    bank = build_bank(cubic_provider())
-    lin = decompose_linear(data, bank, 4)
+    ref = dual_filter_details(data, build_bank(cubic_provider()), 4)
     man = decompose_manifold(
         from_linear(Euclidean(3), data), cubic_provider(), "midpoint", 4
     )
     worst = 0.0
-    for dl, dm in zip(lin.details, man.details):
+    for dr, dm in zip(ref, man.details):
         worst = max(
             worst,
-            float(np.abs(dl.points - dm.u0).max()),
-            float(np.abs(dl.vectors - dm.u1).max()),
+            float(np.abs(dr.points - dm.u0).max()),
+            float(np.abs(dr.vectors - dm.u1).max()),
         )
     rec = reconstruct_manifold(man)
     worst = max(
@@ -271,7 +272,8 @@ def test_criterion_08_euclidean_reduction(criterion):
     criterion(
         "criterion 8: euclidean reduction of the manifold pipeline",
         worst <= 1e-13 and numerator <= 1e-13,
-        f"pipeline deviation {worst:.3e}, proximity numerator {numerator:.3e} "
+        f"deviation from the dual-filter details and round trip {worst:.3e}, "
+        f"proximity numerator {numerator:.3e} "
         "(tolerance 1e-13)",
     )
 
@@ -288,11 +290,11 @@ def test_criterion_09_coefficient_decay(criterion):
     for tag, preset in (("sphere2", "wobble"), ("so3-quat", "quatcurve")):
         spec = get_preset(tag, preset)
         rep = decay_experiment(spec, cubic_provider(), "midpoint", 3, 8)
-        lin = decompose_linear(to_linear(sample_signal(spec, 8)), lin_bank, 5)
+        lin = dual_filter_details(to_linear(sample_signal(spec, 8)), lin_bank, 5)
         lin_slope = float(
             np.polyfit(
-                [d.level for d in lin.details],
-                np.log2([sup_norm(d) for d in lin.details]),
+                [d.level for d in lin],
+                np.log2([sup_norm(d) for d in lin]),
                 1,
             )[0]
         )
@@ -346,12 +348,12 @@ def test_criterion_11_ominus_lipschitz(criterion):
     for M in (Sphere2(), SO3Quat()):
         for _ in range(500):
             eps = float(rng.uniform(1e-5, 1e-3))
-            p = M.random_point(rng)
-            b = (p, M.random_tangent(rng, p, scale=eps * float(rng.uniform(0.1, 1.0))))
+            p = random_point(M, rng)
+            b = (p, random_tangent(M, rng, p, scale=eps * float(rng.uniform(0.1, 1.0))))
             q = M.exp(
-                p, M.random_tangent(rng, p, scale=eps * float(rng.uniform(0.1, 1.0)))
+                p, random_tangent(M, rng, p, scale=eps * float(rng.uniform(0.1, 1.0)))
             )
-            u = M.random_tangent(rng, q, scale=eps * float(rng.uniform(0.1, 1.0)))
+            u = random_tangent(M, rng, q, scale=eps * float(rng.uniform(0.1, 1.0)))
             r = ominus_lipschitz_ratio(M, (q, u), b)
             lo, hi = min(lo, r), max(hi, r)
     criterion(

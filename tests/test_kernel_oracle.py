@@ -12,6 +12,7 @@ from geomwave.errors import CutLocusError
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
 from geomwave.transform import ManifoldHermiteSeq, manifold_subdivide_once
+from random_cases import random_point, random_tangent, random_tangents
 from scalar_oracle import scalar_manifold, scalar_subdivide_once
 
 MANIFOLDS = {M.tag: M for M in (Sphere2(), SO3Quat(), Euclidean(3))}
@@ -24,17 +25,6 @@ def rows(f, *arrays):
     flat = [a.reshape(-1, d) for a in arrays]
     out = [f(*args) for args in zip(*flat)]
     return np.array(out).reshape(arrays[0].shape[:-1] + np.shape(out[0]))
-
-
-def random_tangent(M, rng, p, scale):
-    """Tangent vectors at the points p with norms in (0, scale]."""
-    v = M.project_tangent(p, rng.normal(size=p.shape))
-    size = scale * rng.uniform(0.0, 1.0, size=p.shape[:-1] + (1,))
-    return v * (size / np.linalg.norm(v, axis=-1, keepdims=True))
-
-
-def random_points(M, rng, shape):
-    return M.project_point(rng.normal(size=shape + (M.ambient_dim,)))
 
 
 def pick(rng, shape, count):
@@ -57,13 +47,13 @@ def test_kernel_matches_oracle(tag, shape, seed):
     M = MANIFOLDS[tag]
     S = scalar_manifold(M)
     rng = np.random.default_rng(seed)
-    p = random_points(M, rng, shape)
-    v = random_tangent(M, rng, p, 2.5)
-    q = M.exp(p, random_tangent(M, rng, p, 2.5))
+    p = random_point(M, rng, shape)
+    v = random_tangents(M, rng, p, 2.5)
+    q = M.exp(p, random_tangents(M, rng, p, 2.5))
     flat_q = q.reshape(-1, M.ambient_dim)
     for i in pick(rng, shape, 1 + flat_q.shape[0] // 3):
         flat_q[i] = p.reshape(-1, M.ambient_dim)[i]  # equal pairs
-    w = random_tangent(M, rng, p, 3.0)
+    w = random_tangents(M, rng, p, 3.0)
     checks = [
         (M.exp(p, v), rows(S.exp, p, v)),
         (M.log(p, q), rows(S.log, p, q)),
@@ -91,9 +81,9 @@ def test_cut_locus_names_first_index(tag, shape, seed):
     M = MANIFOLDS[tag]
     S = scalar_manifold(M)
     rng = np.random.default_rng(seed)
-    p = random_points(M, rng, shape)
-    q = M.exp(p, random_tangent(M, rng, p, 2.0))
-    v = random_tangent(M, rng, p, 2.0)
+    p = random_point(M, rng, shape)
+    q = M.exp(p, random_tangents(M, rng, p, 2.0))
+    v = random_tangents(M, rng, p, 2.0)
     bad = np.sort(pick(rng, shape, min(2, int(np.prod(shape)))))
     first = np.unravel_index(bad[0], shape)
     want = int(first[0]) if len(shape) == 1 else tuple(int(i) for i in first)
@@ -119,11 +109,11 @@ def test_cut_locus_names_first_index(tag, shape, seed):
 
 def smooth_curve(M, rng, length, step=0.2):
     """A closed random curve of short geodesic steps, with tangents."""
-    P = [M.random_point(rng)]
+    P = [random_point(M, rng)]
     for _ in range(length - 1):
-        P.append(M.exp(P[-1], M.random_tangent(rng, P[-1], scale=step)))
+        P.append(M.exp(P[-1], random_tangent(M, rng, P[-1], scale=step)))
     P = np.array(P)
-    return P, random_tangent(M, rng, P, step)
+    return P, random_tangents(M, rng, P, step)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ from geomwave.manifolds import (
     manifold_from_tag,
     quaternion_sign_align,
 )
+from random_cases import random_point, random_tangent
 
 MANIFOLDS = [Sphere2(), SO3Quat(), Euclidean(3)]
 
@@ -22,8 +23,8 @@ MANIFOLDS = [Sphere2(), SO3Quat(), Euclidean(3)]
 @pytest.mark.parametrize("M", MANIFOLDS, ids=lambda M: M.tag)
 def test_exp_log_roundtrip(M, rng):
     for _ in range(200):
-        p = M.random_point(rng)
-        v = M.random_tangent(rng, p, scale=float(rng.uniform(0.01, 2.5)))
+        p = random_point(M, rng)
+        v = random_tangent(M, rng, p, scale=float(rng.uniform(0.01, 2.5)))
         q = M.exp(p, v)
         assert np.abs(M.log(p, q) - v).max() <= 1e-11
         assert abs(M.dist(p, q) - np.linalg.norm(v)) <= 1e-11
@@ -32,9 +33,9 @@ def test_exp_log_roundtrip(M, rng):
 @pytest.mark.parametrize("M", MANIFOLDS, ids=lambda M: M.tag)
 def test_transport_isometry_and_reversal(M, rng):
     for _ in range(200):
-        p = M.random_point(rng)
-        q = M.exp(p, M.random_tangent(rng, p, scale=float(rng.uniform(0.01, 2.0))))
-        v = M.random_tangent(rng, p, scale=float(rng.uniform(0.1, 3.0)))
+        p = random_point(M, rng)
+        q = M.exp(p, random_tangent(M, rng, p, scale=float(rng.uniform(0.01, 2.0))))
+        v = random_tangent(M, rng, p, scale=float(rng.uniform(0.1, 3.0)))
         w = M.transport(p, v, q)
         assert abs(np.linalg.norm(w) - np.linalg.norm(v)) <= 1e-11
         assert np.abs(M.transport(q, w, p) - v).max() <= 1e-11
@@ -43,8 +44,8 @@ def test_transport_isometry_and_reversal(M, rng):
 @pytest.mark.parametrize("M", MANIFOLDS, ids=lambda M: M.tag)
 def test_midpoint_symmetry(M, rng):
     for _ in range(200):
-        p = M.random_point(rng)
-        q = M.exp(p, M.random_tangent(rng, p, scale=float(rng.uniform(0.01, 2.0))))
+        p = random_point(M, rng)
+        q = M.exp(p, random_tangent(M, rng, p, scale=float(rng.uniform(0.01, 2.0))))
         mid = M.midpoint(p, q)
         assert abs(M.dist(p, mid) - M.dist(mid, q)) <= 1e-11
         other = M.midpoint(q, p)
@@ -54,11 +55,11 @@ def test_midpoint_symmetry(M, rng):
 @pytest.mark.parametrize("M", [Sphere2(), SO3Quat()], ids=lambda M: M.tag)
 def test_transport_preserves_tangency(M, rng):
     for _ in range(100):
-        p = M.random_point(rng)
-        q = M.random_point(rng)
+        p = random_point(M, rng)
+        q = random_point(M, rng)
         if M.dist(p, q) >= M.injectivity_bound():
             continue
-        v = M.random_tangent(rng, p)
+        v = random_tangent(M, rng, p)
         w = M.transport(p, v, q)
         assert abs(float(np.dot(w, q))) <= 1e-11
 
@@ -102,8 +103,8 @@ def test_euclidean_degenerate_ops(rng):
 def test_sphere_exp_stays_unit(seed, scale):
     rng = np.random.default_rng(seed)
     M = Sphere2()
-    p = M.random_point(rng)
-    q = M.exp(p, M.random_tangent(rng, p, scale=scale))
+    p = random_point(M, rng)
+    q = M.exp(p, random_tangent(M, rng, p, scale=scale))
     assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
     assert M.check_point(q)
 
@@ -132,9 +133,9 @@ def test_manifold_from_tag():
 def test_quaternion_sign_align(rng):
     M = SO3Quat()
     # a smooth-ish path with adversarial sign flips inserted
-    q = [M.random_point(rng)]
+    q = [random_point(M, rng)]
     for _ in range(20):
-        q.append(M.exp(q[-1], M.random_tangent(rng, q[-1], scale=0.3)))
+        q.append(M.exp(q[-1], random_tangent(M, rng, q[-1], scale=0.3)))
     q = np.array(q)
     flipped = q.copy()
     flipped[::3] *= -1.0

@@ -20,7 +20,7 @@ from geomwave.io import (
     write_report,
     write_samples,
 )
-from geomwave.manifolds import Sphere2
+from geomwave.manifolds import Euclidean, Sphere2
 from geomwave.predictors import cubic_provider
 from geomwave.signals import SignalSpec, get_preset, preset_names, sample_signal
 from geomwave.transform import decompose_manifold, reconstruct_manifold
@@ -260,6 +260,18 @@ def test_verify_suite_reports_transport_fault(monkeypatch):
     # the boundedness check alone cannot see this fault (growth 2^3 < 10)
     assert "proximity ratio boundedness [sphere2]" not in failed
     assert "manifold perfect reconstruction [so3-quat]" not in failed
+
+
+def test_verify_suite_reports_flat_log_fault(monkeypatch):
+    """A constant offset in the flat log cancels in the details (the masks
+    reproduce constants) but not in the round trip, whose base audit raises
+    inside the linear pyramid; the check fails instead of the suite."""
+    monkeypatch.setattr(Euclidean, "log", lambda self, p, q: q - p + 1e-6)
+    rep = verify_suite({"probes": 2, "cases": 5})
+    failed = {c.name: c for c in rep.checks if not c.passed}
+    for label in ("cubic", "exp(1.0)"):
+        rt = failed[f"linear perfect reconstruction [{label}]"]
+        assert rt.residual is None and "BaseMismatchError" in rt.note
 
 
 def test_interior_euclidean_decay_pipeline():

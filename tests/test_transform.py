@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from geomwave.errors import BaseMismatchError, DensityError
-from geomwave.filterbank import build_bank, decompose_linear
+from geomwave.errors import BaseMismatchError, DensityError, SchemaError
+from geomwave.filterbank import build_bank, decompose_linear, dual_filter_details
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
 from geomwave.sequences import periodic_sequence
@@ -26,19 +26,20 @@ from geomwave.transform import (
     reconstruct_manifold,
     to_linear,
 )
+from random_cases import random_point, random_tangent
 
 CURVED = [Sphere2(), SO3Quat()]
 
 
 def smooth_sequence(M, rng, length=8, step=0.25, level=0):
     """A dense random sequence built by short geodesic steps."""
-    P = [M.random_point(rng)]
+    P = [random_point(M, rng)]
     V = []
     for _ in range(length - 1):
-        P.append(M.exp(P[-1], M.random_tangent(rng, P[-1], scale=step)))
+        P.append(M.exp(P[-1], random_tangent(M, rng, P[-1], scale=step)))
     # close up softly: points are arbitrary but consecutive gaps stay small
     for p in P:
-        V.append(M.random_tangent(rng, p, scale=step))
+        V.append(random_tangent(M, rng, p, scale=step))
     return ManifoldHermiteSeq(M, np.array(P), np.array(V), level=level)
 
 
@@ -55,7 +56,7 @@ def test_even_interpolation_exact(M, rule, rng):
 
 @pytest.mark.parametrize("M", CURVED, ids=lambda M: M.tag)
 def test_constant_data_reproduced(M, rng):
-    p = M.random_point(rng)
+    p = random_point(M, rng)
     c = ManifoldHermiteSeq(M, np.tile(p, (6, 1)), np.zeros((6, M.ambient_dim)))
     out = manifold_subdivide_once(cubic_provider().mask_at(0), c)
     assert np.abs(out.points - p).max() <= 1e-14
@@ -92,7 +93,7 @@ def test_locality(rng):
     base = manifold_subdivide_once(mask, c)
     k = 5
     P2 = c.points.copy()
-    P2[k] = M.exp(c.points[k], M.random_tangent(rng, c.points[k], scale=1e-3))
+    P2[k] = M.exp(c.points[k], random_tangent(M, rng, c.points[k], scale=1e-3))
     moved = manifold_subdivide_once(
         mask, ManifoldHermiteSeq(M, P2, c.vectors.copy())
     )
@@ -107,17 +108,17 @@ def test_locality(rng):
 def test_fiber_algebra_identities(M, rng):
     worst1 = worst2 = 0.0
     for _ in range(300):
-        p = M.random_point(rng)
-        a = (p, M.random_tangent(rng, p, scale=0.5))
-        pt = M.exp(p, M.random_tangent(rng, p, scale=float(rng.uniform(0.05, 1.0))))
-        at = (pt, M.random_tangent(rng, pt, scale=0.5))
+        p = random_point(M, rng)
+        a = (p, random_tangent(M, rng, p, scale=0.5))
+        pt = M.exp(p, random_tangent(M, rng, p, scale=float(rng.uniform(0.05, 1.0))))
+        at = (pt, random_tangent(M, rng, pt, scale=0.5))
         # a oplus (at ominus a) == at
         base, u0, u1 = ominus(M, at, a)
         q, v = oplus(M, a, base, u0, u1)
         worst1 = max(worst1, M.dist(q, at[0]), float(np.abs(v - at[1]).max()))
         # (a oplus b) ominus a == b for b based at a's point
-        u0b = M.random_tangent(rng, p, scale=0.5)
-        u1b = M.random_tangent(rng, p, scale=0.5)
+        u0b = random_tangent(M, rng, p, scale=0.5)
+        u1b = random_tangent(M, rng, p, scale=0.5)
         q2, v2 = oplus(M, a, p, u0b, u1b)
         _, r0, r1 = ominus(M, (q2, v2), a)
         worst2 = max(
@@ -132,10 +133,10 @@ def test_same_fiber_remark_exact(M, rng):
     """When the correction already lives in the fiber at a's point, the
     round trip is exact to 1e-12 (no transports besides p -> p)."""
     for _ in range(100):
-        p = M.random_point(rng)
-        a = (p, M.random_tangent(rng, p, scale=0.5))
-        u0 = M.random_tangent(rng, p, scale=0.5)
-        u1 = M.random_tangent(rng, p, scale=0.5)
+        p = random_point(M, rng)
+        a = (p, random_tangent(M, rng, p, scale=0.5))
+        u0 = random_tangent(M, rng, p, scale=0.5)
+        u1 = random_tangent(M, rng, p, scale=0.5)
         q, v = oplus(M, a, p, u0, u1)
         _, r0, r1 = ominus(M, (q, v), a)
         assert np.abs(r0 - u0).max() <= 1e-12
@@ -208,13 +209,15 @@ def test_euclidean_reduction_matches_linear(rng):
         rng.normal(size=(32, m)), rng.normal(size=(32, m)), level=3
     )
     bank = build_bank(cubic_provider())
+    ref = dual_filter_details(data, bank, 3)
     lin = decompose_linear(data, bank, 3)
     man = decompose_manifold(
         from_linear(Euclidean(m), data), cubic_provider(), "midpoint", 3
     )
-    for dl, dm in zip(lin.details, man.details):
-        assert np.abs(dl.points - dm.u0).max() <= 1e-13
-        assert np.abs(dl.vectors - dm.u1).max() <= 1e-13
+    for dr, dl, dm in zip(ref, lin.details, man.details):
+        for d in (dl, dm):
+            assert np.abs(dr.points - d.u0).max() <= 1e-13
+            assert np.abs(dr.vectors - d.u1).max() <= 1e-13
     rec = reconstruct_manifold(man)
     assert np.abs(rec.points - data.points).max() <= 1e-13
     assert np.abs(rec.vectors - data.vectors).max() <= 1e-13
@@ -231,6 +234,31 @@ def test_density_error_names_level():
         decompose_manifold(c, cubic_provider(), "midpoint", 1)
     assert exc.value.exit_code == 3
     assert "level" in str(exc.value)
+
+
+def _nan_points_on_sphere(P, V):
+    P[[9, 5], 1] = np.nan
+    c = ManifoldHermiteSeq(Sphere2(), P, V, level=4)
+    return decompose_manifold(c, cubic_provider(), "midpoint", 2)
+
+
+def _inf_vectors_through_linear(P, V):
+    V[[9, 5], 2] = np.inf
+    data = periodic_sequence(P, V, level=4)
+    return decompose_linear(data, build_bank(cubic_provider()), 2)
+
+
+@pytest.mark.parametrize(
+    "decompose", [_nan_points_on_sphere, _inf_vectors_through_linear],
+    ids=["nan-point-sphere2", "inf-vector-linear"],
+)
+def test_non_finite_sample_rejected(decompose):
+    """Non-finite input is refused where it enters the pyramid, naming the
+    first bad sample, instead of decomposing into NaN details."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 4)
+    with pytest.raises(SchemaError, match="sample 5 is not finite") as exc:
+        decompose(c.points.copy(), c.vectors.copy())
+    assert exc.value.exit_code == 2
 
 
 def test_base_audit_aborts_on_corruption():
@@ -295,7 +323,7 @@ def test_proximity_ratio_and_errors(rng):
     r = proximity_ratio(mask, c)
     assert r >= 0.0 and math.isfinite(r)
     M = Sphere2()
-    p = M.random_point(rng)
+    p = random_point(M, rng)
     const = ManifoldHermiteSeq(M, np.tile(p, (4, 1)), np.zeros((4, 3)))
     with pytest.raises(ValueError):
         proximity_ratio(mask, const)
@@ -308,18 +336,18 @@ def test_ominus_lipschitz_near_one(M, rng):
     prediction), the fiber difference linearizes to the flat difference."""
     for _ in range(100):
         eps = float(rng.uniform(1e-5, 1e-3))
-        p = M.random_point(rng)
-        b = (p, M.random_tangent(rng, p, scale=eps * float(rng.uniform(0.1, 1.0))))
-        q = M.exp(p, M.random_tangent(rng, p, scale=eps * float(rng.uniform(0.1, 1.0))))
-        u = M.random_tangent(rng, q, scale=eps * float(rng.uniform(0.1, 1.0)))
+        p = random_point(M, rng)
+        b = (p, random_tangent(M, rng, p, scale=eps * float(rng.uniform(0.1, 1.0))))
+        q = M.exp(p, random_tangent(M, rng, p, scale=eps * float(rng.uniform(0.1, 1.0))))
+        u = random_tangent(M, rng, q, scale=eps * float(rng.uniform(0.1, 1.0)))
         r = ominus_lipschitz_ratio(M, (q, u), b)
         assert 0.9 <= r <= 1.1
 
 
 @pytest.mark.parametrize("M", CURVED, ids=lambda M: M.tag)
 def test_ominus_lipschitz_converges_to_one(M, rng):
-    p = M.random_point(rng)
-    dirs = [M.random_tangent(rng, p, scale=1.0) for _ in range(3)]
+    p = random_point(M, rng)
+    dirs = [random_tangent(M, rng, p, scale=1.0) for _ in range(3)]
     prev_dev = None
     for k in range(3, 9):
         eps = 2.0**-k
