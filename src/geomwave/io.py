@@ -3,21 +3,23 @@
 All numeric payloads are serialized as JSON numbers with full double
 precision (Python's repr round-trips doubles exactly), so write-then-read is
 bitwise lossless.  Readers validate the schema with path-addressed error
-messages and reject manifold-invariant violations (e.g. non-unit sphere
-points) naming the offending index; read values are never renormalized.
+messages, check entry lists as whole arrays and reject manifold-invariant
+violations (e.g. non-unit sphere points) naming the first offending entry;
+read values are never renormalized.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
 from .errors import SchemaError
-from .experiments import DecayReport, VerifyReport
+from .experiments import DecayReport, VerifyReport, provider_from_config
 from .manifolds import Manifold, manifold_from_tag
-from .predictors import MaskProvider, cubic_provider, exponential_provider
+from .predictors import MaskProvider
 from .sequences import HermiteSequence
 from .transform import ManifoldHermiteSeq, ManifoldPyramid, RULES, TangentPairSeq
 
@@ -33,8 +35,6 @@ __all__ = [
 
 SCHEMA = "geomwave/1"
 
-_POINT_CHECK_TOL = 1e-9
-
 
 def _fail(path: str, msg: str):
     raise SchemaError(f"{path}: {msg}")
@@ -48,38 +48,70 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _check_schema(obj: dict, path: str):
-    schema = _require(obj, "schema", path)
-    if schema != SCHEMA:
-        _fail(f"{path}.schema", f"expected {SCHEMA!r}, got {schema!r}")
+def _check_entry(M: Manifold, entry, keys: tuple, path: str):
+    """Each key a list of d finite numbers (not bools); the first on M."""
+    d = M.ambient_dim
+    for k in keys:
+        raw = _require(entry, k, path)
+        if not isinstance(raw, list) or len(raw) != d:
+            _fail(f"{path}.{k}", f"expected a list of {d} numbers")
+        for i, x in enumerate(raw):
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                _fail(f"{path}.{k}[{i}]", "expected a number")
+            if not math.isfinite(x):
+                _fail(f"{path}.{k}[{i}]", "non-finite value")
+    p = np.array(entry[keys[0]], dtype=float)
+    if not M.check_point(p):
+        norm = np.linalg.norm(p)
+        _fail(f"{path}.{keys[0]}", f"point is not on {M.tag} (|p| = {norm:.6g})")
 
 
-def _vector(raw, dim: int, path: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != dim:
-        _fail(path, f"expected a list of {dim} numbers")
-    out = np.empty(dim)
-    for i, x in enumerate(raw):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            _fail(f"{path}[{i}]", "expected a number")
-        if not math.isfinite(x):
-            _fail(f"{path}[{i}]", "non-finite value")
-        out[i] = float(x)
-    return out
+def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
+    """One (L, d) array per key, checked whole as _check_entry checks one
+    entry; the first flagged entry, or every entry in order when the arrays
+    cannot be built, is then re-checked by _check_entry to name the fault."""
+    if not isinstance(raw, list) or not raw:
+        _fail(path, "expected a non-empty list")
+    try:
+        rows = [[entry[k] for entry in raw] for k in keys]
+        arrays = [np.array(r, dtype=float) for r in rows]
+        types = set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+        shapes = {a.shape for a in arrays}
+        built = types <= {int, float} and shapes == {(len(raw), M.ambient_dim)}
+    except (KeyError, TypeError, ValueError, OverflowError):
+        built = False
+    suspects = range(len(raw))
+    if built:
+        ok = np.isfinite(arrays).all(axis=(0, 2))
+        ok &= M.check_point(arrays[0])
+        suspects = np.flatnonzero(~ok)
+    for i in suspects:
+        _check_entry(M, raw[i], keys, f"{path}[{i}]")
+    return arrays
 
 
-def _check_on_manifold(M: Manifold, p: np.ndarray, path: str):
-    if not M.check_point(p, tol=_POINT_CHECK_TOL):
-        _fail(path, f"point is not on {M.tag} (|p| = {np.linalg.norm(p):.6g})")
+def _entries(**columns: np.ndarray) -> list:
+    """The inverse of _read_entries: one entry per row of the arrays."""
+    rows = zip(*(a.tolist() for a in columns.values()))
+    return [dict(zip(columns, row)) for row in rows]
 
 
-def _load(path: str) -> dict:
+def _load(path: str) -> tuple[dict, Manifold]:
+    """Parse a file and check its schema and manifold tag."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found") from None
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}: not valid JSON ({err})") from None
+    schema = _require(obj, "schema", path)
+    if schema != SCHEMA:
+        _fail(f"{path}.schema", f"expected {SCHEMA!r}, got {schema!r}")
+    try:
+        return obj, manifold_from_tag(_require(obj, "manifold", path))
+    except ValueError as err:
+        _fail(f"{path}.manifold", str(err))
 
 
 def _dump(obj: dict, path: str):
@@ -93,37 +125,26 @@ def _dump(obj: dict, path: str):
 
 
 def write_samples(seq, path: str):
-    """Write a ManifoldHermiteSeq or periodic HermiteSequence."""
+    """Write a ManifoldHermiteSeq or HermiteSequence."""
     if isinstance(seq, HermiteSequence):
         tag = f"euclidean:{seq.dim}"
-        points, vectors, level = seq.points, seq.vectors, seq.level
         boundary = "periodic" if seq.periodic else "interior"
     else:
-        tag = seq.manifold.tag
-        points, vectors, level = seq.points, seq.vectors, seq.level
-        boundary = "periodic"
+        tag, boundary = seq.manifold.tag, "periodic"
     _dump(
         {
             "schema": SCHEMA,
             "manifold": tag,
-            "level": int(level),
+            "level": int(seq.level),
             "boundary": boundary,
-            "data": [
-                {"p": list(p), "v": list(v)} for p, v in zip(points, vectors)
-            ],
+            "data": _entries(p=seq.points, v=seq.vectors),
         },
         path,
     )
 
 
 def read_samples(path: str) -> ManifoldHermiteSeq:
-    obj = _load(path)
-    _check_schema(obj, path)
-    tag = _require(obj, "manifold", path)
-    try:
-        M = manifold_from_tag(tag)
-    except ValueError as err:
-        _fail(f"{path}.manifold", str(err))
+    obj, M = _load(path)
     level = _require(obj, "level", path)
     if not isinstance(level, int):
         _fail(f"{path}.level", "expected an integer")
@@ -131,15 +152,7 @@ def read_samples(path: str) -> ManifoldHermiteSeq:
     if boundary != "periodic":
         _fail(f"{path}.boundary", f"only 'periodic' is supported, got {boundary!r}")
     data = _require(obj, "data", path)
-    if not isinstance(data, list) or not data:
-        _fail(f"{path}.data", "expected a non-empty list")
-    P = np.empty((len(data), M.ambient_dim))
-    V = np.empty((len(data), M.ambient_dim))
-    for i, entry in enumerate(data):
-        here = f"{path}.data[{i}]"
-        P[i] = _vector(_require(entry, "p", here), M.ambient_dim, f"{here}.p")
-        V[i] = _vector(_require(entry, "v", here), M.ambient_dim, f"{here}.v")
-        _check_on_manifold(M, P[i], f"{here}.p")
+    P, V = _read_entries(M, data, ("p", "v"), f"{path}.data")
     return ManifoldHermiteSeq(M, P, V, level=level)
 
 
@@ -147,20 +160,18 @@ def read_samples(path: str) -> ManifoldHermiteSeq:
 # pyramids
 
 
-def predictor_meta(provider: MaskProvider) -> dict:
-    return {"kind": provider.kind, "lambda": provider.lam}
-
-
 def provider_from_meta(meta: dict, path: str) -> MaskProvider:
     kind = _require(meta, "kind", path)
-    if kind == "cubic":
-        return cubic_provider()
+    lam = None
     if kind == "exp":
         lam = _require(meta, "lambda", path)
         if not isinstance(lam, (int, float)) or isinstance(lam, bool):
             _fail(f"{path}.lambda", "expected a number")
-        return exponential_provider(float(lam))
-    _fail(f"{path}.kind", f"unknown predictor kind {kind!r}")
+        lam = float(lam)
+    try:
+        return provider_from_config(kind, lam)
+    except SchemaError as err:
+        _fail(f"{path}.kind", str(err))
 
 
 def write_pyramid(pyr: ManifoldPyramid, path: str):
@@ -168,33 +179,18 @@ def write_pyramid(pyr: ManifoldPyramid, path: str):
         {
             "schema": SCHEMA,
             "manifold": pyr.coarse.manifold.tag,
-            "predictor": predictor_meta(pyr.provider),
+            "predictor": {"kind": pyr.provider.kind, "lambda": pyr.provider.lam},
             "rule": pyr.rule,
             "coarse_level": int(pyr.coarse.level),
-            "coarse": [
-                {"p": list(p), "v": list(v)}
-                for p, v in zip(pyr.coarse.points, pyr.coarse.vectors)
-            ],
-            "details": [
-                [
-                    {"base": list(b), "u0": list(a), "u1": list(c)}
-                    for b, a, c in zip(d.bases, d.u0, d.u1)
-                ]
-                for d in pyr.details
-            ],
+            "coarse": _entries(p=pyr.coarse.points, v=pyr.coarse.vectors),
+            "details": [_entries(base=d.bases, u0=d.u0, u1=d.u1) for d in pyr.details],
         },
         path,
     )
 
 
 def read_pyramid(path: str) -> ManifoldPyramid:
-    obj = _load(path)
-    _check_schema(obj, path)
-    tag = _require(obj, "manifold", path)
-    try:
-        M = manifold_from_tag(tag)
-    except ValueError as err:
-        _fail(f"{path}.manifold", str(err))
+    obj, M = _load(path)
     provider = provider_from_meta(
         _require(obj, "predictor", path), f"{path}.predictor"
     )
@@ -205,15 +201,7 @@ def read_pyramid(path: str) -> ManifoldPyramid:
     if not isinstance(level, int):
         _fail(f"{path}.coarse_level", "expected an integer")
     raw_coarse = _require(obj, "coarse", path)
-    if not isinstance(raw_coarse, list) or not raw_coarse:
-        _fail(f"{path}.coarse", "expected a non-empty list")
-    P = np.empty((len(raw_coarse), M.ambient_dim))
-    V = np.empty((len(raw_coarse), M.ambient_dim))
-    for i, entry in enumerate(raw_coarse):
-        here = f"{path}.coarse[{i}]"
-        P[i] = _vector(_require(entry, "p", here), M.ambient_dim, f"{here}.p")
-        V[i] = _vector(_require(entry, "v", here), M.ambient_dim, f"{here}.v")
-        _check_on_manifold(M, P[i], f"{here}.p")
+    P, V = _read_entries(M, raw_coarse, ("p", "v"), f"{path}.coarse")
     coarse = ManifoldHermiteSeq(M, P, V, level=level)
     raw_details = _require(obj, "details", path)
     if not isinstance(raw_details, list):
@@ -224,15 +212,7 @@ def read_pyramid(path: str) -> ManifoldPyramid:
         here = f"{path}.details[{n}]"
         if not isinstance(raw_level, list) or len(raw_level) != length:
             _fail(here, f"expected a list of {length} detail entries")
-        B = np.empty((length, M.ambient_dim))
-        U0 = np.empty((length, M.ambient_dim))
-        U1 = np.empty((length, M.ambient_dim))
-        for i, entry in enumerate(raw_level):
-            at = f"{here}[{i}]"
-            B[i] = _vector(_require(entry, "base", at), M.ambient_dim, f"{at}.base")
-            U0[i] = _vector(_require(entry, "u0", at), M.ambient_dim, f"{at}.u0")
-            U1[i] = _vector(_require(entry, "u1", at), M.ambient_dim, f"{at}.u1")
-            _check_on_manifold(M, B[i], f"{at}.base")
+        B, U0, U1 = _read_entries(M, raw_level, ("base", "u0", "u1"), here)
         details.append(TangentPairSeq(M, B, U0, U1, level=level + n))
         length *= 2
     return ManifoldPyramid(coarse, tuple(details), provider, rule)

@@ -71,6 +71,9 @@ class Manifold:
     def check_point(self, p: np.ndarray, tol: float = 1e-9) -> bool:
         return True
 
+    def check_tangent(self, p: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
+        return True
+
 
 class Euclidean(Manifold):
     """Flat space: exp is +, log is -, transport is the identity."""
@@ -144,6 +147,9 @@ class _RoundSphere(Manifold):
 
     def check_point(self, p, tol=1e-9):
         return abs(np.linalg.norm(p, axis=-1) - 1.0) <= tol
+
+    def check_tangent(self, p, v, tol=1e-9):
+        return abs(_dot(p, v)[..., 0]) <= tol
 
     def exp(self, p, v):
         p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)

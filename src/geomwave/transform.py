@@ -189,13 +189,24 @@ def _halve(c: ManifoldHermiteSeq) -> ManifoldHermiteSeq:
 def decompose_manifold(
     cN: ManifoldHermiteSeq, provider: MaskProvider, rule: str, levels: int
 ) -> ManifoldPyramid:
-    """Manifold prediction-correction decomposition of a closed curve."""
-    finite = np.isfinite(cN.points).all(axis=1) & np.isfinite(cN.vectors).all(axis=1)
-    if not finite.all():
-        raise SchemaError(f"sample {int(np.argmin(finite))} is not finite")
+    """Manifold prediction-correction decomposition of a closed curve.
+
+    Refuses a sample that is not finite, not on M, or whose vector is not
+    tangent at its point, with a SchemaError naming the first one."""
+    M, P, V = cN.manifold, cN.points, cN.vectors
+    finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
+    ok = finite & M.check_point(P) & M.check_tangent(P, V)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not finite[i]:
+            reason = "is not finite"
+        elif not M.check_point(P[i]):
+            reason = f"is not on {M.tag} (|p| = {np.linalg.norm(P[i]):.6g})"
+        else:
+            reason = f"has a non-tangent vector (|<p, v>| = {abs(P[i] @ V[i]):.3g})"
+        raise SchemaError(f"sample {i} {reason}")
     if len(cN) % (1 << levels) != 0:
         raise ValueError(f"length {len(cN)} not divisible by 2^{levels}")
-    M = cN.manifold
     c = cN
     details: list[TangentPairSeq] = []
     for _ in range(levels):
@@ -212,6 +223,8 @@ def decompose_manifold(
             raise _density_error(err, n) from err
         # bases is a view of the whole prediction; keep only the odd rows
         details.append(TangentPairSeq(M, bases.copy(), u0, u1, level=n))
+        # free the finer prediction before the next level subdivides
+        del pred, bases
         c = coarse
     return ManifoldPyramid(c, tuple(reversed(details)), provider, rule)
 

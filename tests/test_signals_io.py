@@ -21,9 +21,15 @@ from geomwave.io import (
     write_samples,
 )
 from geomwave.manifolds import Euclidean, Sphere2
-from geomwave.predictors import cubic_provider
+from geomwave.predictors import cubic_provider, exponential_provider
 from geomwave.signals import SignalSpec, get_preset, preset_names, sample_signal
-from geomwave.transform import decompose_manifold, reconstruct_manifold
+from geomwave.transform import (
+    ManifoldHermiteSeq,
+    ManifoldPyramid,
+    TangentPairSeq,
+    decompose_manifold,
+    reconstruct_manifold,
+)
 
 ALL_PRESETS = [
     ("sphere2", "greatcircle"),
@@ -279,3 +285,228 @@ def test_interior_euclidean_decay_pipeline():
     assert not rep.exact_annihilation
     # smooth non-polynomial signal: details decay strictly
     assert all(b < a for a, b in zip(rep.sup_norms, rep.sup_norms[1:]))
+
+
+# Reader errors, pinned message for message.  Each case puts one fault at
+# entry 9 and another at entry 5; the reader must name entry 5, and within an
+# entry report the first fault in key order, as the per-entry checks do.
+
+
+def _string(e, pt, vec):
+    e[9][vec][0] = "0.5"
+    e[5][vec][1] = "0.25"
+    return "[5].{vec}[1]: expected a number"
+
+
+def _bool(e, pt, vec):
+    e[9][vec] = e[9][vec][:2]
+    e[5][pt][2] = True
+    return "[5].{pt}[2]: expected a number"
+
+
+def _nan(e, pt, vec):
+    e[9][pt][1] = float("nan")
+    e[5][vec][0] = float("nan")
+    return "[5].{vec}[0]: non-finite value"
+
+
+def _short(e, pt, vec):
+    e[9][pt][0] = float("nan")
+    e[5][vec] = e[5][vec][:2]
+    return "[5].{vec}: expected a list of 3 numbers"
+
+
+def _missing(e, pt, vec):
+    e[9][pt] = [2.0 * x for x in e[9][pt]]
+    del e[5][vec]
+    return "[5]: missing required field '{vec}'"
+
+
+def _off_sphere(e, pt, vec):
+    e[9][pt] = [3.0 * x for x in e[9][pt]]
+    e[5][pt] = [2.0 * x for x in e[5][pt]]
+    return "[5].{pt}: point is not on sphere2 (|p| = 2)"
+
+
+def _two_in_one(e, pt, vec):
+    e[9][vec][1] = True
+    e[5][pt] = [2.0 * x for x in e[5][pt]]
+    e[5][vec][2] = float("nan")
+    return "[5].{vec}[2]: non-finite value"
+
+
+_READER_FAULTS = [_string, _bool, _nan, _short, _missing, _off_sphere, _two_in_one]
+
+# container -> (where it sits in the file, point key, checked vector key)
+_READER_CONTAINERS = {
+    "data": (lambda obj: obj["data"], "p", "v"),
+    "coarse": (lambda obj: obj["coarse"], "p", "v"),
+    "details[1]": (lambda obj: obj["details"][1], "base", "u1"),
+}
+
+
+@pytest.mark.parametrize("fault", _READER_FAULTS, ids=lambda f: f.__name__[1:])
+@pytest.mark.parametrize("container", list(_READER_CONTAINERS))
+def test_reader_names_first_bad_entry(tmp_path, container, fault):
+    cN = sample_signal(get_preset("sphere2", "wobble"), 6)
+    path = str(tmp_path / "f.json")
+    if container == "data":
+        write_samples(cN, path)
+        read = read_samples
+    else:
+        write_pyramid(decompose_manifold(cN, cubic_provider(), "midpoint", 2), path)
+        read = read_pyramid
+    with open(path) as fh:
+        obj = json.load(fh)
+    entries, pt, vec = _READER_CONTAINERS[container]
+    tail = fault(entries(obj), pt, vec).format(pt=pt, vec=vec)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(SchemaError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}.{container}{tail}"
+
+
+def test_reader_rejects_wrong_dimension_throughout(tmp_path):
+    path = str(tmp_path / "s.json")
+    with open(path, "w") as fh:
+        json.dump({"schema": "geomwave/1", "manifold": "euclidean:3", "level": 1,
+                   "boundary": "periodic",
+                   "data": [{"p": [0.0, 1.0], "v": [1.0, 0.0]}] * 4}, fh)
+    with pytest.raises(SchemaError) as exc:
+        read_samples(path)
+    assert str(exc.value) == f"{path}.data[0].p: expected a list of 3 numbers"
+
+
+# The on-disk format, pinned byte for byte on literal decimal data.
+
+_SAMPLES_TEXT = """\
+{
+ "schema": "geomwave/1",
+ "manifold": "sphere2",
+ "level": 1,
+ "boundary": "periodic",
+ "data": [
+  {
+   "p": [
+    1.0,
+    0.0,
+    -0.0
+   ],
+   "v": [
+    0.0,
+    0.1,
+    -2.5e-17
+   ]
+  },
+  {
+   "p": [
+    0.0,
+    0.6,
+    0.8
+   ],
+   "v": [
+    0.3333333333333333,
+    1e+20,
+    -4.0
+   ]
+  }
+ ]
+}
+"""
+
+_PYRAMID_TEXT = """\
+{
+ "schema": "geomwave/1",
+ "manifold": "sphere2",
+ "predictor": {
+  "kind": "exp",
+  "lambda": 2.5
+ },
+ "rule": "leftpoint",
+ "coarse_level": 1,
+ "coarse": [
+  {
+   "p": [
+    1.0,
+    0.0,
+    -0.0
+   ],
+   "v": [
+    0.0,
+    0.1,
+    -2.5e-17
+   ]
+  },
+  {
+   "p": [
+    0.0,
+    0.6,
+    0.8
+   ],
+   "v": [
+    0.3333333333333333,
+    1e+20,
+    -4.0
+   ]
+  }
+ ],
+ "details": [
+  [
+   {
+    "base": [
+     0.6,
+     0.0,
+     0.8
+    ],
+    "u0": [
+     1e-300,
+     0.0,
+     -0.75
+    ],
+    "u1": [
+     0.125,
+     -3.0,
+     0.0
+    ]
+   },
+   {
+    "base": [
+     0.0,
+     -1.0,
+     0.0
+    ],
+    "u0": [
+     0.2,
+     0.0,
+     7.0
+    ],
+    "u1": [
+     0.0,
+     0.0,
+     1.5
+    ]
+   }
+  ]
+ ]
+}
+"""
+
+
+def test_file_format_is_pinned(tmp_path):
+    M = Sphere2()
+    P = np.array([[1.0, 0.0, -0.0], [0.0, 0.6, 0.8]])
+    V = np.array([[0.0, 0.1, -2.5e-17], [1.0 / 3.0, 1e20, -4.0]])
+    coarse = ManifoldHermiteSeq(M, P, V, level=1)
+    bases = np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+    u0 = np.array([[1e-300, 0.0, -0.75], [0.2, 0.0, 7.0]])
+    u1 = np.array([[0.125, -3.0, 0.0], [0.0, 0.0, 1.5]])
+    detail = TangentPairSeq(M, bases, u0, u1, level=1)
+    pyr = ManifoldPyramid(coarse, (detail,), exponential_provider(2.5), "leftpoint")
+    samples, pyramid = str(tmp_path / "s.json"), str(tmp_path / "p.json")
+    write_samples(coarse, samples)
+    write_pyramid(pyr, pyramid)
+    with open(samples) as fh:
+        assert fh.read() == _SAMPLES_TEXT
+    with open(pyramid) as fh:
+        assert fh.read() == _PYRAMID_TEXT

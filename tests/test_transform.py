@@ -248,16 +248,36 @@ def _inf_vectors_through_linear(P, V):
     return decompose_linear(data, build_bank(cubic_provider()), 2)
 
 
+def _off_sphere_points(P, V):
+    P[[9, 5]] *= 2.0
+    c = ManifoldHermiteSeq(Sphere2(), P, V, level=4)
+    return decompose_manifold(c, cubic_provider(), "midpoint", 2)
+
+
+def _non_tangent_vectors(P, V):
+    V[[9, 5]] += 0.5 * P[[9, 5]]
+    c = ManifoldHermiteSeq(Sphere2(), P, V, level=4)
+    return decompose_manifold(c, cubic_provider(), "midpoint", 2)
+
+
 @pytest.mark.parametrize(
-    "decompose", [_nan_points_on_sphere, _inf_vectors_through_linear],
-    ids=["nan-point-sphere2", "inf-vector-linear"],
+    "decompose,message",
+    [
+        (_nan_points_on_sphere, "sample 5 is not finite"),
+        (_inf_vectors_through_linear, "sample 5 is not finite"),
+        (_off_sphere_points, "sample 5 is not on sphere2 (|p| = 2)"),
+        (_non_tangent_vectors, "sample 5 has a non-tangent vector (|<p, v>| = 0.5)"),
+    ],
+    ids=["nan-point-sphere2", "inf-vector-linear", "off-sphere", "non-tangent"],
 )
-def test_non_finite_sample_rejected(decompose):
-    """Non-finite input is refused where it enters the pyramid, naming the
-    first bad sample, instead of decomposing into NaN details."""
+def test_non_finite_sample_rejected(decompose, message):
+    """Samples that are not finite, off the manifold or with non-tangent
+    vectors are refused where they enter the pyramid, naming the first bad
+    sample, instead of decomposing into NaN or wrong details."""
     c = sample_signal(get_preset("sphere2", "wobble"), 4)
-    with pytest.raises(SchemaError, match="sample 5 is not finite") as exc:
+    with pytest.raises(SchemaError) as exc:
         decompose(c.points.copy(), c.vectors.copy())
+    assert str(exc.value) == message
     assert exc.value.exit_code == 2
 
 
