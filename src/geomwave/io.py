@@ -60,10 +60,9 @@ def _check_entry(M: Manifold, entry, keys: tuple, path: str):
                 _fail(f"{path}.{k}[{i}]", "expected a number")
             if not math.isfinite(x):
                 _fail(f"{path}.{k}[{i}]", "non-finite value")
-    p = np.array(entry[keys[0]], dtype=float)
-    if not M.check_point(p):
-        norm = np.linalg.norm(p)
-        _fail(f"{path}.{keys[0]}", f"point is not on {M.tag} (|p| = {norm:.6g})")
+    fault = M.point_fault(np.array(entry[keys[0]], dtype=float))
+    if fault:
+        _fail(f"{path}.{keys[0]}", f"point {fault}")
 
 
 def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _CUT_LOCUS_MARGIN = 1e-6
+# how far a point may be off M, or a vector off T_pM, and still be accepted
+_INVARIANT_TOL = 1e-9
 
 
 class Manifold:
@@ -68,11 +70,17 @@ class Manifold:
     def project_tangent(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=float)
 
-    def check_point(self, p: np.ndarray, tol: float = 1e-9) -> bool:
+    def check_point(self, p: np.ndarray) -> bool:
         return True
 
-    def check_tangent(self, p: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
+    def check_tangent(self, p: np.ndarray, v: np.ndarray) -> bool:
         return True
+
+    def point_fault(self, p: np.ndarray) -> str | None:
+        """Why the single point p is not on M, or None if it is."""
+        if self.check_point(p):
+            return None
+        return f"is not on {self.tag} (|p| = {np.linalg.norm(p):.6g})"
 
 
 class Euclidean(Manifold):
@@ -145,11 +153,11 @@ class _RoundSphere(Manifold):
         v = np.asarray(v, dtype=float)
         return v - _dot(p, v) * p
 
-    def check_point(self, p, tol=1e-9):
-        return abs(np.linalg.norm(p, axis=-1) - 1.0) <= tol
+    def check_point(self, p):
+        return abs(np.linalg.norm(p, axis=-1) - 1.0) <= _INVARIANT_TOL
 
-    def check_tangent(self, p, v, tol=1e-9):
-        return abs(_dot(p, v)[..., 0]) <= tol
+    def check_tangent(self, p, v):
+        return abs(_dot(p, v)[..., 0]) <= _INVARIANT_TOL
 
     def exp(self, p, v):
         p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)

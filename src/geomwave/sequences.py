@@ -148,10 +148,6 @@ class HermiteSequence:
             raise IndexError(f"index {index} outside window")
         return self.points[i], self.vectors[i]
 
-    def valid_indices(self) -> np.ndarray:
-        """Absolute indices of valid entries."""
-        return self.start + np.nonzero(self.valid)[0]
-
 
 def periodic_sequence(points, vectors, level: int = 0) -> HermiteSequence:
     return HermiteSequence(points, vectors, periodic=True, level=level)

@@ -198,11 +198,8 @@ def decompose_manifold(
     ok = finite & M.check_point(P) & M.check_tangent(P, V)
     if not ok.all():
         i = int(np.argmin(ok))
-        if not finite[i]:
-            reason = "is not finite"
-        elif not M.check_point(P[i]):
-            reason = f"is not on {M.tag} (|p| = {np.linalg.norm(P[i]):.6g})"
-        else:
+        reason = M.point_fault(P[i]) if finite[i] else "is not finite"
+        if reason is None:
             reason = f"has a non-tangent vector (|<p, v>| = {abs(P[i] @ V[i]):.3g})"
         raise SchemaError(f"sample {i} {reason}")
     if len(cN) % (1 << levels) != 0:
