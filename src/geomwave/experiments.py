@@ -1,4 +1,4 @@
-"""Decay experiments with slope fitting, and the aggregated verification suite.
+"""Decay experiments with slope fitting, and the registry of numerical checks.
 
 ``decay_experiment`` samples a signal at the finest level, runs the
 prediction-correction pyramid down to the coarsest, and fits an ordinary
@@ -6,18 +6,22 @@ least-squares line to (n, log2 ||d^[n]||_inf).  The exponent of the wavelet
 coefficient decay is the fitted slope; the empirical constant
 C = max_n ||d^[n]|| 4^n is reported, never asserted.
 
-``verify_suite`` re-runs the numerical certificates of every module
+``REGISTRY`` lists the named numerical certificates of every module
 (biorthogonality in operator and symbol form, perfect reconstruction linear
-and manifold, geometry and fiber-algebra identities, vanishing moments,
-proximity boundedness) and returns a structured pass/fail report.  Failures
-are report entries, not exceptions.  The configuration is a flat
-``key = value`` text format (see ``parse_config``).
+and manifold, vanishing moments, geometry and fiber-algebra identities,
+Euclidean reduction, proximity).  Each check is a function of its subject
+(a bank, a manifold or a preset, with the sizes that go with it) and of the
+verify config, so the acceptance tests run the same checks at their own
+sizes.  ``verify_suite`` runs the registry at the default sizes and returns
+a structured pass/fail report; failures are report entries, not exceptions.
+The configuration is a flat ``key = value`` text format (see
+``parse_config``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +63,15 @@ __all__ = [
     "DecayReport",
     "CheckResult",
     "VerifyReport",
+    "REGISTRY",
+    "biorthogonality",
     "decay_experiment",
+    "euclidean_reduction",
+    "geometry_and_fiber",
+    "linear_reconstruction",
+    "manifold_reconstruction",
+    "proximity",
+    "vanishing_moments",
     "verify_suite",
     "parse_config",
     "default_config",
@@ -241,16 +253,7 @@ class VerifyReport:
             "kind": "verify-report",
             "passed": self.passed,
             "config": dict(self.config),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "threshold": c.threshold,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -265,12 +268,17 @@ def default_config() -> dict:
     }
 
 
+# smallest valid value of each numeric config key
+_MINIMUM = {"seed": 0, "probes": 1, "cases": 1, "levels": 1, "perturb_mask": 0}
+
+
 def parse_config(text: str) -> dict:
     """Parse the flat ``key = value`` verification config format.
 
     Lines are ``key = value``; ``#`` starts a comment; ``[section]`` headers
     are allowed and ignored; values are booleans, numbers, or bare/quoted
-    strings.  Unknown keys are rejected.
+    strings.  Unknown keys, and values that do not parse or fall outside
+    their range (``_MINIMUM``, finite), are rejected naming the line.
     """
     cfg = default_config()
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -290,10 +298,19 @@ def parse_config(text: str) -> dict:
             if value.lower() not in ("true", "false"):
                 raise SchemaError(f"config line {ln}: {key} must be true/false")
             cfg[key] = value.lower() == "true"
-        elif isinstance(cfg[key], int):
-            cfg[key] = int(value)
-        else:
-            cfg[key] = float(value)
+            continue
+        kind = type(cfg[key])
+        try:
+            number = kind(value)
+        except ValueError:
+            number = math.nan
+        if not (math.isfinite(number) and number >= _MINIMUM[key]):
+            what = "an integer" if kind is int else "a finite number"
+            raise SchemaError(
+                f"config line {ln}: {key} must be {what} >= {_MINIMUM[key]}, "
+                f"got {value!r}"
+            )
+        cfg[key] = number
     return cfg
 
 
@@ -305,13 +322,21 @@ def provider_from_config(kind: str, lam: float | None = None) -> MaskProvider:
     raise SchemaError(f"unknown predictor kind {kind!r} (use 'cubic' or 'exp')")
 
 
-def _random_probes(rng, count: int, length: int, m: int) -> list[HermiteSequence]:
-    return [
-        periodic_sequence(
-            rng.normal(size=(length, m)), rng.normal(size=(length, m))
-        )
-        for _ in range(count)
-    ]
+# --------------------------------------------------------------------------
+# registered checks: each is a function of its subject and the verify config
+# that returns unnamed results; REGISTRY names them
+
+
+def _at_most(residual: float, threshold: float, note: str = "") -> CheckResult:
+    """A result that passes at or below its threshold."""
+    return CheckResult("", bool(residual <= threshold), float(residual), threshold, note)
+
+
+def _random_data(cfg: dict, length: int, level: int) -> HermiteSequence:
+    """Random periodic Hermite data in R^3, drawn from the config's seed."""
+    rng = np.random.default_rng(int(cfg["seed"]))
+    size = (length, 3)
+    return periodic_sequence(rng.normal(size=size), rng.normal(size=size), level=level)
 
 
 def _worst(*residuals) -> float:
@@ -319,210 +344,196 @@ def _worst(*residuals) -> float:
     return max(float(np.max(np.abs(r), initial=0.0)) for r in residuals)
 
 
-def verify_suite(config: dict | None = None) -> VerifyReport:
-    cfg = dict(default_config(), **(config or {}))
+def biorthogonality(subject, cfg: dict) -> list[CheckResult]:
+    """Operator form (on ``probes`` random periodic probes) and symbol form
+    of the biorthogonality of one bank.  Subject: (provider, filter levels).
+    ``perturb_mask`` > 0 perturbs each dual wavelet filter Bt at random."""
+    provider, levels = subject
     rng = np.random.default_rng(int(cfg["seed"]))
-    checks: list[CheckResult] = []
-
-    def add(name, residual, threshold, note=""):
-        checks.append(
-            CheckResult(
-                name, bool(residual <= threshold), float(residual), threshold, note
-            )
-        )
-
-    def raised(name, err):
-        """A check whose pyramid raised fails, naming the error."""
-        checks.append(
-            CheckResult(name, False, None, None, f"{type(err).__name__}: {err}")
-        )
-
-    providers = [
-        ("cubic", cubic_provider()),
-        ("exp(1.0)", exponential_provider(1.0)),
+    probes = [
+        periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
+        for _ in range(int(cfg["probes"]))
     ]
-    probes = _random_probes(rng, int(cfg["probes"]), 32, 2)
     perturb = float(cfg["perturb_mask"])
+    bank = build_bank(provider)
+    worst_op = worst_sym = 0.0
+    for level in levels:
+        filt = bank.filters_at(level)
+        if perturb > 0.0:
+            delta = perturb * rng.standard_normal((2, 2))
+            filt = filt.with_mask("Bt", filt.Bt.perturbed(0, delta))
+        worst_op = max(worst_op, *biorthogonality_residuals(filt, probes))
+        worst_sym = max(worst_sym, *symbol_biorthogonality_residuals(filt))
+    note = "fault injection active" if perturb > 0.0 else ""
+    return [_at_most(worst_op, 1e-13, note), _at_most(worst_sym, 1e-13, note)]
 
-    for label, prov in providers:
-        bank = build_bank(prov)
-        worst_op = worst_sym = 0.0
-        for level in range(0, 4):
-            filt = bank.filters_at(level)
-            if perturb > 0.0:
-                delta = perturb * rng.standard_normal((2, 2))
-                filt = filt.with_mask("Bt", filt.Bt.perturbed(0, delta))
-            worst_op = max(worst_op, *biorthogonality_residuals(filt, probes))
-            worst_sym = max(worst_sym, *symbol_biorthogonality_residuals(filt))
-        note = "fault injection active" if perturb > 0.0 else ""
-        add(f"biorthogonality operator form [{label}]", worst_op, 1e-13, note)
-        add(f"biorthogonality symbol form [{label}]", worst_sym, 1e-13, note)
 
-    # linear perfect reconstruction
+def linear_reconstruction(provider: MaskProvider, cfg: dict) -> list[CheckResult]:
+    """Round trip of random periodic data in R^3, of length 16 * 2^levels,
+    through ``levels`` levels of the linear pyramid."""
     levels = int(cfg["levels"])
-    data = periodic_sequence(
-        rng.normal(size=(16 << levels, 3)),
-        rng.normal(size=(16 << levels, 3)),
-        level=levels,
+    data = _random_data(cfg, 16 << levels, levels)
+    bank = build_bank(provider)
+    rec = reconstruct_linear(decompose_linear(data, bank, levels), bank)
+    return [_at_most(sup_norm(seq_sub(rec, data)), 1e-12)]
+
+
+def vanishing_moments(subject, cfg: dict) -> list[CheckResult]:
+    """The dual wavelet filter Bt annihilates the samples of reproduced
+    functions.  Subject: (provider, {filter level: window half-width},
+    (label, f, f') elements of the provider's reproduction space)."""
+    provider, windows, elements = subject
+    bank = build_bank(provider)
+    worst = max(
+        vanishing_moment_residual(bank.filters_at(n), f, df, n, (-w, w))
+        for n, w in windows.items()
+        for _, f, df in elements
     )
-    for label, prov in providers:
-        bank = build_bank(prov)
-        name = f"linear perfect reconstruction [{label}]"
+    return [_at_most(worst, 1e-12 if provider.kind == "cubic" else 1e-10)]
+
+
+def geometry_and_fiber(M, cfg: dict) -> list[CheckResult]:
+    """On ``cases`` random cases of M: log inverts exp (|v| in [0.01, 2.5]),
+    transport is an isometry undone by the reverse transport (|w| in
+    [0.1, 2]) and the midpoint is equidistant; then the fiber identities
+    a (+) (at (-) a) = at and (a (+) b) (-) a = b."""
+    rng = np.random.default_rng(int(cfg["seed"]))
+    shape = (int(cfg["cases"]), M.ambient_dim)
+    p = M.project_point(rng.normal(size=shape))
+    raw = rng.normal(size=(7,) + shape)
+    size_v, size_w, size_t = rng.uniform(
+        (0.01, 0.1, 0.05), (2.5, 2.0, 1.0), size=(shape[0], 3)
+    ).T[..., None]
+
+    def tangent(at, k, size):
+        """A tangent at ``at`` of norm ``size`` from the k-th raw direction."""
+        v = M.project_tangent(at, raw[k])
+        return v * (size / np.linalg.norm(v, axis=-1, keepdims=True))
+
+    v = tangent(p, 0, size_v)
+    q = M.exp(p, v)
+    w = tangent(p, 1, size_w)
+    wq = M.transport(p, w, q)
+    mid = M.midpoint(p, q)
+    geometry = _worst(
+        M.log(p, q) - v,
+        np.linalg.norm(wq, axis=-1) - np.linalg.norm(w, axis=-1),
+        M.transport(q, wq, p) - w,
+        M.dist(p, mid) - M.dist(mid, q),
+    )
+    a = (p, tangent(p, 2, 0.5))
+    pt = M.exp(p, tangent(p, 3, size_t))
+    at = (pt, tangent(pt, 4, 0.5))
+    q2, v2 = oplus(M, a, *ominus(M, at, a))
+    u0, u1 = tangent(p, 5, 0.5), tangent(p, 6, 0.5)
+    _, r0, r1 = ominus(M, oplus(M, a, p, u0, u1), a)
+    fiber = _worst(M.dist(q2, pt), v2 - at[1], r0 - u0, r1 - u1)
+    return [_at_most(geometry, 1e-11), _at_most(fiber, 1e-11)]
+
+
+def manifold_reconstruction(subject, cfg: dict) -> list[CheckResult]:
+    """Round trip of a preset sampled at a level, decomposed down to 8
+    coarse samples (cubic predictor, midpoint rule).  Subject: (preset,
+    level).  ``sparse_sphere`` injects a density failure on the sphere."""
+    spec, level = subject
+    if cfg["sparse_sphere"] and spec.manifold_tag == "sphere2":
+        # a 4-point great circle halves to an antipodal coarse pair, which
+        # the prediction step cannot log through
+        P = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
+        c = ManifoldHermiteSeq(Sphere2(), P, np.zeros_like(P), level=1)
         try:
-            rec = reconstruct_linear(decompose_linear(data, bank, levels), bank)
-        except GeomwaveError as err:
-            raised(name, err)
-            continue
-        add(name, sup_norm(seq_sub(rec, data)), 1e-12)
+            decompose_manifold(c, cubic_provider(), "midpoint", 1)
+        except DensityError as err:
+            note = f"density failure (injected): {err}"
+            return [CheckResult("", False, None, None, note)]
+    cN = sample_signal(spec, level)
+    pyr = decompose_manifold(cN, cubic_provider(), "midpoint", level - 3)
+    rec = reconstruct_manifold(pyr)
+    err = _worst(cN.manifold.dist(rec.points, cN.points), rec.vectors - cN.vectors)
+    return [_at_most(err, 1e-10)]
 
-    # vanishing moments
-    cub = build_bank(cubic_provider())
-    worst = 0.0
-    for deg in range(4):
-        worst = max(
-            worst,
-            vanishing_moment_residual(
-                cub.filters_at(3), lambda x: x**deg,
-                lambda x: deg * x ** (deg - 1) if deg else 0.0, 3, (-16, 16),
-            ),
-        )
-    add("vanishing moments cubic (degree <= 3)", worst, 1e-12)
-    lam = 1.0
-    eb = build_bank(exponential_provider(lam))
-    worst = 0.0
-    for sgn in (1.0, -1.0):
-        worst = max(
-            worst,
-            vanishing_moment_residual(
-                eb.filters_at(3),
-                lambda x, s=sgn: math.exp(s * lam * x),
-                lambda x, s=sgn: s * lam * math.exp(s * lam * x),
-                3, (-16, 16),
-            ),
-        )
-    add("vanishing moments exponential", worst, 1e-10)
 
-    # geometry + fiber algebra: every case at once.  The raw draws keep the
-    # order of a per-case loop (point, scale, seven tangent directions), so
-    # the cases do not depend on the batching.
-    cases = int(cfg["cases"])
-    for M in (Sphere2(), SO3Quat(), Euclidean(3)):
-        d = M.ambient_dim
-        raw_p, scale = np.empty((cases, d)), np.empty((cases, 1))
-        raw_t = np.empty((7, cases, d))
-        for i in range(cases):
-            raw_p[i] = rng.normal(size=d)
-            scale[i] = rng.uniform(0.05, 1.0)
-            for k in range(7):
-                raw_t[k, i] = rng.normal(size=d)
-
-        def tangent(p, k, size):
-            """A tangent at p of norm ``size`` from the k-th raw direction."""
-            v = M.project_tangent(p, raw_t[k])
-            return v * (size / np.linalg.norm(v, axis=-1, keepdims=True))
-
-        p = M.project_point(raw_p)
-        v = tangent(p, 0, scale)
-        q = M.exp(p, v)
-        w = tangent(p, 1, 1.0)
-        wq = M.transport(p, w, q)
-        mid = M.midpoint(p, q)
-        worst_geo = _worst(
-            M.log(p, q) - v,
-            np.linalg.norm(wq, axis=-1) - np.linalg.norm(w, axis=-1),
-            M.transport(q, wq, p) - w,
-            M.dist(p, mid) - M.dist(mid, q),
-        )
-        # fiber algebra: a oplus (at ominus a) = at; (a oplus b) ominus a = b
-        a = (p, tangent(p, 2, 0.5))
-        pt = M.exp(p, tangent(p, 3, 0.5))
-        at = (pt, tangent(pt, 4, 0.5))
-        q2, v2 = oplus(M, a, *ominus(M, at, a))
-        u0b, u1b = tangent(p, 5, 0.5), tangent(p, 6, 0.5)
-        _, r0, r1 = ominus(M, oplus(M, a, p, u0b, u1b), a)
-        worst_fiber = _worst(M.dist(q2, pt), v2 - at[1], r0 - u0b, r1 - u1b)
-        add(f"geometry kernel [{M.tag}]", worst_geo, 1e-11)
-        add(f"fiber algebra [{M.tag}]", worst_fiber, 1e-11)
-
-    # manifold perfect reconstruction
-    for tag, preset in (("sphere2", "wobble"), ("so3-quat", "quatcurve")):
-        name = f"manifold perfect reconstruction [{tag}]"
-        if cfg["sparse_sphere"] and tag == "sphere2":
-            # fault injection: a 4-point great circle halves to an antipodal
-            # coarse pair, which the prediction step cannot log through
-            M = Sphere2()
-            P = np.array(
-                [[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]]
-            )
-            V = np.zeros_like(P)
-            c = ManifoldHermiteSeq(M, P, V, level=1)
-            try:
-                decompose_manifold(c, cubic_provider(), "midpoint", 1)
-            except DensityError as err:
-                checks.append(
-                    CheckResult(
-                        name, False, None, None,
-                        f"density failure (injected): {err}",
-                    )
-                )
-                continue
-        cN = sample_signal(get_preset(tag, preset), 7)
-        try:
-            rec = reconstruct_manifold(
-                decompose_manifold(cN, cubic_provider(), "midpoint", 4)
-            )
-        except GeomwaveError as err:
-            raised(name, err)
-            continue
-        err = max(
-            float(cN.manifold.dist(rec.points, cN.points).max()),
-            float(np.abs(rec.vectors - cN.vectors).max()),
-        )
-        add(name, err, 1e-10)
-
-    # Euclidean reduction: the pyramid on flat data, with either base point
-    # rule, against the details of the dual wavelet filter Bt
-    spec = get_preset("euclidean:3", "trigblend")
-    cN = sample_signal(spec, 6)
-    ref = dual_filter_details(cN, build_bank(cubic_provider()), 3)
+def euclidean_reduction(levels: int, cfg: dict) -> list[CheckResult]:
+    """On random periodic data in R^3 of length 8 * 2^levels, the pyramid
+    with either base point rule gives the details of the dual wavelet filter
+    Bt.  Subject: the number of levels."""
+    data = _random_data(cfg, 8 << levels, levels)
+    ref = dual_filter_details(data, build_bank(cubic_provider()), levels)
     worst = 0.0
     for rule in RULES:
-        man = decompose_manifold(
-            from_linear(Euclidean(3), cN), cubic_provider(), rule, 3
+        pyr = decompose_manifold(
+            from_linear(Euclidean(3), data), cubic_provider(), rule, levels
         )
-        for dr, dm in zip(ref, man.details):
-            worst = max(
-                worst,
-                float(np.abs(dr.points - dm.u0).max()),
-                float(np.abs(dr.vectors - dm.u1).max()),
-            )
-    add("euclidean reduction (details agree)", worst, 1e-13)
+        for dr, dm in zip(ref, pyr.details):
+            worst = max(worst, _worst(dr.points - dm.u0, dr.vectors - dm.u1))
+    return [_at_most(worst, 1e-13)]
 
-    # proximity boundedness and numerator exponent on the sphere preset
-    spec = get_preset("sphere2", "wobble")
+
+def proximity(subject, cfg: dict) -> list[CheckResult]:
+    """Proximity of the manifold and the linear cubic subdivision on a
+    preset sampled at each of several levels.  Subject: (preset, levels).
+    The ratio to ||(delta p, v)||^2 stays bounded (on smooth data it falls
+    like 4^-n), and the numerator is at least of quadratic order, which a
+    first-order fault fails even where the bound cannot see it."""
+    spec, levels = subject
     mask = cubic_provider().mask_at(0)
-    levels = range(4, 8)
     samples = [sample_signal(spec, n) for n in levels]
     nums = [proximity_numerator(mask, c, "midpoint") for c in samples]
     ratios = [num / proximity_denominator(c) for num, c in zip(nums, samples)]
-    # bounded, not constant: on smooth data the ratio falls like 4^-n
     growth = max(ratios) / ratios[0]
-    checks.append(
-        CheckResult(
-            "proximity ratio boundedness [sphere2]",
-            bool(growth <= 10.0), float(growth), 10.0,
-            "max over four dyadic densities / coarsest",
-        )
-    )
-    # a first-order fault grows the ratio only 2x per level, which the bound
-    # above cannot see over four levels; proximity promises quadratic order
     slope = float(np.polyfit([-n for n in levels], np.log2(nums), 1)[0])
-    checks.append(
+    span = f"levels {levels[0]}..{levels[-1]}"
+    return [
+        _at_most(growth, 10.0, f"max over {span} / coarsest"),
         CheckResult(
-            "proximity numerator exponent [sphere2]",
-            bool(slope >= 1.7), slope, 1.7,
-            "log-log slope over levels 4..7; passes at or above the threshold",
-        )
-    )
+            "", bool(slope >= 1.7), slope, 1.7,
+            f"log-log slope over {span}; passes at or above the threshold",
+        ),
+    ]
 
+
+_CUBIC, _EXP = cubic_provider(), exponential_provider(1.0)
+_WOBBLE = get_preset("sphere2", "wobble")
+
+# The checks of ``geomwave verify`` in report order: the names of a check's
+# results, the check, and its subject at the default size.
+REGISTRY = (
+    (("biorthogonality operator form [cubic]",
+      "biorthogonality symbol form [cubic]"), biorthogonality, (_CUBIC, range(4))),
+    (("biorthogonality operator form [exp(1.0)]",
+      "biorthogonality symbol form [exp(1.0)]"), biorthogonality, (_EXP, range(4))),
+    (("linear perfect reconstruction [cubic]",), linear_reconstruction, _CUBIC),
+    (("linear perfect reconstruction [exp(1.0)]",), linear_reconstruction, _EXP),
+    (("vanishing moments cubic (degree <= 3)",), vanishing_moments,
+     (_CUBIC, {3: 16}, _CUBIC.reproduction_space().elements)),
+    (("vanishing moments exponential",), vanishing_moments,  # e^{lx}, e^{-lx}
+     (_EXP, {3: 16}, _EXP.reproduction_space().elements[2:])),
+    (("geometry kernel [sphere2]",
+      "fiber algebra [sphere2]"), geometry_and_fiber, Sphere2()),
+    (("geometry kernel [so3-quat]",
+      "fiber algebra [so3-quat]"), geometry_and_fiber, SO3Quat()),
+    (("geometry kernel [euclidean:3]",
+      "fiber algebra [euclidean:3]"), geometry_and_fiber, Euclidean(3)),
+    (("manifold perfect reconstruction [sphere2]",), manifold_reconstruction,
+     (_WOBBLE, 7)),
+    (("manifold perfect reconstruction [so3-quat]",), manifold_reconstruction,
+     (get_preset("so3-quat", "quatcurve"), 7)),
+    (("euclidean reduction (details agree)",), euclidean_reduction, 3),
+    (("proximity ratio boundedness [sphere2]",
+      "proximity numerator exponent [sphere2]"), proximity, (_WOBBLE, range(4, 8))),
+)
+
+
+def verify_suite(config: dict | None = None) -> VerifyReport:
+    """Run every registered check.  A check that raises a library error fails
+    with the error as its note, so the report is always complete."""
+    cfg = dict(default_config(), **(config or {}))
+    checks: list[CheckResult] = []
+    for names, check, subject in REGISTRY:
+        try:
+            results = check(subject, cfg)
+        except GeomwaveError as err:
+            note = f"{type(err).__name__}: {err}"
+            results = [CheckResult("", False, None, None, note)] * len(names)
+        checks += [replace(r, name=n) for n, r in zip(names, results, strict=True)]
     return VerifyReport(tuple(checks), cfg)

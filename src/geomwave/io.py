@@ -4,7 +4,8 @@ All numeric payloads are serialized as JSON numbers with full double
 precision (Python's repr round-trips doubles exactly), so write-then-read is
 bitwise lossless.  Readers validate the schema with path-addressed error
 messages, check entry lists as whole arrays and reject manifold-invariant
-violations (e.g. non-unit sphere points) naming the first offending entry;
+violations (non-unit sphere points, vectors not tangent at their entry's
+point) naming the first offending entry;
 read values are never renormalized.
 """
 
@@ -49,7 +50,8 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _check_entry(M: Manifold, entry, keys: tuple, path: str):
-    """Each key a list of d finite numbers (not bools); the first on M."""
+    """Each key a list of d finite numbers (not bools); the first on M, and
+    every later one tangent at the first."""
     d = M.ambient_dim
     for k in keys:
         raw = _require(entry, k, path)
@@ -60,9 +62,14 @@ def _check_entry(M: Manifold, entry, keys: tuple, path: str):
                 _fail(f"{path}.{k}[{i}]", "expected a number")
             if not math.isfinite(x):
                 _fail(f"{path}.{k}[{i}]", "non-finite value")
-    fault = M.point_fault(np.array(entry[keys[0]], dtype=float))
+    p = np.array(entry[keys[0]], dtype=float)
+    fault = M.point_fault(p)
     if fault:
         _fail(f"{path}.{keys[0]}", f"point {fault}")
+    for k in keys[1:]:
+        fault = M.tangent_fault(p, np.array(entry[k], dtype=float))
+        if fault:
+            _fail(f"{path}.{k}", f"entry {fault}")
 
 
 def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
@@ -83,6 +90,8 @@ def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
     if built:
         ok = np.isfinite(arrays).all(axis=(0, 2))
         ok &= M.check_point(arrays[0])
+        for a in arrays[1:]:
+            ok &= M.check_tangent(arrays[0], a)
         suspects = np.flatnonzero(~ok)
     for i in suspects:
         _check_entry(M, raw[i], keys, f"{path}[{i}]")

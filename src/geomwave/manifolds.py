@@ -82,6 +82,12 @@ class Manifold:
             return None
         return f"is not on {self.tag} (|p| = {np.linalg.norm(p):.6g})"
 
+    def tangent_fault(self, p: np.ndarray, v: np.ndarray) -> str | None:
+        """Why v is not tangent at the single point p, or None if it is."""
+        if self.check_tangent(p, v):
+            return None
+        return f"has a non-tangent vector (|<p, v>| = {abs(p @ v):.3g})"
+
 
 class Euclidean(Manifold):
     """Flat space: exp is +, log is -, transport is the identity."""

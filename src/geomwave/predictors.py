@@ -19,26 +19,18 @@ import numpy as np
 from .sequences import (
     HermiteSequence,
     Mask,
-    apply_subdivision,
-    delta_sequence,
     diag_d,
     interior_sequence,
-    seq_sub,
-    sup_norm,
 )
 
 __all__ = [
     "MaskProvider",
     "ReproductionSpace",
-    "BasicLimitTable",
     "cubic_hermite_mask",
     "exponential_hermite_mask",
     "cubic_provider",
     "exponential_provider",
     "interpolatory_check",
-    "spectral_condition_residual",
-    "run_scheme",
-    "basic_limit_table",
     "sample_hermite_interior",
     "poly_space",
     "exponential_space",
@@ -220,73 +212,3 @@ def sample_hermite_interior(
     p = np.array([[f(j * h)] for j in idx], dtype=float)
     v = np.array([[h * df(j * h)] for j in idx], dtype=float)
     return interior_sequence(p, v, a, level=level)
-
-
-def spectral_condition_residual(
-    provider: MaskProvider,
-    f: Callable[[float], float],
-    df: Callable[[float], float],
-    level: int,
-    window: tuple[int, int],
-) -> float:
-    """Sup norm of S_{A^[n]} c^[n] - c^[n+1] for samples of f, over the
-    interior-valid output indices."""
-    a, b = window
-    if b - a < 2:
-        raise ValueError("window too small for one subdivision step")
-    cn = sample_hermite_interior(f, df, level, window)
-    out = apply_subdivision(provider.mask_at(level), cn)
-    exact = sample_hermite_interior(
-        f, df, level + 1, (out.start, out.start + len(out) - 1)
-    )
-    diff = seq_sub(out, exact)
-    return sup_norm(diff)
-
-
-def run_scheme(
-    provider: MaskProvider, c0: HermiteSequence, steps: int
-) -> HermiteSequence:
-    """Iterate the subdivision scheme: c^[n+1] = S_{A^[n]} c^[n], starting
-    from the level tag of c0."""
-    c = c0
-    for _ in range(steps):
-        c = apply_subdivision(provider.mask_at(c.level), c)
-    return c
-
-
-@dataclass(frozen=True)
-class BasicLimitTable:
-    """Dyadic-grid approximation of the 2x2 basic-limit-function matrix of the
-    scheme started at a given level, from iterated delta data."""
-
-    start_level: int
-    iterations: int
-    values: np.ndarray  # (2, 2, L): [row][column][grid point]
-    sup: float
-
-    @property
-    def grid_step(self) -> float:
-        return 2.0 ** (-self.iterations)
-
-
-def basic_limit_table(
-    provider: MaskProvider, start_level: int, iterations: int, length: int = 8
-) -> BasicLimitTable:
-    """Run the scheme (starting at ``start_level``) on delta data and record
-    un-normalized values approximating the basic limit function matrix."""
-    if iterations > 20:
-        raise ValueError("iterations capped at 20 (grid 2^-20)")
-    cols = []
-    for pair in ((1.0, 0.0), (0.0, 1.0)):
-        c = delta_sequence(1, length, pair=pair)
-        for k in range(iterations):
-            c = apply_subdivision(provider.mask_at(start_level + k), c)
-        # un-normalize: p^[k] = D^-k c^[k]
-        cols.append((c.points[:, 0], c.vectors[:, 0] * 2.0**iterations))
-        if not np.isfinite(cols[-1][1]).all():
-            raise OverflowError("diverging derivative column in limit table")
-    # values[r][c]: r=0 function row, r=1 derivative row; c = initial column
-    values = np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
-    return BasicLimitTable(
-        start_level, iterations, values, float(np.abs(values).max())
-    )

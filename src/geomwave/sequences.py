@@ -25,7 +25,6 @@ __all__ = [
     "HermiteSequence",
     "block",
     "diag_d",
-    "delta_mask",
     "delta_sequence",
     "periodic_sequence",
     "interior_sequence",
@@ -33,9 +32,6 @@ __all__ = [
     "apply_decomposition",
     "shift",
     "sup_norm",
-    "apply_diag_d",
-    "seq_add",
-    "seq_scale",
     "seq_sub",
 ]
 
@@ -88,11 +84,6 @@ class Mask:
         blocks = self.blocks.copy()
         blocks[k - self.lo] += delta
         return Mask(self.lo, blocks)
-
-
-def delta_mask() -> Mask:
-    """The delta mask: identity block at index 0."""
-    return Mask(0, np.eye(2)[None, :, :])
 
 
 def single_block_mask(k: int, blk: np.ndarray) -> Mask:
@@ -284,22 +275,10 @@ def sup_norm(s: HermiteSequence) -> float:
     return float(max(p, v))
 
 
-def apply_diag_d(s: HermiteSequence, power: int = 1) -> HermiteSequence:
-    """Apply diag(1, 1/2)^power entrywise: derivative parts scale by 2^-power."""
-    return replace(s, vectors=s.vectors * 2.0 ** (-power))
-
-
 def _combine_valid(s: HermiteSequence, t: HermiteSequence) -> np.ndarray:
     if s.periodic != t.periodic or len(s) != len(t) or s.start != t.start:
         raise ValueError("sequences are not index-compatible")
     return s.valid & t.valid
-
-
-def seq_add(s: HermiteSequence, t: HermiteSequence) -> HermiteSequence:
-    valid = _combine_valid(s, t)
-    return replace(
-        s, points=s.points + t.points, vectors=s.vectors + t.vectors, valid=valid
-    )
 
 
 def seq_sub(s: HermiteSequence, t: HermiteSequence) -> HermiteSequence:
@@ -307,7 +286,3 @@ def seq_sub(s: HermiteSequence, t: HermiteSequence) -> HermiteSequence:
     return replace(
         s, points=s.points - t.points, vectors=s.vectors - t.vectors, valid=valid
     )
-
-
-def seq_scale(s: HermiteSequence, alpha: float) -> HermiteSequence:
-    return replace(s, points=alpha * s.points, vectors=alpha * s.vectors)

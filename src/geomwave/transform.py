@@ -30,10 +30,8 @@ __all__ = [
     "ominus",
     "decompose_manifold",
     "reconstruct_manifold",
-    "proximity_ratio",
     "proximity_numerator",
     "proximity_denominator",
-    "ominus_lipschitz_ratio",
     "detail_sup_norm",
     "to_linear",
     "from_linear",
@@ -198,10 +196,11 @@ def decompose_manifold(
     ok = finite & M.check_point(P) & M.check_tangent(P, V)
     if not ok.all():
         i = int(np.argmin(ok))
-        reason = M.point_fault(P[i]) if finite[i] else "is not finite"
-        if reason is None:
-            reason = f"has a non-tangent vector (|<p, v>| = {abs(P[i] @ V[i]):.3g})"
-        raise SchemaError(f"sample {i} {reason}")
+        if not finite[i]:
+            raise SchemaError(f"sample {i} is not finite")
+        raise SchemaError(
+            f"sample {i} {M.point_fault(P[i]) or M.tangent_fault(P[i], V[i])}"
+        )
     if len(cN) % (1 << levels) != 0:
         raise ValueError(f"length {len(cN)} not divisible by 2^{levels}")
     c = cN
@@ -279,13 +278,6 @@ def from_linear(M: Manifold, s: HermiteSequence) -> ManifoldHermiteSeq:
     return ManifoldHermiteSeq(M, s.points, s.vectors, level=s.level)
 
 
-def proximity_ratio(
-    mask: Mask, c: ManifoldHermiteSeq, rule: str = "midpoint"
-) -> float:
-    """||(S_A - T_A) c||_inf / ||(delta p, v)||_inf^2 in ambient coordinates."""
-    return proximity_numerator(mask, c, rule) / proximity_denominator(c)
-
-
 def proximity_denominator(c: ManifoldHermiteSeq) -> float:
     """||(delta p, v)||_inf^2, the scale the proximity numerator is held to."""
     dp = np.roll(c.points, -1, axis=0) - c.points
@@ -306,17 +298,3 @@ def proximity_numerator(
             np.abs(linear.vectors - nonlinear.vectors).max(),
         )
     )
-
-
-def ominus_lipschitz_ratio(
-    M: Manifold,
-    a: tuple[np.ndarray, np.ndarray],
-    b: tuple[np.ndarray, np.ndarray],
-) -> float:
-    """||a (-) b||_inf over the flat ambient difference ||a - b||_inf."""
-    _, u0, u1 = ominus(M, a, b)
-    num = max(np.abs(u0).max(), np.abs(u1).max())
-    denom = max(np.abs(a[0] - b[0]).max(), np.abs(a[1] - b[1]).max())
-    if denom == 0.0:
-        raise ValueError("Lipschitz ratio undefined for coincident pairs")
-    return float(num / denom)

@@ -126,6 +126,13 @@ def test_verify_missing_config(tmp_path):
                "--out", str(tmp_path / "v.json")) == 2
 
 
+def test_verify_bad_config_value_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("cases = 5\nprobes = 0\n")
+    assert run("verify", "--config", str(cfg), "--out", str(tmp_path / "v.json")) == 2
+    assert "config line 2: probes" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     """``python -m geomwave.cli`` runs the CLI."""
     src = str(Path(geomwave.__file__).resolve().parents[1])

@@ -1,12 +1,11 @@
 """Filter banks: derived duals, biorthogonality, pyramids, vanishing moments."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomwave.experiments import biorthogonality, default_config, vanishing_moments
 from geomwave.filterbank import (
     MatLaurent,
     biorthogonality_residuals,
@@ -69,14 +68,11 @@ def test_matlaurent_algebra(rng):
     assert np.allclose(ev(a.sharp(), 2.0), ev(a, 0.5).T, atol=1e-10)
 
 
-def test_biorthogonality_both_forms_clean(rng):
-    probes = random_probes(rng)
+def test_biorthogonality_both_forms_clean():
+    cfg = dict(default_config(), probes=10)
     for provider in (cubic_provider(), exponential_provider(1.5)):
-        bank = build_bank(provider)
-        for level in (0, 2, 4):
-            filt = bank.filters_at(level)
-            assert max(biorthogonality_residuals(filt, probes)) <= 1e-13
-            assert max(symbol_biorthogonality_residuals(filt)) <= 1e-13
+        results = biorthogonality((provider, (0, 2, 4)), cfg)
+        assert [r.passed for r in results] == [True, True], results
 
 
 def test_perturbed_filter_breaks_both_forms(rng):
@@ -155,27 +151,12 @@ def test_exponential_pyramid_uses_absolute_levels(rng):
 
 
 def test_vanishing_moments_cubic_and_exponential():
-    cub = build_bank(cubic_provider()).filters_at(2)
-    for deg in range(4):
-        r = vanishing_moment_residual(
-            cub,
-            lambda x: x**deg,
-            lambda x: deg * x ** (deg - 1) if deg else 0.0,
-            2,
-            (-12, 12),
-        )
-        assert r <= 1e-12, (deg, r)
-    lam = 1.0
-    eb = build_bank(exponential_provider(lam)).filters_at(2)
-    for sgn in (1.0, -1.0):
-        r = vanishing_moment_residual(
-            eb,
-            lambda x: math.exp(sgn * lam * x),
-            lambda x: sgn * lam * math.exp(sgn * lam * x),
-            2,
-            (-12, 12),
-        )
-        assert r <= 1e-10, (sgn, r)
+    """Bt annihilates the whole reproduction space: cubics with the cubic
+    bank (to 1e-12), and 1, x, e^{x}, e^{-x} with the exp(1) bank (1e-10)."""
+    for provider in (cubic_provider(), exponential_provider(1.0)):
+        subject = (provider, {2: 12}, provider.reproduction_space().elements)
+        (result,) = vanishing_moments(subject, default_config())
+        assert result.passed, result
 
 
 def test_cubic_bank_does_not_annihilate_quartic():

@@ -1,6 +1,8 @@
 """Predictor masks: reproduction oracles, interpolatory structure, limits."""
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomwave.predictors import (
-    basic_limit_table,
     cubic_hermite_mask,
     cubic_provider,
     exponential_hermite_mask,
@@ -17,10 +18,73 @@ from geomwave.predictors import (
     MaskProvider,
     poly_space,
     exponential_space,
-    run_scheme,
     sample_hermite_interior,
-    spectral_condition_residual,
 )
+from geomwave.sequences import (
+    apply_subdivision,
+    delta_sequence,
+    seq_sub,
+    sup_norm,
+)
+
+
+def spectral_condition_residual(
+    provider: MaskProvider,
+    f: Callable[[float], float],
+    df: Callable[[float], float],
+    level: int,
+    window: tuple[int, int],
+) -> float:
+    """Sup norm of S_{A^[n]} c^[n] - c^[n+1] for samples of f, over the
+    interior-valid output indices."""
+    a, b = window
+    if b - a < 2:
+        raise ValueError("window too small for one subdivision step")
+    cn = sample_hermite_interior(f, df, level, window)
+    out = apply_subdivision(provider.mask_at(level), cn)
+    exact = sample_hermite_interior(
+        f, df, level + 1, (out.start, out.start + len(out) - 1)
+    )
+    diff = seq_sub(out, exact)
+    return sup_norm(diff)
+
+
+@dataclass(frozen=True)
+class BasicLimitTable:
+    """Dyadic-grid approximation of the 2x2 basic-limit-function matrix of the
+    scheme started at a given level, from iterated delta data."""
+
+    start_level: int
+    iterations: int
+    values: np.ndarray  # (2, 2, L): [row][column][grid point]
+    sup: float
+
+    @property
+    def grid_step(self) -> float:
+        return 2.0 ** (-self.iterations)
+
+
+def basic_limit_table(
+    provider: MaskProvider, start_level: int, iterations: int, length: int = 8
+) -> BasicLimitTable:
+    """Run the scheme (starting at ``start_level``) on delta data and record
+    un-normalized values approximating the basic limit function matrix."""
+    if iterations > 20:
+        raise ValueError("iterations capped at 20 (grid 2^-20)")
+    cols = []
+    for pair in ((1.0, 0.0), (0.0, 1.0)):
+        c = delta_sequence(1, length, pair=pair)
+        for k in range(iterations):
+            c = apply_subdivision(provider.mask_at(start_level + k), c)
+        # un-normalize: p^[k] = D^-k c^[k]
+        cols.append((c.points[:, 0], c.vectors[:, 0] * 2.0**iterations))
+        if not np.isfinite(cols[-1][1]).all():
+            raise OverflowError("diverging derivative column in limit table")
+    # values[r][c]: r=0 function row, r=1 derivative row; c = initial column
+    values = np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+    return BasicLimitTable(
+        start_level, iterations, values, float(np.abs(values).max())
+    )
 
 
 def hermite_midpoint_oracle(p0, d0, p1, d1, h):
@@ -161,7 +225,7 @@ def test_run_scheme_interpolates_samples():
     f = lambda x: x**3 - x
     df = lambda x: 3 * x**2 - 1
     c0 = sample_hermite_interior(f, df, 0, (-6, 6))
-    c2 = run_scheme(prov, c0, 2)
+    c2 = apply_subdivision(prov.mask_at(1), apply_subdivision(prov.mask_at(0), c0))
     exact = sample_hermite_interior(f, df, 2, (c2.start, c2.start + len(c2) - 1))
     err = np.abs(c2.points[c2.valid] - exact.points[c2.valid]).max()
     assert err <= 1e-12

@@ -1,5 +1,7 @@
 """Block masks, sequence realizations, and the linear operators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,17 +11,14 @@ from geomwave.sequences import (
     HermiteSequence,
     Mask,
     apply_decomposition,
-    apply_diag_d,
     apply_subdivision,
     block,
-    delta_mask,
     delta_sequence,
     diag_d,
     interior_sequence,
     periodic_sequence,
-    seq_add,
-    seq_scale,
     seq_sub,
+    single_block_mask,
     shift,
     sup_norm,
 )
@@ -83,7 +82,8 @@ def test_mask_accessors():
 
 def test_delta_mask_is_identity_operator(rng):
     s = random_periodic(rng, length=8)
-    out = apply_decomposition(delta_mask(), apply_subdivision(delta_mask(), s))
+    delta = single_block_mask(0, np.eye(2))
+    out = apply_decomposition(delta, apply_subdivision(delta, s))
     assert np.allclose(out.points, s.points)
     assert np.allclose(out.vectors, s.vectors)
 
@@ -134,14 +134,15 @@ def test_subdivision_linearity(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng)
     s, t = random_periodic(rng), random_periodic(rng)
-    combo = seq_add(seq_scale(s, alpha), seq_scale(t, beta))
-    lhs = apply_subdivision(mask, combo)
-    rhs = seq_add(
-        seq_scale(apply_subdivision(mask, s), alpha),
-        seq_scale(apply_subdivision(mask, t), beta),
+    combo = replace(
+        s,
+        points=alpha * s.points + beta * t.points,
+        vectors=alpha * s.vectors + beta * t.vectors,
     )
-    assert np.allclose(lhs.points, rhs.points, atol=1e-10)
-    assert np.allclose(lhs.vectors, rhs.vectors, atol=1e-10)
+    lhs = apply_subdivision(mask, combo)
+    Ss, St = apply_subdivision(mask, s), apply_subdivision(mask, t)
+    assert np.allclose(lhs.points, alpha * Ss.points + beta * St.points, atol=1e-10)
+    assert np.allclose(lhs.vectors, alpha * Ss.vectors + beta * St.vectors, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -159,13 +160,6 @@ def test_delta_sequence_entries():
     assert np.array_equal(s.points[0], [3.0, 3.0])
     assert np.array_equal(s.vectors[0], [-1.0, -1.0])
     assert not s.points[1:].any() and not s.vectors[1:].any()
-
-
-def test_apply_diag_d(rng):
-    s = random_periodic(rng)
-    out = apply_diag_d(s, 3)
-    assert np.array_equal(out.points, s.points)
-    assert np.allclose(out.vectors, s.vectors / 8.0)
 
 
 def test_interior_subdivision_validity(rng):
@@ -206,9 +200,10 @@ def test_interior_matches_periodic_away_from_boundary(rng):
 def test_sup_norm_and_arithmetic(rng):
     s = random_periodic(rng)
     assert sup_norm(seq_sub(s, s)) == 0.0
-    assert sup_norm(seq_scale(s, -2.0)) == pytest.approx(2.0 * sup_norm(s))
+    scaled = replace(s, points=-2.0 * s.points, vectors=-2.0 * s.vectors)
+    assert sup_norm(scaled) == pytest.approx(2.0 * sup_norm(s))
     t = random_periodic(rng)
-    assert sup_norm(seq_add(s, t)) <= sup_norm(s) + sup_norm(t) + 1e-15
+    assert sup_norm(seq_sub(s, t)) <= sup_norm(s) + sup_norm(t) + 1e-15
 
 
 def test_shape_mismatch_rejected():

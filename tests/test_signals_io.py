@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from geomwave.errors import SchemaError
+from geomwave.errors import CutLocusError, SchemaError
 from geomwave.experiments import (
     decay_experiment,
     default_config,
@@ -230,6 +230,42 @@ def test_parse_config():
         parse_config("probes 7")
     with pytest.raises(SchemaError):
         parse_config("sparse_sphere = maybe")
+    # values that do not parse, or check nothing, are refused naming the line
+    for bad in ("probes = 1.5", "levels = -1", "seed = -3", "seed = x", "probes = 0",
+                "cases = 0", "perturb_mask = -1e-3", "perturb_mask = nan"):
+        with pytest.raises(SchemaError, match=f"config line 2: {bad.split()[0]} must"):
+            parse_config("cases = 5\n" + bad)
+
+
+# The checks of a default verify run, in report order, with their thresholds;
+# the benchmark's known failures and users' reports refer to these names.
+_VERIFY_CHECKS = [
+    ("biorthogonality operator form [cubic]", 1e-13),
+    ("biorthogonality symbol form [cubic]", 1e-13),
+    ("biorthogonality operator form [exp(1.0)]", 1e-13),
+    ("biorthogonality symbol form [exp(1.0)]", 1e-13),
+    ("linear perfect reconstruction [cubic]", 1e-12),
+    ("linear perfect reconstruction [exp(1.0)]", 1e-12),
+    ("vanishing moments cubic (degree <= 3)", 1e-12),
+    ("vanishing moments exponential", 1e-10),
+    ("geometry kernel [sphere2]", 1e-11),
+    ("fiber algebra [sphere2]", 1e-11),
+    ("geometry kernel [so3-quat]", 1e-11),
+    ("fiber algebra [so3-quat]", 1e-11),
+    ("geometry kernel [euclidean:3]", 1e-11),
+    ("fiber algebra [euclidean:3]", 1e-11),
+    ("manifold perfect reconstruction [sphere2]", 1e-10),
+    ("manifold perfect reconstruction [so3-quat]", 1e-10),
+    ("euclidean reduction (details agree)", 1e-13),
+    ("proximity ratio boundedness [sphere2]", 10.0),
+    ("proximity numerator exponent [sphere2]", 1.7),
+]
+
+
+def test_verify_check_list_is_pinned():
+    rep = verify_suite()
+    assert [(c.name, c.threshold) for c in rep.checks] == _VERIFY_CHECKS
+    assert rep.passed
 
 
 def test_verify_suite_fault_injection():
@@ -278,6 +314,26 @@ def test_verify_suite_reports_flat_log_fault(monkeypatch):
     for label in ("cubic", "exp(1.0)"):
         rt = failed[f"linear perfect reconstruction [{label}]"]
         assert rt.residual is None and "BaseMismatchError" in rt.note
+
+
+def test_verify_suite_reports_any_check_that_raises(monkeypatch):
+    """A library error in any check, not only in a round trip, fails each of
+    that check's results with the error as the note; the report is whole."""
+
+    def log(self, p, q):
+        raise CutLocusError("injected")
+
+    monkeypatch.setattr(Sphere2, "log", log)
+    rep = verify_suite({"probes": 2, "cases": 5})
+    assert [c.name for c in rep.checks] == [name for name, _ in _VERIFY_CHECKS]
+    failed = {c.name: c.note for c in rep.checks if not c.passed}
+    assert failed == {
+        "geometry kernel [sphere2]": "CutLocusError: injected",
+        "fiber algebra [sphere2]": "CutLocusError: injected",
+        "manifold perfect reconstruction [sphere2]": "DensityError: injected (level 6)",
+        "proximity ratio boundedness [sphere2]": "CutLocusError: injected",
+        "proximity numerator exponent [sphere2]": "CutLocusError: injected",
+    }
 
 
 def test_interior_euclidean_decay_pipeline():
@@ -335,7 +391,15 @@ def _two_in_one(e, pt, vec):
     return "[5].{vec}[2]: non-finite value"
 
 
-_READER_FAULTS = [_string, _bool, _nan, _short, _missing, _off_sphere, _two_in_one]
+def _non_tangent(e, pt, vec):
+    for i in (9, 5):
+        e[i][vec] = [x + 0.5 * y for x, y in zip(e[i][vec], e[i][pt])]
+    return "[5].{vec}: entry has a non-tangent vector (|<p, v>| = 0.5)"
+
+
+_READER_FAULTS = [
+    _string, _bool, _nan, _short, _missing, _off_sphere, _two_in_one, _non_tangent
+]
 
 # container -> (where it sits in the file, point key, checked vector key)
 _READER_CONTAINERS = {
