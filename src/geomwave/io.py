@@ -98,12 +98,6 @@ def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
     return arrays
 
 
-def _entries(**columns: np.ndarray) -> list:
-    """The inverse of _read_entries: one entry per row of the arrays."""
-    rows = zip(*(a.tolist() for a in columns.values()))
-    return [dict(zip(columns, row)) for row in rows]
-
-
 def _load(path: str) -> tuple[dict, Manifold]:
     """Parse a file and check its schema and manifold tag."""
     try:
@@ -122,10 +116,40 @@ def _load(path: str) -> tuple[dict, Manifold]:
         _fail(f"{path}.manifold", str(err))
 
 
-def _dump(obj: dict, path: str):
+def _write_entries(fh, value, depth: int):
+    """Write value as json.dump(indent=1) does at indent depth - 1.  A dict
+    of (L, d) float columns, whose keys hold no "nan" or "inf", is a list of
+    entries filled row by row into a %r template (repr is json's float
+    spelling), 512 per write; a list is a list of such dicts."""
+    pad = "\n" + " " * depth
+    fh.write("[")
+    items = value
+    if isinstance(value, list):
+        for n, columns in enumerate(value):
+            fh.write(("," if n else "") + pad)
+            _write_entries(fh, columns, depth + 1)
+    else:
+        entry = pad + "{" + ",".join(
+            f'{pad} "{k}": [' + ",".join([pad + "  %r"] * a.shape[1]) + pad + " ]"
+            for k, a in value.items()
+        ) + pad + "}"
+        items = np.hstack(list(value.values()))  # one row per entry
+        for i in range(0, len(items), 512):
+            chunk = items[i : i + 512]
+            text = ",".join([entry] * len(chunk)) % tuple(chunk.ravel().tolist())
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write(("," if i else "") + text)
+    fh.write(pad[:-1] + "]" if len(items) else "]")
+
+
+def _dump(path: str, header: dict, lists: dict):
+    """json.dump(schema | header | lists, indent=1) and a newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps({"schema": SCHEMA} | header, indent=1)[:-2])
+        for key, value in lists.items():
+            fh.write(f',\n "{key}": ')
+            _write_entries(fh, value, 2)
+        fh.write("\n}\n")
 
 
 # --------------------------------------------------------------------------
@@ -139,16 +163,8 @@ def write_samples(seq, path: str):
         boundary = "periodic" if seq.periodic else "interior"
     else:
         tag, boundary = seq.manifold.tag, "periodic"
-    _dump(
-        {
-            "schema": SCHEMA,
-            "manifold": tag,
-            "level": int(seq.level),
-            "boundary": boundary,
-            "data": _entries(p=seq.points, v=seq.vectors),
-        },
-        path,
-    )
+    header = {"manifold": tag, "level": int(seq.level), "boundary": boundary}
+    _dump(path, header, {"data": {"p": seq.points, "v": seq.vectors}})
 
 
 def read_samples(path: str) -> ManifoldHermiteSeq:
@@ -183,18 +199,15 @@ def provider_from_meta(meta: dict, path: str) -> MaskProvider:
 
 
 def write_pyramid(pyr: ManifoldPyramid, path: str):
-    _dump(
-        {
-            "schema": SCHEMA,
-            "manifold": pyr.coarse.manifold.tag,
-            "predictor": {"kind": pyr.provider.kind, "lambda": pyr.provider.lam},
-            "rule": pyr.rule,
-            "coarse_level": int(pyr.coarse.level),
-            "coarse": _entries(p=pyr.coarse.points, v=pyr.coarse.vectors),
-            "details": [_entries(base=d.bases, u0=d.u0, u1=d.u1) for d in pyr.details],
-        },
-        path,
-    )
+    header = {
+        "manifold": pyr.coarse.manifold.tag,
+        "predictor": {"kind": pyr.provider.kind, "lambda": pyr.provider.lam},
+        "rule": pyr.rule,
+        "coarse_level": int(pyr.coarse.level),
+    }
+    details = [{"base": d.bases, "u0": d.u0, "u1": d.u1} for d in pyr.details]
+    coarse = {"p": pyr.coarse.points, "v": pyr.coarse.vectors}
+    _dump(path, header, {"coarse": coarse, "details": details})
 
 
 def read_pyramid(path: str) -> ManifoldPyramid:
@@ -231,7 +244,9 @@ def read_pyramid(path: str) -> ManifoldPyramid:
 
 
 def write_report(report: VerifyReport, path: str):
-    _dump(report.to_dict(), path)
+    with open(path, "w") as fh:
+        json.dump(report.to_dict(), fh, indent=1)
+        fh.write("\n")
 
 
 def write_decay_csv(report: DecayReport, path: str):

@@ -1,5 +1,5 @@
 """Block masks, finite realizations of bi-infinite Hermite sequences, and the
-linear subdivision / decomposition / shift operators.
+linear subdivision and decomposition operators.
 
 A Hermite sequence attaches to every grid index a pair (p, v) of a value and a
 first-derivative value in R^m.  Masks are finitely supported sequences of 2x2
@@ -23,22 +23,14 @@ import numpy as np
 __all__ = [
     "Mask",
     "HermiteSequence",
-    "block",
     "diag_d",
-    "delta_sequence",
     "periodic_sequence",
     "interior_sequence",
     "apply_subdivision",
     "apply_decomposition",
-    "shift",
     "sup_norm",
     "seq_sub",
 ]
-
-
-def block(a00: float, a01: float, a10: float, a11: float) -> np.ndarray:
-    """2x2 coefficient block."""
-    return np.array([[a00, a01], [a10, a11]], dtype=float)
 
 
 def diag_d(power: int = 1) -> np.ndarray:
@@ -132,13 +124,6 @@ class HermiteSequence:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def entry(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pair at absolute index (mod L in periodic mode)."""
-        i = index % len(self) if self.periodic else index - self.start
-        if not 0 <= i < len(self):
-            raise IndexError(f"index {index} outside window")
-        return self.points[i], self.vectors[i]
-
 
 def periodic_sequence(points, vectors, level: int = 0) -> HermiteSequence:
     return HermiteSequence(points, vectors, periodic=True, level=level)
@@ -150,15 +135,6 @@ def interior_sequence(
     return HermiteSequence(
         points, vectors, periodic=False, start=start, valid=valid, level=level
     )
-
-
-def delta_sequence(m: int, length: int, pair=(1.0, 0.0)) -> HermiteSequence:
-    """Periodic sequence with one unit pair at index 0, zero elsewhere."""
-    p = np.zeros((length, m))
-    v = np.zeros((length, m))
-    p[0, :] = pair[0]
-    v[0, :] = pair[1]
-    return periodic_sequence(p, v)
 
 
 def _apply_block(blk: np.ndarray, p: np.ndarray, v: np.ndarray):
@@ -255,15 +231,6 @@ def apply_decomposition(mask: Mask, s: HermiteSequence) -> HermiteSequence:
     P[~valid] = np.nan
     V[~valid] = np.nan
     return interior_sequence(P, V, j_lo, level=s.level - 1, valid=valid)
-
-
-def shift(s: HermiteSequence, k: int) -> HermiteSequence:
-    """Shift operator L^k: (L^k s)_i = s_{i+k}."""
-    if s.periodic:
-        return replace(
-            s, points=np.roll(s.points, -k, axis=0), vectors=np.roll(s.vectors, -k, axis=0)
-        )
-    return replace(s, start=s.start - k)
 
 
 def sup_norm(s: HermiteSequence) -> float:

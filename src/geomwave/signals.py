@@ -45,16 +45,6 @@ class SignalSpec:
     def manifold(self) -> Manifold:
         return manifold_from_tag(self.manifold_tag)
 
-    def derivative_check(self, samples: int = 7, step: float = 1e-6) -> float:
-        """Max deviation of df from central differences of f."""
-        a, b = self.domain
-        worst = 0.0
-        for i in range(samples):
-            t = a + (b - a) * (i + 0.5) / samples
-            fd = (self.f(t + step) - self.f(t - step)) / (2 * step)
-            worst = max(worst, float(np.abs(fd - self.df(t)).max()))
-        return worst
-
 
 def _sphere_from_angles(phi, dphi, psi, dpsi):
     """Point and velocity on S^2 from latitude/longitude angle paths."""

@@ -22,10 +22,10 @@ from geomwave.predictors import (
 )
 from geomwave.sequences import (
     apply_subdivision,
-    delta_sequence,
     seq_sub,
     sup_norm,
 )
+from sequence_ops import delta_sequence
 
 
 def spectral_condition_residual(

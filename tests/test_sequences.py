@@ -12,16 +12,14 @@ from geomwave.sequences import (
     Mask,
     apply_decomposition,
     apply_subdivision,
-    block,
-    delta_sequence,
     diag_d,
     interior_sequence,
     periodic_sequence,
     seq_sub,
     single_block_mask,
-    shift,
     sup_norm,
 )
+from sequence_ops import delta_sequence, shift
 
 
 def random_mask(rng, lo=-2, width=5):
@@ -62,7 +60,8 @@ def oracle_decomposition(mask, s):
 
 
 def test_block_and_diag_d():
-    assert np.array_equal(block(1, 2, 3, 4), [[1.0, 2.0], [3.0, 4.0]])
+    blk = single_block_mask(0, [[1, 2], [3, 4]]).block(0)
+    assert blk.dtype == float and np.array_equal(blk, [[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(diag_d(), [[1.0, 0.0], [0.0, 0.5]])
     assert np.array_equal(diag_d(-1), [[1.0, 0.0], [0.0, 2.0]])
     assert np.array_equal(diag_d(2) @ diag_d(-2), np.eye(2))

@@ -46,7 +46,10 @@ ALL_PRESETS = [
 @pytest.mark.parametrize("tag,name", ALL_PRESETS)
 def test_preset_derivatives_match_central_differences(tag, name):
     spec = get_preset(tag, name)
-    assert spec.derivative_check(samples=9, step=1e-6) <= 1e-8
+    (a, b), h = spec.domain, 1e-6
+    for t in (a + (b - a) * (i + 0.5) / 9 for i in range(9)):
+        fd = (spec.f(t + h) - spec.f(t - h)) / (2 * h)
+        assert np.abs(fd - spec.df(t)).max() <= 1e-8, (name, t)
 
 
 @pytest.mark.parametrize("tag,name", [p for p in ALL_PRESETS if ":" not in p[0]])
