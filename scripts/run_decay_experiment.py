@@ -4,7 +4,8 @@ print the per-level detail norms, fitted slopes, and empirical constants."""
 
 import argparse
 
-from geomwave.experiments import decay_experiment, provider_from_config
+from geomwave.experiments import decay_experiment
+from geomwave.predictors import provider_from_config
 from geomwave.signals import get_preset
 
 

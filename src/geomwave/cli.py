@@ -10,12 +10,7 @@ import argparse
 import sys
 
 from .errors import GeomwaveError, SchemaError, VerificationFailure
-from .experiments import (
-    decay_experiment,
-    parse_config,
-    provider_from_config,
-    verify_suite,
-)
+from .experiments import decay_experiment, parse_config, verify_suite
 from .io import (
     read_pyramid,
     read_samples,
@@ -24,6 +19,7 @@ from .io import (
     write_report,
     write_samples,
 )
+from .predictors import provider_from_config
 from .signals import get_preset, preset_names, sample_signal
 from .transform import RULES, decompose_manifold, reconstruct_manifold
 

@@ -37,14 +37,7 @@ from .filterbank import (
 )
 from .manifolds import Euclidean, SO3Quat, Sphere2
 from .predictors import MaskProvider, cubic_provider, exponential_provider
-from .sequences import (
-    HermiteSequence,
-    apply_subdivision,
-    interior_sequence,
-    periodic_sequence,
-    seq_sub,
-    sup_norm,
-)
+from .sequences import HermiteSequence, periodic_sequence, seq_sub, sup_norm
 from .signals import SignalSpec, get_preset, sample_signal
 from .transform import (
     RULES,
@@ -75,7 +68,6 @@ __all__ = [
     "verify_suite",
     "parse_config",
     "default_config",
-    "provider_from_config",
 ]
 
 # Detail norms at or below this are treated as exact annihilation: the signal
@@ -141,51 +133,6 @@ def _fit_report(
     )
 
 
-def _halve_interior(c: HermiteSequence) -> HermiteSequence:
-    """Interior analogue of c^[n]_i = D^-1 c^[n+1]_{2i}."""
-    a = c.start
-    i_lo = -((-a) // 2)  # ceil(a / 2)
-    idx = 2 * np.arange(i_lo, (a + len(c) - 1) // 2 + 1) - a
-    return interior_sequence(
-        c.points[idx].copy(),
-        2.0 * c.vectors[idx],
-        i_lo,
-        level=c.level - 1,
-        valid=c.valid[idx],
-    )
-
-
-def _interior_detail_norms(
-    cN: HermiteSequence, provider: MaskProvider, levels: list[int]
-) -> list[float]:
-    """Odd prediction residual sup norms per level for interior data."""
-    bank = build_bank(provider)
-    c = cN
-    norms: dict[int, float] = {}
-    while c.level > min(levels):
-        n = c.level - 1
-        coarse = _halve_interior(c)
-        pred = apply_subdivision(bank.filters_at(n).A, coarse)
-        vals = []
-        for r in range(len(c)):
-            j = c.start + r
-            if j % 2 == 0:
-                continue
-            pr = j - pred.start
-            if 0 <= pr < len(pred) and pred.valid[pr] and c.valid[r]:
-                vals.append(
-                    max(
-                        np.abs(c.points[r] - pred.points[pr]).max(),
-                        np.abs(c.vectors[r] - pred.vectors[pr]).max(),
-                    )
-                )
-        if not vals:
-            raise ValueError(f"no valid interior details at level {n}")
-        norms[n] = float(max(vals))
-        c = coarse
-    return [norms[n] for n in levels]
-
-
 def decay_experiment(
     spec: SignalSpec,
     provider: MaskProvider,
@@ -197,18 +144,21 @@ def decay_experiment(
     """Sample at level nmax, decompose down to nmin, fit the decay slope.
 
     Detail levels run nmin .. nmax-1 (d^[n] corrects level n -> n+1).
+    Interior (non-periodic) Euclidean samples take the details of the linear
+    Hermite wavelet from ``dual_filter_details``; all others run the pyramid.
     """
     if not nmin < nmax:
-        raise ValueError("need nmin < nmax")
+        raise SchemaError(f"decay levels need nmin < nmax, got {nmin}:{nmax}")
     detail_levels = list(range(nmin, nmax))
     cN = sample_signal(spec, nmax)
     if isinstance(cN, HermiteSequence) and not cN.periodic:
-        norms = _interior_detail_norms(cN, provider, detail_levels)
-        return _fit_report(spec, provider, rule, detail_levels, norms, fit_levels)
-    if isinstance(cN, HermiteSequence):
-        cN = from_linear(Euclidean(cN.dim), cN)
-    pyr = decompose_manifold(cN, provider, rule, nmax - nmin)
-    norms = [detail_sup_norm(d) for d in pyr.details]
+        details = dual_filter_details(cN, build_bank(provider), nmax - nmin)
+        norms = [sup_norm(d) for d in details]
+    else:
+        if isinstance(cN, HermiteSequence):
+            cN = from_linear(Euclidean(cN.dim), cN)
+        pyr = decompose_manifold(cN, provider, rule, nmax - nmin)
+        norms = [detail_sup_norm(d) for d in pyr.details]
     return _fit_report(spec, provider, rule, detail_levels, norms, fit_levels)
 
 
@@ -312,14 +262,6 @@ def parse_config(text: str) -> dict:
             )
         cfg[key] = number
     return cfg
-
-
-def provider_from_config(kind: str, lam: float | None = None) -> MaskProvider:
-    if kind == "cubic":
-        return cubic_provider()
-    if kind == "exp":
-        return exponential_provider(1.0 if lam is None else lam)
-    raise SchemaError(f"unknown predictor kind {kind!r} (use 'cubic' or 'exp')")
 
 
 # --------------------------------------------------------------------------

@@ -14,15 +14,18 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SchemaError
-from .experiments import DecayReport, VerifyReport, provider_from_config
 from .manifolds import Manifold, manifold_from_tag
-from .predictors import MaskProvider
+from .predictors import MaskProvider, provider_from_config
 from .sequences import HermiteSequence
 from .transform import ManifoldHermiteSeq, ManifoldPyramid, RULES, TangentPairSeq
+
+if TYPE_CHECKING:
+    from .experiments import DecayReport, VerifyReport
 
 __all__ = [
     "SCHEMA",

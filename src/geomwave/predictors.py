@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SchemaError
 from .sequences import (
     HermiteSequence,
     Mask,
@@ -30,6 +31,7 @@ __all__ = [
     "exponential_hermite_mask",
     "cubic_provider",
     "exponential_provider",
+    "provider_from_config",
     "interpolatory_check",
     "sample_hermite_interior",
     "poly_space",
@@ -154,6 +156,14 @@ def cubic_provider() -> MaskProvider:
 
 def exponential_provider(lam: float) -> MaskProvider:
     return MaskProvider("exp", lam)
+
+
+def provider_from_config(kind: str, lam: float | None = None) -> MaskProvider:
+    if kind == "cubic":
+        return cubic_provider()
+    if kind == "exp":
+        return exponential_provider(1.0 if lam is None else lam)
+    raise SchemaError(f"unknown predictor kind {kind!r} (use 'cubic' or 'exp')")
 
 
 @dataclass(frozen=True)

@@ -164,31 +164,17 @@ def apply_subdivision(mask: Mask, s: HermiteSequence) -> HermiteSequence:
             V[idx] += bv
         return periodic_sequence(P, V, level=s.level + 1)
 
-    a = s.start
-    b = a + L - 1
-    out_start = 2 * a + mask.lo
+    # Tap t sends window entry k to output j = 2k + t; output j has the taps
+    # k in [ceil((j - hi)/2), (j - lo)//2].
+    out_start = 2 * s.start + mask.lo
     out_len = 2 * (L - 1) + mask.width
-    P = np.zeros((out_len, m))
-    V = np.zeros((out_len, m))
-    valid = np.zeros(out_len, dtype=bool)
-    for t in range(mask.lo, mask.hi + 1):
-        bp, bv = _apply_block(mask.block(t), s.points, s.vectors)
-        idx = 2 * np.arange(L) + (t - mask.lo)
-        P[idx] += bp
-        V[idx] += bv
-    for r in range(out_len):
-        j = out_start + r
-        kmin = -((mask.hi - j) // 2)  # ceil((j - hi)/2)
-        kmax = (j - mask.lo) // 2
-        valid[r] = (
-            kmin >= a
-            and kmax <= b
-            and kmin <= kmax
-            and s.valid[kmin - a : kmax - a + 1].all()
-        )
-    P[~valid] = np.nan
-    V[~valid] = np.nan
-    return interior_sequence(P, V, out_start, level=s.level + 1, valid=valid)
+
+    def rows(t):
+        return slice(t - mask.lo, t - mask.lo + 2 * L - 1, 2), slice(None)
+
+    j = out_start + np.arange(out_len)
+    taps = (j - mask.lo) // 2 + (mask.hi - j) // 2 + 1
+    return _interior_taps(mask, s, out_start, out_len, s.level + 1, rows, taps)
 
 
 def apply_decomposition(mask: Mask, s: HermiteSequence) -> HermiteSequence:
@@ -209,28 +195,41 @@ def apply_decomposition(mask: Mask, s: HermiteSequence) -> HermiteSequence:
             V += bv
         return periodic_sequence(P, V, level=s.level - 1)
 
+    # Tap t sends window entry i to output j = (i - t)/2 when i - t is even;
+    # output j has the taps i = 2j + lo .. 2j + hi.
     a = s.start
-    b = a + L - 1
     j_lo = -((mask.hi - a) // 2)  # ceil((a - hi)/2): first j touching window
-    j_hi = (b - mask.lo) // 2
-    out_len = max(j_hi - j_lo + 1, 0)
-    P = np.zeros((out_len, m))
-    V = np.zeros((out_len, m))
-    valid = np.zeros(out_len, dtype=bool)
-    for r in range(out_len):
-        j = j_lo + r
-        i_lo, i_hi = 2 * j + mask.lo, 2 * j + mask.hi
-        if i_lo >= a and i_hi <= b and s.valid[i_lo - a : i_hi - a + 1].all():
-            valid[r] = True
-            for i in range(i_lo, i_hi + 1):
-                bp, bv = _apply_block(
-                    mask.block(i - 2 * j), s.points[i - a], s.vectors[i - a]
-                )
-                P[r] += bp
-                V[r] += bv
+    out_len = max((a + L - 1 - mask.lo) // 2 - j_lo + 1, 0)
+
+    def rows(t):
+        w0 = (t - a) % 2  # first window row that tap t reads
+        r0 = (a + w0 - t) // 2 - j_lo
+        return slice(r0, r0 + (L - w0 + 1) // 2), slice(w0, None, 2)
+
+    return _interior_taps(mask, s, j_lo, out_len, s.level - 1, rows, mask.width)
+
+
+def _interior_taps(
+    mask: Mask, s: HermiteSequence, start: int, out_len: int, level: int, rows, taps
+) -> HermiteSequence:
+    """The interior output of an operator.  For each tap t in ascending order,
+    with (out, src) = rows(t), block t of the window entries src is added onto
+    the outputs out.  An output is valid when it has at least one tap and read
+    a valid window entry through each of its ``taps``; invalid outputs hold
+    NaN."""
+    P = np.zeros((out_len, s.dim))
+    V = np.zeros((out_len, s.dim))
+    count = np.zeros(out_len, dtype=int)
+    for t in range(mask.lo, mask.hi + 1):
+        out, src = rows(t)
+        bp, bv = _apply_block(mask.block(t), s.points[src], s.vectors[src])
+        P[out] += bp
+        V[out] += bv
+        count[out] += s.valid[src]
+    valid = (count == taps) & (taps > 0)
     P[~valid] = np.nan
     V[~valid] = np.nan
-    return interior_sequence(P, V, j_lo, level=s.level - 1, valid=valid)
+    return interior_sequence(P, V, start, level=level, valid=valid)
 
 
 def sup_norm(s: HermiteSequence) -> float:

@@ -233,6 +233,8 @@ def sample_signal(spec: SignalSpec, level: int):
     """
     h = 2.0 ** (-level)
     if spec.periodic:
+        if level < 0:
+            raise SchemaError(f"preset {spec.name} needs level >= 0, got {level}")
         close_p = np.abs(spec.f(0.0) - spec.f(1.0)).max()
         close_v = np.abs(spec.df(0.0) - spec.df(1.0)).max()
         if max(close_p, close_v) > 1e-12:

@@ -190,7 +190,9 @@ def decompose_manifold(
     """Manifold prediction-correction decomposition of a closed curve.
 
     Refuses a sample that is not finite, not on M, or whose vector is not
-    tangent at its point, with a SchemaError naming the first one."""
+    tangent at its point, with a SchemaError naming the first one, and a
+    level count that is negative or whose 2^levels does not divide the
+    length."""
     M, P, V = cN.manifold, cN.points, cN.vectors
     finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
     ok = finite & M.check_point(P) & M.check_tangent(P, V)
@@ -201,8 +203,11 @@ def decompose_manifold(
         raise SchemaError(
             f"sample {i} {M.point_fault(P[i]) or M.tangent_fault(P[i], V[i])}"
         )
-    if len(cN) % (1 << levels) != 0:
-        raise ValueError(f"length {len(cN)} not divisible by 2^{levels}")
+    if levels < 0 or len(cN) % (1 << levels) != 0:
+        raise SchemaError(
+            f"cannot decompose {len(cN)} samples over {levels} levels: "
+            "need levels >= 0 and a length divisible by 2^levels"
+        )
     c = cN
     details: list[TangentPairSeq] = []
     for _ in range(levels):

@@ -61,6 +61,31 @@ def test_decay_bad_levels(tmp_path):
                "--levels", "wat", "--out", str(tmp_path / "d.csv")) == 2
 
 
+def test_bad_level_arguments_exit_2(tmp_path, capsys):
+    """A negative level, a level count the length does not allow and an
+    empty decay range are schema errors: exit 2 with an ``error:`` line."""
+    s = str(tmp_path / "s.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    cases = [
+        (("sample", "--preset", "wobble", "--manifold", "sphere2",
+          "--level", "-1"),
+         "preset wobble needs level >= 0, got -1"),
+        (("decompose", "--in", s, "--levels", "-1"),
+         "cannot decompose 16 samples over -1 levels"),
+        (("decompose", "--in", s, "--levels", "5"),
+         "cannot decompose 16 samples over 5 levels"),
+        (("decay", "--preset", "wobble", "--manifold", "sphere2",
+          "--levels", "5:3"),
+         "decay levels need nmin < nmax, got 5:3"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+
 def test_sample_unknown_preset(tmp_path):
     assert run("sample", "--preset", "bogus", "--manifold", "sphere2",
                "--level", "3", "--out", str(tmp_path / "s.json")) == 2

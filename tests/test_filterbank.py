@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomwave.errors import SchemaError
 from geomwave.experiments import biorthogonality, default_config, vanishing_moments
 from geomwave.filterbank import (
     MatLaurent,
@@ -117,7 +118,7 @@ def test_pyramid_shapes(rng):
 def test_decompose_validates_input(rng):
     bank = build_bank(cubic_provider())
     data = periodic_sequence(rng.normal(size=(12, 1)), rng.normal(size=(12, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="cannot decompose 12 samples over 3 levels"):
         decompose_linear(data, bank, 3)  # 12 not divisible by 8
 
 

@@ -339,11 +339,32 @@ def test_verify_suite_reports_any_check_that_raises(monkeypatch):
     }
 
 
+# Interior decay reports at levels 3..8: fitted slope to 3 decimals and C
+# estimate to 4 significant digits, or None for an exactly annihilated preset.
+_INTERIOR_DECAY = {
+    ("poly2", "cubic"): None,
+    ("poly2", "exp"): ("-4.000", "2.034e-05"),
+    ("poly3", "cubic"): None,
+    ("poly3", "exp"): ("-3.992", "7.944e-05"),
+    ("poly4", "cubic"): ("-4.000", "6.104e-05"),
+    ("poly4", "exp"): ("-3.968", "9.229e-05"),
+    ("exp", "cubic"): ("-3.980", "0.0002825"),
+    ("exp", "exp"): None,
+}
+
+
 def test_interior_euclidean_decay_pipeline():
     rep = decay_experiment(get_preset("euclidean:1", "exp"), cubic_provider(), nmin=3, nmax=7)
     assert not rep.exact_annihilation
     # smooth non-polynomial signal: details decay strictly
     assert all(b < a for a, b in zip(rep.sup_norms, rep.sup_norms[1:]))
+    providers = {"cubic": cubic_provider(), "exp": exponential_provider(1.0)}
+    for (preset, kind), pinned in _INTERIOR_DECAY.items():
+        rep = decay_experiment(get_preset("euclidean:1", preset), providers[kind])
+        assert rep.exact_annihilation == (pinned is None), (preset, kind)
+        if pinned is not None:
+            fit = (f"{rep.fitted_slope:.3f}", f"{rep.constant_estimate:.4g}")
+            assert fit == pinned, (preset, kind)
 
 
 # Reader errors, pinned message for message.  Each case puts one fault at
