@@ -153,6 +153,9 @@ def decay_experiment(
     cN = sample_signal(spec, nmax)
     if isinstance(cN, HermiteSequence) and not cN.periodic:
         details = dual_filter_details(cN, build_bank(provider), nmax - nmin)
+        for n, d in zip(detail_levels, details):
+            if not d.valid.any():
+                raise SchemaError(f"no valid interior details at level {n}")
         norms = [sup_norm(d) for d in details]
     else:
         if isinstance(cN, HermiteSequence):

@@ -29,3 +29,8 @@ def test_flat_pyramid_workload_checks(tmp_path):
     workload = load("workloads").FlatPyramid(1, str(tmp_path))
     for k in (0, 1):
         assert workload.check(k, workload.op(k))
+
+
+def test_verify_suite_workload_checks(tmp_path):
+    workload = load("workloads").VerifySuite(1, str(tmp_path))
+    assert workload.check(0, workload.op(0))

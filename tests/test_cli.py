@@ -62,8 +62,9 @@ def test_decay_bad_levels(tmp_path):
 
 
 def test_bad_level_arguments_exit_2(tmp_path, capsys):
-    """A negative level, a level count the length does not allow and an
-    empty decay range are schema errors: exit 2 with an ``error:`` line."""
+    """A negative level, a level count the length does not allow, an empty
+    decay range and decay levels too coarse for the preset's interior window
+    are schema errors: exit 2 with an ``error:`` line."""
     s = str(tmp_path / "s.json")
     assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
                "--level", "4", "--out", s) == 0
@@ -78,6 +79,12 @@ def test_bad_level_arguments_exit_2(tmp_path, capsys):
         (("decay", "--preset", "wobble", "--manifold", "sphere2",
           "--levels", "5:3"),
          "decay levels need nmin < nmax, got 5:3"),
+        (("decay", "--preset", "exp", "--manifold", "euclidean:1",
+          "--levels=-2:1"),
+         "no valid interior details at level -2"),
+        (("decay", "--preset", "poly2", "--manifold", "euclidean:1",
+          "--levels=-3:0"),
+         "no valid interior details at level -3"),
     ]
     capsys.readouterr()
     for argv, message in cases:
