@@ -92,11 +92,6 @@ class DecayReport:
     constant_estimate: float | None  # max_n ||d^[n]|| * 4^n
     exact_annihilation: bool = False
 
-    @property
-    def ratios(self) -> tuple:
-        """Plain consecutive norm ratios ||d^[n+1]|| / ||d^[n]||."""
-        return tuple(2.0**r for r in self.log2_ratios)
-
 
 def _ols_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -306,7 +301,7 @@ def biorthogonality(subject, cfg: dict) -> list[CheckResult]:
         filt = bank.filters_at(level)
         if perturb > 0.0:
             delta = perturb * rng.standard_normal((2, 2))
-            filt = filt.with_mask("Bt", filt.Bt.perturbed(0, delta))
+            filt = replace(filt, Bt=filt.Bt.perturbed(0, delta))
         worst_op = max(worst_op, *biorthogonality_residuals(filt, probes))
         worst_sym = max(worst_sym, *symbol_biorthogonality_residuals(filt))
     note = "fault injection active" if perturb > 0.0 else ""

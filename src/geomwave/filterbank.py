@@ -10,13 +10,15 @@ manifold pyramid of ``transform`` on flat R^m; ``dual_filter_details``
 computes the same details with the analysis filters At and Bt alone, as an
 independent reference.  Biorthogonality is certified numerically both on
 periodic probes stacked by columns (operator form; exact, since blocks act
-entrywise on coordinates) and as Laurent-polynomial coefficient identities
-(symbol form).
+entrywise on coordinates) and as coefficient identities of the symbols
+(symbol form), computed from the mask blocks: X^#(-z) Y(-z) only flips the
+signs of the odd coefficients of X^#(z) Y(z), so their sum is the doubled
+even part of one product, exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,80 +44,16 @@ from .transform import (
 )
 
 __all__ = [
-    "MatLaurent",
     "LevelFilters",
     "PredictionCorrectionBank",
     "build_bank",
     "decompose_linear",
     "reconstruct_linear",
     "biorthogonality_residuals",
-    "laurent_symbol",
     "symbol_biorthogonality_residuals",
     "vanishing_moment_residual",
     "dual_filter_details",
 ]
-
-
-class MatLaurent:
-    """Laurent polynomial with 2x2 matrix coefficients over a bounded
-    exponent range."""
-
-    def __init__(self, lo: int, coeffs: np.ndarray):
-        self.lo = int(lo)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (2, 2):
-            raise ValueError("coefficients must have shape (K, 2, 2)")
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.coeffs.shape[0] - 1
-
-    @classmethod
-    def from_mask(cls, mask: Mask) -> "MatLaurent":
-        return cls(mask.lo, mask.blocks.copy())
-
-    @classmethod
-    def constant(cls, matrix: np.ndarray) -> "MatLaurent":
-        return cls(0, np.asarray(matrix, dtype=float)[None, :, :])
-
-    def coeff(self, k: int) -> np.ndarray:
-        if self.lo <= k <= self.hi:
-            return self.coeffs[k - self.lo]
-        return np.zeros((2, 2))
-
-    def __add__(self, other: "MatLaurent") -> "MatLaurent":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = np.zeros((hi - lo + 1, 2, 2))
-        out[self.lo - lo : self.hi - lo + 1] += self.coeffs
-        out[other.lo - lo : other.hi - lo + 1] += other.coeffs
-        return MatLaurent(lo, out)
-
-    def __sub__(self, other: "MatLaurent") -> "MatLaurent":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: float) -> "MatLaurent":
-        return MatLaurent(self.lo, self.coeffs * scalar)
-
-    def __matmul__(self, other: "MatLaurent") -> "MatLaurent":
-        lo = self.lo + other.lo
-        out = np.zeros((self.coeffs.shape[0] + other.coeffs.shape[0] - 1, 2, 2))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a @ b
-        return MatLaurent(lo, out)
-
-    def sharp(self) -> "MatLaurent":
-        """P^#(z) = P^T(z^-1): transpose coefficients, negate exponents."""
-        return MatLaurent(-self.hi, self.coeffs[::-1].transpose(0, 2, 1).copy())
-
-    def neg_arg(self) -> "MatLaurent":
-        """P(-z): coefficient at exponent k picks up (-1)^k."""
-        signs = np.array([(-1.0) ** k for k in range(self.lo, self.hi + 1)])
-        return MatLaurent(self.lo, self.coeffs * signs[:, None, None])
-
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self.coeffs).max())
 
 
 @dataclass(frozen=True)
@@ -126,9 +64,6 @@ class LevelFilters:
     B: Mask
     At: Mask  # dual filter (symbol D^-1)
     Bt: Mask  # dual wavelet filter
-
-    def with_mask(self, name: str, mask: Mask) -> "LevelFilters":
-        return replace(self, **{name: mask})
 
 
 def _derived_filters(A: Mask) -> LevelFilters:
@@ -218,30 +153,37 @@ def biorthogonality_residuals(
     return tuple(r)
 
 
-def laurent_symbol(mask: Mask) -> MatLaurent:
-    """Symbol A(z) = sum_k A_k z^k of a mask."""
-    return MatLaurent.from_mask(mask)
-
-
 def symbol_biorthogonality_residuals(
     filters: LevelFilters,
 ) -> tuple[float, float, float, float]:
     """Max-abs coefficients of the four symbol-form biorthogonality
-    residuals: X^#(z) Y(z) + X^#(-z) Y(-z) minus 2I or 0."""
-    A = laurent_symbol(filters.A)
-    B = laurent_symbol(filters.B)
-    At = laurent_symbol(filters.At)
-    Bt = laurent_symbol(filters.Bt)
-    two_id = MatLaurent.constant(2.0 * np.eye(2))
+    residuals: X^#(z) Y(z) + X^#(-z) Y(-z) minus 2I or 0.
 
-    def pair(x: MatLaurent, y: MatLaurent) -> MatLaurent:
-        return (x.sharp() @ y) + (x.sharp().neg_arg() @ y.neg_arg())
+    X^#(-z) Y(-z) is X^#(z) Y(z) with the coefficient at exponent k times
+    (-1)^k.  A sign flip is exact in floating point and commutes with every
+    rounded product and sum, so the two cancel exactly at odd exponents and
+    the sum is exactly the doubled even-exponent part of X^#(z) Y(z)."""
 
+    def residual(x: Mask, y: Mask, two_id: bool) -> float:
+        # X^#(z) = sum_k X_k^T z^-k; the exponent range is widened to hold 0
+        lo = min(y.lo - x.hi, 0)
+        first = y.lo - x.hi - lo
+        out = np.zeros((max(y.hi - x.lo, 0) - lo + 1, 2, 2))
+        for i, a in enumerate(x.blocks[::-1].transpose(0, 2, 1)):
+            for j, b in enumerate(y.blocks):
+                out[first + i + j] += a @ b
+        out[(lo + 1) % 2 :: 2] = 0.0  # the odd exponents cancel
+        out = out + out
+        if two_id:
+            out[-lo] -= 2.0 * np.eye(2)
+        return float(np.abs(out).max())
+
+    A, B, At, Bt = filters.A, filters.B, filters.At, filters.Bt
     return (
-        (pair(At, A) - two_id).max_abs_coeff(),
-        (pair(Bt, B) - two_id).max_abs_coeff(),
-        pair(At, B).max_abs_coeff(),
-        pair(Bt, A).max_abs_coeff(),
+        residual(At, A, True),
+        residual(Bt, B, True),
+        residual(At, B, False),
+        residual(Bt, A, False),
     )
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "Sphere2",
     "SO3Quat",
     "manifold_from_tag",
-    "quaternion_sign_align",
 ]
 
 _CUT_LOCUS_MARGIN = 1e-6
@@ -233,24 +232,3 @@ def manifold_from_tag(tag: str) -> Manifold:
     if m:
         return Euclidean(int(m.group(1)))
     raise ValueError(f"unknown manifold tag {tag!r}")
-
-
-def quaternion_sign_align(quats: np.ndarray) -> np.ndarray:
-    """Resolve the SO(3) double cover: flip quaternion signs so consecutive
-    inner products are nonnegative.  Raises CutLocusError when consecutive
-    rotations are more than pi/2 apart (the lift is then ambiguous)."""
-    q = np.array(quats, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 4:
-        raise ValueError("expected an array of shape (L, 4)")
-    min_inner = math.cos(math.pi / 4.0)  # rotation angle pi/2
-    for i in range(1, len(q)):
-        inner = float(np.dot(q[i - 1], q[i]))
-        if inner < 0:
-            q[i] = -q[i]
-            inner = -inner
-        if inner <= min_inner:
-            raise CutLocusError(
-                f"consecutive rotations at index {i} are at least pi/2 apart; "
-                "data not dense enough"
-            )
-    return q

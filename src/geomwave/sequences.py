@@ -11,7 +11,9 @@ i.e. each scalar entry multiplies the identity on R^m.
 
 Bi-infinite sequences are realized either periodically (index arithmetic mod L,
 all operator identities exact) or on an interior window [a, b] where output
-indices whose stencil leaves the window are flagged invalid.
+indices whose stencil leaves the window are flagged invalid.  Both
+realizations go through one loop over the mask's taps; only the rows each tap
+reads and writes differ.
 """
 
 from __future__ import annotations
@@ -141,31 +143,16 @@ def _apply_block(blk: np.ndarray, p: np.ndarray, v: np.ndarray):
     return blk[0, 0] * p + blk[0, 1] * v, blk[1, 0] * p + blk[1, 1] * v
 
 
-def _check_periodic_length(mask: Mask, s: HermiteSequence):
-    # Periodization of the bi-infinite operators is exact for any period;
-    # wrap-around of the stencil folds coefficients but keeps identities.
-    # Only degenerate lengths are rejected.
-    if len(s) < 2:
-        raise ValueError(f"periodic length {len(s)} too small (need >= 2)")
-
-
 def apply_subdivision(mask: Mask, s: HermiteSequence) -> HermiteSequence:
     """Subdivision (upsampling) operator: out_j = sum_k A_{j-2k} s_k."""
-    L, m = len(s), s.dim
-    if s.periodic:
-        _check_periodic_length(mask, s)
-        P = np.zeros((2 * L, m))
-        V = np.zeros((2 * L, m))
-        base = 2 * np.arange(L)
-        for t in range(mask.lo, mask.hi + 1):
-            bp, bv = _apply_block(mask.block(t), s.points, s.vectors)
-            idx = (base + t) % (2 * L)
-            P[idx] += bp
-            V[idx] += bv
-        return periodic_sequence(P, V, level=s.level + 1)
-
-    # Tap t sends window entry k to output j = 2k + t; output j has the taps
+    # Tap t sends entry k to output j = 2k + t; output j has the taps
     # k in [ceil((j - hi)/2), (j - lo)//2].
+    L = len(s)
+    if s.periodic:
+        base = 2 * np.arange(L)
+        return _taps(mask, s, 0, 2 * L, s.level + 1,
+                     lambda t: ((base + t) % (2 * L), slice(None)), None)
+
     out_start = 2 * s.start + mask.lo
     out_len = 2 * (L - 1) + mask.width
 
@@ -174,29 +161,21 @@ def apply_subdivision(mask: Mask, s: HermiteSequence) -> HermiteSequence:
 
     j = out_start + np.arange(out_len)
     taps = (j - mask.lo) // 2 + (mask.hi - j) // 2 + 1
-    return _interior_taps(mask, s, out_start, out_len, s.level + 1, rows, taps)
+    return _taps(mask, s, out_start, out_len, s.level + 1, rows, taps)
 
 
 def apply_decomposition(mask: Mask, s: HermiteSequence) -> HermiteSequence:
     """Decomposition (wavelet) operator: out_j = sum_i A_{i-2j} s_i."""
-    L, m = len(s), s.dim
+    # Tap t sends entry i to output j = (i - t)/2 when i - t is even;
+    # output j has the taps i = 2j + lo .. 2j + hi.
+    L = len(s)
     if s.periodic:
         if L % 2 != 0:
             raise ValueError("periodic length must be even for decomposition")
-        _check_periodic_length(mask, s)
-        half = L // 2
-        P = np.zeros((half, m))
-        V = np.zeros((half, m))
-        base = 2 * np.arange(half)
-        for t in range(mask.lo, mask.hi + 1):
-            idx = (base + t) % L
-            bp, bv = _apply_block(mask.block(t), s.points[idx], s.vectors[idx])
-            P += bp
-            V += bv
-        return periodic_sequence(P, V, level=s.level - 1)
+        base = 2 * np.arange(L // 2)
+        return _taps(mask, s, 0, L // 2, s.level - 1,
+                     lambda t: (slice(None), (base + t) % L), None)
 
-    # Tap t sends window entry i to output j = (i - t)/2 when i - t is even;
-    # output j has the taps i = 2j + lo .. 2j + hi.
     a = s.start
     j_lo = -((mask.hi - a) // 2)  # ceil((a - hi)/2): first j touching window
     out_len = max((a + L - 1 - mask.lo) // 2 - j_lo + 1, 0)
@@ -206,17 +185,21 @@ def apply_decomposition(mask: Mask, s: HermiteSequence) -> HermiteSequence:
         r0 = (a + w0 - t) // 2 - j_lo
         return slice(r0, r0 + (L - w0 + 1) // 2), slice(w0, None, 2)
 
-    return _interior_taps(mask, s, j_lo, out_len, s.level - 1, rows, mask.width)
+    return _taps(mask, s, j_lo, out_len, s.level - 1, rows, mask.width)
 
 
-def _interior_taps(
+def _taps(
     mask: Mask, s: HermiteSequence, start: int, out_len: int, level: int, rows, taps
 ) -> HermiteSequence:
-    """The interior output of an operator.  For each tap t in ascending order,
-    with (out, src) = rows(t), block t of the window entries src is added onto
-    the outputs out.  An output is valid when it has at least one tap and read
-    a valid window entry through each of its ``taps``; invalid outputs hold
-    NaN."""
+    """The output of an operator.  For each tap t in ascending order, with
+    (out, src) = rows(t), block t of the entries src is added onto the
+    outputs out.  Periodic rows wrap around, so every output is valid.  An
+    interior output is valid when it has at least one tap and read a valid
+    window entry through each of its ``taps``; invalid outputs hold NaN."""
+    if s.periodic and len(s) < 2:
+        # wrap-around folds the stencil but keeps the identities exact for
+        # any period; only degenerate lengths are refused
+        raise ValueError(f"periodic length {len(s)} too small (need >= 2)")
     P = np.zeros((out_len, s.dim))
     V = np.zeros((out_len, s.dim))
     count = np.zeros(out_len, dtype=int)
@@ -225,7 +208,10 @@ def _interior_taps(
         bp, bv = _apply_block(mask.block(t), s.points[src], s.vectors[src])
         P[out] += bp
         V[out] += bv
-        count[out] += s.valid[src]
+        if not s.periodic:
+            count[out] += s.valid[src]
+    if s.periodic:
+        return periodic_sequence(P, V, level=level)
     valid = (count == taps) & (taps > 0)
     P[~valid] = np.nan
     V[~valid] = np.nan

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BaseMismatchError, CutLocusError, DensityError, SchemaError
-from .manifolds import Manifold
+from .manifolds import Manifold, SO3Quat
 from .predictors import MaskProvider, interpolatory_check
 from .sequences import HermiteSequence, Mask, apply_subdivision, periodic_sequence
 
@@ -190,9 +190,10 @@ def decompose_manifold(
     """Manifold prediction-correction decomposition of a closed curve.
 
     Refuses a sample that is not finite, not on M, or whose vector is not
-    tangent at its point, with a SchemaError naming the first one, and a
-    level count that is negative or whose 2^levels does not divide the
-    length."""
+    tangent at its point, with a SchemaError naming the first one; on SO(3),
+    a cyclically consecutive pair of quaternions with a negative inner
+    product, naming the first; and a level count that is negative or whose
+    2^levels does not divide the length."""
     M, P, V = cN.manifold, cN.points, cN.vectors
     finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
     ok = finite & M.check_point(P) & M.check_tangent(P, V)
@@ -203,6 +204,18 @@ def decompose_manifold(
         raise SchemaError(
             f"sample {i} {M.point_fault(P[i]) or M.tangent_fault(P[i], V[i])}"
         )
+    if isinstance(M, SO3Quat):
+        # q and -q are one rotation, but the pyramid averages on S^3, where a
+        # sign flip between neighbours is a near-antipodal pair: refuse it
+        # here rather than fail later as a density error
+        inner = np.einsum("ij,ij->i", P, np.roll(P, -1, axis=0))
+        if (inner < 0).any():
+            i = int(np.argmax(inner < 0))
+            raise SchemaError(
+                f"samples {i} and {(i + 1) % len(P)} have quaternion inner "
+                f"product {inner[i]:.3g} < 0: q and -q are the same rotation, "
+                "and the samples must have <q_i, q_(i+1 mod L)> >= 0"
+            )
     if levels < 0 or len(cN) % (1 << levels) != 0:
         raise SchemaError(
             f"cannot decompose {len(cN)} samples over {levels} levels: "

@@ -1,21 +1,47 @@
-"""The plain interior subdivision and decomposition operators, for interior
-sequences only: one Python loop over the outputs for validity, and, for
-decomposition, one over the taps of each valid output.  The differential
-tests require the interior branches of ``geomwave.sequences.apply_subdivision``
-and ``apply_decomposition`` to give bitwise the same sequences."""
+"""The plain subdivision and decomposition operators.  Periodic sequences get
+one wrapped loop over the taps per operator.  Interior sequences get one
+Python loop over the outputs for validity, and, for decomposition, one over
+the taps of each valid output.  The differential tests require
+``geomwave.sequences.apply_subdivision`` and ``apply_decomposition``, which
+share one tap loop, to give bitwise the same sequences."""
 
 import numpy as np
 
-from geomwave.sequences import HermiteSequence, Mask, interior_sequence
+from geomwave.sequences import (
+    HermiteSequence,
+    Mask,
+    interior_sequence,
+    periodic_sequence,
+)
 
 
 def _apply_block(blk: np.ndarray, p: np.ndarray, v: np.ndarray):
     return blk[0, 0] * p + blk[0, 1] * v, blk[1, 0] * p + blk[1, 1] * v
 
 
+def _check_periodic_length(mask: Mask, s: HermiteSequence):
+    # Periodization of the bi-infinite operators is exact for any period;
+    # wrap-around of the stencil folds coefficients but keeps identities.
+    # Only degenerate lengths are rejected.
+    if len(s) < 2:
+        raise ValueError(f"periodic length {len(s)} too small (need >= 2)")
+
+
 def apply_subdivision(mask: Mask, s: HermiteSequence) -> HermiteSequence:
     """Subdivision (upsampling) operator: out_j = sum_k A_{j-2k} s_k."""
     L, m = len(s), s.dim
+    if s.periodic:
+        _check_periodic_length(mask, s)
+        P = np.zeros((2 * L, m))
+        V = np.zeros((2 * L, m))
+        base = 2 * np.arange(L)
+        for t in range(mask.lo, mask.hi + 1):
+            bp, bv = _apply_block(mask.block(t), s.points, s.vectors)
+            idx = (base + t) % (2 * L)
+            P[idx] += bp
+            V[idx] += bv
+        return periodic_sequence(P, V, level=s.level + 1)
+
     a = s.start
     b = a + L - 1
     out_start = 2 * a + mask.lo
@@ -46,6 +72,21 @@ def apply_subdivision(mask: Mask, s: HermiteSequence) -> HermiteSequence:
 def apply_decomposition(mask: Mask, s: HermiteSequence) -> HermiteSequence:
     """Decomposition (wavelet) operator: out_j = sum_i A_{i-2j} s_i."""
     L, m = len(s), s.dim
+    if s.periodic:
+        if L % 2 != 0:
+            raise ValueError("periodic length must be even for decomposition")
+        _check_periodic_length(mask, s)
+        half = L // 2
+        P = np.zeros((half, m))
+        V = np.zeros((half, m))
+        base = 2 * np.arange(half)
+        for t in range(mask.lo, mask.hi + 1):
+            idx = (base + t) % L
+            bp, bv = _apply_block(mask.block(t), s.points[idx], s.vectors[idx])
+            P += bp
+            V += bv
+        return periodic_sequence(P, V, level=s.level - 1)
+
     a = s.start
     b = a + L - 1
     j_lo = -((mask.hi - a) // 2)  # ceil((a - hi)/2): first j touching window

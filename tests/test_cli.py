@@ -12,6 +12,7 @@ import geomwave
 from geomwave.cli import main
 from geomwave.io import write_samples
 from geomwave.manifolds import Sphere2
+from geomwave.signals import get_preset, sample_signal
 from geomwave.transform import ManifoldHermiteSeq
 
 
@@ -124,6 +125,22 @@ def test_antipodal_decompose_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "level" in err and "dense" in err
+
+
+def test_flipped_quaternion_signs_exit_2(tmp_path, capsys):
+    """Every odd quatcurve sample negated: the same rotations, refused as
+    input (exit 2), not reported as data that is not dense enough (exit 3)."""
+    c = sample_signal(get_preset("so3-quat", "quatcurve"), 8)
+    sign = np.where(np.arange(len(c)) % 2 == 1, -1.0, 1.0)[:, None]
+    s = str(tmp_path / "flipped.json")
+    write_samples(
+        ManifoldHermiteSeq(c.manifold, sign * c.points, sign * c.vectors, level=8), s
+    )
+    code = run("decompose", "--in", s, "--levels", "4",
+               "--out", str(tmp_path / "p.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "samples 0 and 1" in err and "same rotation" in err
 
 
 def test_corrupted_pyramid_exit_2(tmp_path):

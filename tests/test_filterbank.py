@@ -1,5 +1,7 @@
 """Filter banks: derived duals, biorthogonality, pyramids, vanishing moments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,9 @@ from hypothesis import strategies as st
 from geomwave.errors import SchemaError
 from geomwave.experiments import biorthogonality, default_config, vanishing_moments
 from geomwave.filterbank import (
-    MatLaurent,
     biorthogonality_residuals,
     build_bank,
     decompose_linear,
-    laurent_symbol,
     reconstruct_linear,
     symbol_biorthogonality_residuals,
     vanishing_moment_residual,
@@ -24,6 +24,7 @@ from geomwave.sequences import (
     seq_sub,
     sup_norm,
 )
+from reference_filterbank import MatLaurent, laurent_symbol
 
 
 def random_probes(rng, count=10, length=32, m=2):
@@ -48,6 +49,7 @@ def test_derived_filter_structure():
 
 
 def test_matlaurent_algebra(rng):
+    """The Laurent-polynomial class of the symbol-form reference."""
     a = MatLaurent(-2, rng.normal(size=(4, 2, 2)))
     b = MatLaurent(1, rng.normal(size=(3, 2, 2)))
     # sharp is an involution and an anti-homomorphism for @
@@ -82,7 +84,7 @@ def test_perturbed_filter_breaks_both_forms(rng):
     delta = 1e-3 * rng.standard_normal((2, 2))
     for name in ("A", "B", "At", "Bt"):
         mask = getattr(filt, name)
-        broken = filt.with_mask(name, mask.perturbed(mask.lo, delta))
+        broken = replace(filt, **{name: mask.perturbed(mask.lo, delta)})
         op = max(biorthogonality_residuals(broken, probes))
         sym = max(symbol_biorthogonality_residuals(broken))
         assert op > 1e-13 and sym > 1e-13, name
@@ -176,6 +178,7 @@ def test_probe_length_guard(rng):
 
 
 def test_symbol_matches_mask():
+    """The reference's symbol of a mask has the mask's blocks as coefficients."""
     mask = cubic_provider().mask_at(0)
     sym = laurent_symbol(mask)
     assert sym.lo == mask.lo

@@ -1,6 +1,7 @@
-"""Differential tests: the tap-loop interior branches of
+"""Differential tests: the one tap loop of
 ``geomwave.sequences.apply_subdivision`` and ``apply_decomposition`` against
-the per-output loops of ``reference_sequences``, compared bitwise."""
+the separate periodic loops and the per-output interior loops of
+``reference_sequences``, compared bitwise."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from geomwave.sequences import (
     apply_decomposition,
     apply_subdivision,
     interior_sequence,
+    periodic_sequence,
 )
 
 OPERATORS = [
@@ -28,7 +30,18 @@ VALUES = st.one_of(
 )
 
 
+def outcome(op, mask, s):
+    """The operator's output, or the message of the ValueError it raised."""
+    try:
+        return op(mask, s)
+    except ValueError as err:
+        return str(err)
+
+
 def assert_bitwise_equal(new, ref):
+    if isinstance(new, str) or isinstance(ref, str):
+        assert new == ref
+        return
     assert (new.start, new.level, new.periodic) == (ref.start, ref.level, ref.periodic)
     assert np.array_equal(new.valid, ref.valid)
     for a, b in ((new.points, ref.points), (new.vectors, ref.vectors)):
@@ -36,7 +49,7 @@ def assert_bitwise_equal(new, ref):
         assert a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     data=st.data(),
     lo=st.integers(-4, 2),
@@ -47,10 +60,13 @@ def assert_bitwise_equal(new, ref):
     level=st.integers(-3, 6),
     validity=st.sampled_from(["random", "all", "none"]),
     nan_invalid=st.booleans(),
+    periodic=st.booleans(),
 )
 def test_interior_operators_match_reference(
-    data, lo, width, length, start, m, level, validity, nan_invalid
+    data, lo, width, length, start, m, level, validity, nan_invalid, periodic
 ):
+    """Interior windows, and periodic sequences of any length, including the
+    odd and too-short ones both sides refuse with the same message."""
     blocks = data.draw(hnp.arrays(float, (width, 2, 2), elements=VALUES))
     points = data.draw(hnp.arrays(float, (length, m), elements=VALUES))
     vectors = data.draw(hnp.arrays(float, (length, m), elements=VALUES))
@@ -58,13 +74,16 @@ def test_interior_operators_match_reference(
         valid = data.draw(hnp.arrays(bool, length))
     else:
         valid = np.full(length, validity == "all")
-    if nan_invalid:  # as the operators leave their own invalid outputs
-        points[~valid] = np.nan
-        vectors[~valid] = np.nan
-    s = interior_sequence(points, vectors, start, level=level, valid=valid)
+    if periodic:
+        s = periodic_sequence(points, vectors, level=level)
+    else:
+        if nan_invalid:  # as the operators leave their own invalid outputs
+            points[~valid] = np.nan
+            vectors[~valid] = np.nan
+        s = interior_sequence(points, vectors, start, level=level, valid=valid)
     mask = Mask(lo, blocks)
     for new, ref in OPERATORS:
-        assert_bitwise_equal(new(mask, s), ref(mask, s))
+        assert_bitwise_equal(outcome(new, mask, s), outcome(ref, mask, s))
 
 
 @pytest.mark.parametrize("start", [-3, 0, 1, 4])

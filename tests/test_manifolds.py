@@ -13,7 +13,6 @@ from geomwave.manifolds import (
     SO3Quat,
     Sphere2,
     manifold_from_tag,
-    quaternion_sign_align,
 )
 from random_cases import random_point, random_tangent
 
@@ -128,30 +127,3 @@ def test_manifold_from_tag():
     for bad in ("euclidean", "sphere3", "euclidean:x", ""):
         with pytest.raises(ValueError):
             manifold_from_tag(bad)
-
-
-def test_quaternion_sign_align(rng):
-    M = SO3Quat()
-    # a smooth-ish path with adversarial sign flips inserted
-    q = [random_point(M, rng)]
-    for _ in range(20):
-        q.append(M.exp(q[-1], random_tangent(M, rng, q[-1], scale=0.3)))
-    q = np.array(q)
-    flipped = q.copy()
-    flipped[::3] *= -1.0
-    aligned = quaternion_sign_align(flipped)
-    inners = np.einsum("ij,ij->i", aligned[:-1], aligned[1:])
-    assert (inners > 0).all()
-    # each aligned entry equals the original up to a global sign
-    sign = np.sign(np.dot(aligned[0], q[0]))
-    assert np.abs(aligned - sign * q).max() <= 1e-15
-
-
-def test_quaternion_sign_align_rejects_sparse():
-    # two rotations more than pi/2 apart leave the lift ambiguous
-    a = np.array([1.0, 0.0, 0.0, 0.0])
-    b = np.array([math.cos(2.0), math.sin(2.0), 0.0, 0.0])  # angle 2 > pi/2
-    with pytest.raises(CutLocusError):
-        quaternion_sign_align(np.array([a, b]))
-    with pytest.raises(ValueError):
-        quaternion_sign_align(np.zeros((3, 3)))

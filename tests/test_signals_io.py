@@ -100,8 +100,8 @@ def test_decay_report_fields():
     assert rep.levels == (3, 4, 5, 6)
     assert len(rep.sup_norms) == 4 and len(rep.log2_ratios) == 3
     assert rep.fitted_slope is not None and rep.constant_estimate > 0
-    for r, lr in zip(rep.ratios, rep.log2_ratios):
-        assert r == pytest.approx(2.0**lr)
+    for a, b, lr in zip(rep.sup_norms, rep.sup_norms[1:], rep.log2_ratios):
+        assert 2.0**lr == pytest.approx(b / a)
     # determinism
     rep2 = decay_experiment(get_preset("sphere2", "wobble"), cubic_provider(), nmin=3, nmax=7)
     assert rep.sup_norms == rep2.sup_norms and rep.fitted_slope == rep2.fitted_slope

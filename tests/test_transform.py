@@ -267,6 +267,31 @@ def test_non_finite_sample_rejected(decompose, message):
     assert exc.value.exit_code == 2
 
 
+def test_flipped_quaternion_signs_rejected():
+    """Negating every odd quaternion sample gives the same rotations, but not
+    a lift the pyramid can use: it is refused where it enters, naming the
+    first cyclically consecutive pair, and not reported as a density error
+    later.  A loop whose lift closes at -q_0 is refused the same way."""
+    c = sample_signal(get_preset("so3-quat", "quatcurve"), 8)
+    rec = reconstruct_manifold(decompose_manifold(c, cubic_provider(), "midpoint", 4))
+    assert np.abs(rec.points - c.points).max() <= 1e-10
+    assert np.abs(rec.vectors - c.vectors).max() <= 1e-10
+    sign = np.where(np.arange(len(c)) % 2 == 1, -1.0, 1.0)[:, None]
+    flipped = ManifoldHermiteSeq(
+        c.manifold, sign * c.points, sign * c.vectors, level=c.level
+    )
+    with pytest.raises(SchemaError, match="same rotation") as exc:
+        decompose_manifold(flipped, cubic_provider(), "midpoint", 4)
+    assert str(exc.value).startswith("samples 0 and 1 have quaternion inner product")
+    assert exc.value.exit_code == 2
+    # a full turn about one axis: every step is short, the closing one is not
+    t = np.arange(16) / 16
+    P = np.stack([np.cos(np.pi * t), np.sin(np.pi * t), 0 * t, 0 * t], axis=1)
+    turn = ManifoldHermiteSeq(SO3Quat(), P, np.zeros_like(P), level=4)
+    with pytest.raises(SchemaError, match="^samples 15 and 0 have"):
+        decompose_manifold(turn, cubic_provider(), "midpoint", 1)
+
+
 def test_base_audit_aborts_on_corruption():
     cN = sample_signal(get_preset("sphere2", "wobble"), 5)
     pyr = decompose_manifold(cN, cubic_provider(), "midpoint", 2)
