@@ -194,11 +194,14 @@ def provider_from_meta(meta: dict, path: str) -> MaskProvider:
         lam = _require(meta, "lambda", path)
         if not isinstance(lam, (int, float)) or isinstance(lam, bool):
             _fail(f"{path}.lambda", "expected a number")
-        lam = float(lam)
+        try:
+            lam = float(lam)
+        except OverflowError:
+            _fail(f"{path}.lambda", "integer too large for a float")
     try:
         return provider_from_config(kind, lam)
     except SchemaError as err:
-        _fail(f"{path}.kind", str(err))
+        _fail(f"{path}.{'kind' if lam is None else 'lambda'}", str(err))
 
 
 def write_pyramid(pyr: ManifoldPyramid, path: str):
@@ -253,17 +256,20 @@ def write_report(report: VerifyReport, path: str):
 
 
 def write_decay_csv(report: DecayReport, path: str):
-    """Columns level, sup_norm, log2_ratio; footer rows fitted_slope and
-    fit_range (blank when the signal is exactly annihilated)."""
+    """Columns level, sup_norm, log2_ratio; footer rows constant_estimate
+    (max_n ||d^[n]|| 4^n), fitted_slope and fit_range (blank when the signal
+    is exactly annihilated)."""
     lines = ["level,sup_norm,log2_ratio"]
     for i, (n, s) in enumerate(zip(report.levels, report.sup_norms)):
         have_ratio = 0 < i <= len(report.log2_ratios)
         ratio = repr(report.log2_ratios[i - 1]) if have_ratio else ""
         lines.append(f"{n},{s!r},{ratio}")
     if report.exact_annihilation:
+        lines.append("constant_estimate,,")
         lines.append("fitted_slope,exact annihilation,")
         lines.append("fit_range,,")
     else:
+        lines.append(f"constant_estimate,{report.constant_estimate!r},")
         lines.append(f"fitted_slope,{report.fitted_slope!r},")
         lines.append(f"fit_range,{report.fit_range[0]}:{report.fit_range[1]},")
     with open(path, "w") as fh:

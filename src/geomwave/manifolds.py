@@ -52,6 +52,14 @@ class Manifold:
         """Parallel transport of v from T_p to T_q along the geodesic."""
         raise NotImplementedError
 
+    def log_transport(
+        self, m: np.ndarray, p: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(log(m, p), transport(p, v, m))``: pull the pair (p, v) into T_m.
+        Subclasses may share work between the two maps, with the same
+        results and errors as the two calls."""
+        return self.log(m, p), self.transport(p, v, m)
+
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Geodesic distance over the last axis."""
         raise NotImplementedError
@@ -176,9 +184,23 @@ class _RoundSphere(Manifold):
         return np.where(zero, p, np.cos(theta) * p + np.sin(theta) / safe * v)
 
     def log(self, p, q):
-        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        return self._log(np.asarray(p, dtype=float), np.asarray(q, dtype=float))[0]
+
+    def transport(self, p, v, q):
+        p, v, q = (np.asarray(x, dtype=float) for x in (p, v, q))
+        return self._transport(p, v, q, _dot(p, q))
+
+    def log_transport(self, m, p, v):
+        # one inner product <m, p> serves both maps
+        m, p, v = (np.asarray(x, dtype=float) for x in (m, p, v))
+        y, c = self._log(m, p)
+        return y, self._transport(p, v, m, c)
+
+    def _log(self, p, q):
+        """log_p(q), and the inner product c = <p, q> it was built from."""
         equal = np.all(p == q, axis=-1, keepdims=True)
-        inner = np.clip(_dot(p, q), -1.0, 1.0)
+        c = _dot(p, q)
+        inner = np.clip(c, -1.0, 1.0)
         u = q - inner * p
         s = np.linalg.norm(u, axis=-1, keepdims=True)
         theta = np.arctan2(s, inner)
@@ -188,14 +210,16 @@ class _RoundSphere(Manifold):
             _ANTIPODAL,
         )
         zero = equal | (s == 0.0)
-        return np.where(zero, 0.0, theta / np.where(zero, 1.0, s) * u)
+        return np.where(zero, 0.0, theta / np.where(zero, 1.0, s) * u), c
 
-    def transport(self, p, v, q):
-        # closed form along the minimal geodesic, for v tangent at p
-        p, v, q = (np.asarray(x, dtype=float) for x in (p, v, q))
-        c = _dot(p, q)
-        theta = np.arccos(np.clip(c[..., 0], -1.0, 1.0))
-        _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
+    def _transport(self, p, v, q, c):
+        """Transport of v from T_p to T_q given c = <p, q>: closed form along
+        the minimal geodesic, for v tangent at p."""
+        # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
+        # so the arccos test runs only on inputs with a pair below that
+        if (c < -0.5).any():
+            theta = np.arccos(np.clip(c[..., 0], -1.0, 1.0))
+            _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
         return v - _dot(q, v) / (1.0 + c) * (p + q)
 
     def dist(self, p, q):

@@ -11,7 +11,7 @@ operator application without explicit D^n bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import SchemaError
 from .sequences import (
     HermiteSequence,
     Mask,
-    diag_d,
     interior_sequence,
 )
 
@@ -128,21 +127,31 @@ def exponential_hermite_mask(lam: float, level: int) -> Mask:
 
 @dataclass(frozen=True)
 class MaskProvider:
-    """Level-indexed source of predictor masks."""
+    """Level-indexed source of predictor masks.  Each level's mask is built
+    once and shared: its blocks are read-only."""
 
     kind: str  # "cubic" or "exp"
     lam: float = 0.0
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("cubic", "exp"):
             raise ValueError(f"unknown predictor kind {self.kind!r}")
-        if self.kind == "exp" and self.lam == 0.0:
-            raise ValueError("exponential predictor requires nonzero lambda")
+        if self.kind == "exp" and not (math.isfinite(self.lam) and self.lam != 0.0):
+            raise ValueError(
+                f"exponential predictor requires a finite nonzero lambda, "
+                f"got {self.lam!r}"
+            )
 
     def mask_at(self, level: int) -> Mask:
-        if self.kind == "cubic":
-            return cubic_hermite_mask()
-        return exponential_hermite_mask(self.lam, level)
+        if level not in self._masks:
+            if self.kind == "cubic":
+                mask = cubic_hermite_mask()
+            else:
+                mask = exponential_hermite_mask(self.lam, level)
+            mask.blocks.flags.writeable = False
+            self._masks[level] = mask
+        return self._masks[level]
 
     def reproduction_space(self) -> "ReproductionSpace":
         if self.kind == "cubic":
@@ -162,7 +171,10 @@ def provider_from_config(kind: str, lam: float | None = None) -> MaskProvider:
     if kind == "cubic":
         return cubic_provider()
     if kind == "exp":
-        return exponential_provider(1.0 if lam is None else lam)
+        try:
+            return exponential_provider(1.0 if lam is None else lam)
+        except ValueError as err:
+            raise SchemaError(str(err)) from None
     raise SchemaError(f"unknown predictor kind {kind!r} (use 'cubic' or 'exp')")
 
 
@@ -199,14 +211,7 @@ def exponential_space(lam: float) -> ReproductionSpace:
 
 def interpolatory_check(mask: Mask) -> bool:
     """True iff every even-index block equals D*delta (exact comparison)."""
-    D = diag_d()
-    for k in range(mask.lo, mask.hi + 1):
-        if k % 2 != 0:
-            continue
-        want = D if k == 0 else np.zeros((2, 2))
-        if not np.array_equal(mask.block(k), want):
-            return False
-    return True
+    return mask.interpolatory
 
 
 def sample_hermite_interior(

@@ -19,6 +19,7 @@ reads and writes differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,11 @@ def diag_d(power: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mask:
-    """Finitely supported sequence of 2x2 blocks on the support [lo, hi]."""
+    """Finitely supported sequence of 2x2 blocks on the support [lo, hi].
+
+    ``interpolatory`` and ``odd_taps`` are computed from the blocks once, on
+    first use, so the blocks must not be changed after construction (the
+    masks of a ``MaskProvider`` are read-only)."""
 
     lo: int
     blocks: np.ndarray  # shape (hi - lo + 1, 2, 2)
@@ -66,6 +71,26 @@ class Mask:
         if self.lo <= k <= self.hi:
             return self.blocks[k - self.lo]
         return np.zeros((2, 2))
+
+    @cached_property
+    def interpolatory(self) -> bool:
+        """True iff every even-index block equals D*delta (exact comparison)."""
+        D = diag_d()
+        return all(
+            np.array_equal(self.block(k), D if k == 0 else np.zeros((2, 2)))
+            for k in range(self.lo, self.hi + 1)
+            if k % 2 == 0
+        )
+
+    @cached_property
+    def odd_taps(self) -> tuple:
+        """``(t, a00, a01, a10, a11)`` for each odd index t whose block is
+        nonzero, ascending, with the block entries as plain floats."""
+        return tuple(
+            (t, *(float(a) for a in self.block(t).ravel()))
+            for t in range(self.lo, self.hi + 1)
+            if t % 2 and self.block(t).any()
+        )
 
     def transposed(self) -> "Mask":
         """Blockwise transpose, same support."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BaseMismatchError, CutLocusError, DensityError, SchemaError
 from .manifolds import Manifold, SO3Quat
-from .predictors import MaskProvider, interpolatory_check
+from .predictors import MaskProvider
 from .sequences import HermiteSequence, Mask, apply_subdivision, periodic_sequence
 
 __all__ = [
@@ -104,9 +104,9 @@ def manifold_subdivide_once(
 
     Even outputs are the interpolatory copy D c_i.  Each odd output 2i+1 is
     based at the midpoint of (p_i, p_{i+1}) or at p_i (``rule``).  All odd
-    outputs and all odd mask taps go through one array log and transport,
+    outputs and all odd mask taps go through one array ``log_transport``,
     then one exp and one transport."""
-    if not interpolatory_check(mask):
+    if not mask.interpolatory:
         raise ValueError("manifold subdivision requires an interpolatory mask")
     M = c.manifold
     if rule == "leftpoint":
@@ -115,22 +115,21 @@ def manifold_subdivide_once(
         m = M.midpoint(c.points, np.roll(c.points, -1, axis=0))
     else:
         raise ValueError(f"unknown base point rule {rule!r}")
-    taps = [
-        t for t in range(mask.lo, mask.hi + 1) if t % 2 and mask.block(t).any()
-    ]
+    taps = mask.odd_taps
     # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; axes are
     # (output, tap, coordinate), so errors name the output first
-    src = np.arange(len(c))[:, None] + [(1 - t) // 2 for t in taps]
-    p_src = np.take(c.points, src, axis=0, mode="wrap")
-    y = M.log(m[:, None], p_src)
-    z = M.transport(p_src, np.take(c.vectors, src, axis=0, mode="wrap"), m[:, None])
+    src = np.arange(len(c))[:, None] + [(1 - tap[0]) // 2 for tap in taps]
+    y, z = M.log_transport(
+        m[:, None],
+        np.take(c.points, src, axis=0, mode="wrap"),
+        np.take(c.vectors, src, axis=0, mode="wrap"),
+    )
     w0 = np.zeros_like(m)
     w1 = np.zeros_like(m)
-    for k, t in enumerate(taps):
-        blk = mask.block(t)
-        w0 += blk[0, 0] * y[:, k] + blk[0, 1] * z[:, k]
-        w1 += blk[1, 0] * y[:, k] + blk[1, 1] * z[:, k]
-    del src, p_src, y, z  # free the per-tap arrays before allocating the outputs
+    for k, (_, a00, a01, a10, a11) in enumerate(taps):
+        w0 += a00 * y[:, k] + a01 * z[:, k]
+        w1 += a10 * y[:, k] + a11 * z[:, k]
+    del src, y, z  # free the per-tap arrays before allocating the outputs
     P = np.empty((2 * len(c), M.ambient_dim))
     V = np.empty_like(P)
     P[::2] = c.points
@@ -167,7 +166,8 @@ def ominus(
     point: (log_p(q), [u]_p - v) for a = (q, u), b = (p, v)."""
     q, u = a
     p, v = b
-    return p, M.log(p, q), M.transport(q, u, p) - v
+    y, z = M.log_transport(p, q, u)
+    return p, y, z - v
 
 
 def _density_error(err: CutLocusError, level: int) -> DensityError:

@@ -34,3 +34,10 @@ def test_flat_pyramid_workload_checks(tmp_path):
 def test_verify_suite_workload_checks(tmp_path):
     workload = load("workloads").VerifySuite(1, str(tmp_path))
     assert workload.check(0, workload.op(0))
+
+
+def test_manifold_roundtrip_workload_checks(tmp_path):
+    workload = load("workloads").ManifoldRoundtrip(1, str(tmp_path))
+    assert len(workload.cycle) == 8
+    for k in range(len(workload.cycle)):
+        assert workload.check(k, workload.op(k))

@@ -193,3 +193,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "decompose" in proc.stdout
+
+
+def test_bad_lambda_exit_2(tmp_path, capsys):
+    """An exp predictor's lambda that is zero or not finite is a schema error
+    that names the value, in decompose, decay and a pyramid file; nothing is
+    written."""
+    s = str(tmp_path / "s.json")
+    p = str(tmp_path / "p.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    commands = [
+        ("decompose", "--in", s, "--levels", "2"),
+        ("decay", "--preset", "wobble", "--manifold", "sphere2", "--levels", "3:5"),
+    ]
+    capsys.readouterr()
+    for lam in ("nan", "inf", "-inf", "0"):
+        for argv in commands:
+            out = tmp_path / "out"
+            code = run(*argv, "--predictor", "exp", f"--lambda={lam}",
+                       "--out", str(out))
+            assert code == 2, (argv, lam)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"finite nonzero lambda, got {float(lam)!r}" in err, err
+            assert not out.exists()
+    assert run("decompose", "--in", s, "--levels", "2", "--predictor", "exp",
+               "--out", p) == 0
+    obj = json.load(open(p))
+    obj["predictor"]["lambda"] = float("nan")
+    json.dump(obj, open(p, "w"))
+    capsys.readouterr()
+    assert run("reconstruct", "--in", p, "--out", str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert f"{p}.predictor.lambda: " in err and "got nan" in err

@@ -135,3 +135,80 @@ def test_subdivide_matches_oracle(tag, rule, kind, length, level, seed):
     want_p, want_v = scalar_subdivide_once(mask, M, P, V, rule)
     assert np.abs(out.points - want_p).max() <= TOL
     assert np.abs(out.vectors - want_v).max() <= TOL
+
+
+def outcome(call):
+    """The bytes and shapes a call returns, or the CutLocusError it raises."""
+    try:
+        return [(a.shape, a.tobytes()) for a in call()]
+    except CutLocusError as err:
+        return ("CutLocusError", str(err), err.index)
+
+
+def pairs(M, rng, L, T, scale):
+    """Base points m of shape (L, d), the array they are compared against
+    (m itself, or m[:, None] against (L, T, d)), points p at geodesic
+    distance up to ``scale`` from it with some equal pairs, and tangents v
+    at p.  The points are up to 1e-10 off unit norm, as input may be."""
+    m = random_point(M, rng, (L,)) * (1.0 + 1e-10 * rng.uniform(-1, 1, (L, 1)))
+    base = m if T is None else m[:, None]
+    shape = (L,) if T is None else (L, T)
+    at = np.broadcast_to(base, shape + (M.ambient_dim,))
+    p = M.exp(at, random_tangents(M, rng, at, scale))
+    flat_p = p.reshape(-1, M.ambient_dim)
+    for i in pick(rng, p.shape[:-1], 1 + flat_p.shape[0] // 4):
+        flat_p[i] = at.reshape(-1, M.ambient_dim)[i]  # equal pairs
+    return base, p, random_tangents(M, rng, p, 2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tag=st.sampled_from(sorted(MANIFOLDS)),
+    L=st.integers(1, 9),
+    T=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 10**6),
+)
+def test_log_transport_matches_separate_calls(tag, L, T, seed):
+    """The fused kernel returns log(m, p) and transport(p, v, m) byte for
+    byte, on (L, d) pairs and on m[:, None] against (L, T, d), with equal
+    pairs and angles past 2pi/3."""
+    M = MANIFOLDS[tag]
+    base, p, v = pairs(M, np.random.default_rng(seed), L, T, 3.0)
+    got = outcome(lambda: M.log_transport(base, p, v))
+    assert got == outcome(lambda: (M.log(base, p), M.transport(p, v, base)))
+    assert got[0][0] == p.shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tag=st.sampled_from(["sphere2", "so3-quat"]),
+    L=st.integers(1, 9),
+    T=st.sampled_from([None, 1, 3]),
+    gap=st.sampled_from([0.0, 1e-12, 1e-9, 5e-7, 1e-6, 2e-6, 1e-5]),
+    stretch=st.sampled_from([1.0, 1.0 + 1e-11, 1.0 + 1e-10]),
+    seed=st.integers(0, 10**6),
+)
+def test_log_transport_cut_locus_matches_separate_calls(
+    tag, L, T, gap, stretch, seed
+):
+    """Pairs at angle pi - gap: the fused kernel raises where log or then
+    transport would, with the same message and index, and otherwise returns
+    the same bytes; exactly antipodal pairs always raise.  Points stretched
+    a little off the sphere put <m, p> below -1, where only transport's
+    arccos test fires for gaps past the margin."""
+    M = MANIFOLDS[tag]
+    rng = np.random.default_rng(seed)
+    base, p, v = pairs(M, rng, L, T, 2.0)
+    at = np.broadcast_to(base, p.shape).reshape(-1, M.ambient_dim)
+    flat_p = p.reshape(-1, M.ambient_dim)
+    bad = pick(rng, p.shape[:-1], min(2, flat_p.shape[0]))
+    # the point at angle pi - gap along a unit tangent e (exp refuses it)
+    e = random_tangents(M, rng, at[bad], 1.0)
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    far = math.cos(math.pi - gap) * at[bad] + math.sin(math.pi - gap) * e
+    flat_p[bad] = stretch * (-at[bad] if gap == 0.0 else far)
+    v = M.project_tangent(p, v)
+    got = outcome(lambda: M.log_transport(base, p, v))
+    assert got == outcome(lambda: (M.log(base, p), M.transport(p, v, base)))
+    if gap == 0.0:
+        assert got[0] == "CutLocusError"

@@ -1,6 +1,7 @@
 """Predictor masks: reproduction oracles, interpolatory structure, limits."""
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomwave.errors import SchemaError
+from geomwave.manifolds import Sphere2
 from geomwave.predictors import (
     cubic_hermite_mask,
     cubic_provider,
@@ -18,6 +21,7 @@ from geomwave.predictors import (
     MaskProvider,
     poly_space,
     exponential_space,
+    provider_from_config,
     sample_hermite_interior,
 )
 from geomwave.sequences import (
@@ -25,6 +29,7 @@ from geomwave.sequences import (
     seq_sub,
     sup_norm,
 )
+from geomwave.transform import ManifoldHermiteSeq, manifold_subdivide_once
 from sequence_ops import delta_sequence
 
 
@@ -248,3 +253,71 @@ def test_basic_limit_table_structure():
 def test_basic_limit_table_level_dependent_runs():
     table = basic_limit_table(exponential_provider(1.0), 2, 5, length=8)
     assert np.isfinite(table.values).all()
+
+
+def test_mask_at_builds_each_level_once():
+    """A provider hands out one read-only mask per level; the copies that
+    ``transposed`` and ``perturbed`` make are writable."""
+    for provider in (cubic_provider(), exponential_provider(1.5)):
+        mask = provider.mask_at(3)
+        assert provider.mask_at(3) is mask
+        assert provider.mask_at(4) is not mask
+        want = mask.blocks.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            mask.blocks[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mask.block(1)[0, 0] += 1.0
+        for copy in (mask.transposed(), mask.perturbed(-1, np.zeros((2, 2)))):
+            copy.blocks[0, 0, 0] += 1.0
+            copy.block(1)[1, 1] = 7.0
+        assert np.array_equal(provider.mask_at(3).blocks, want)
+
+
+def test_mask_cache_keeps_providers_apart():
+    """exp(1) and exp(1.5) give different masks at one level; building masks
+    does not change how providers compare or hash."""
+    a, b = exponential_provider(1.0), exponential_provider(1.5)
+    assert not np.array_equal(a.mask_at(2).blocks, b.mask_at(2).blocks)
+    fresh = exponential_provider(1.0)
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert a != b and cubic_provider() == cubic_provider()
+    assert np.array_equal(fresh.mask_at(2).blocks, a.mask_at(2).blocks)
+
+
+def test_mask_odd_taps_are_the_odd_blocks():
+    for mask in (cubic_hermite_mask(), exponential_hermite_mask(1.5, 2)):
+        assert mask.odd_taps == tuple(
+            (t, *mask.block(t).ravel().tolist()) for t in (-1, 1)
+        )
+        assert all(type(a) is float for tap in mask.odd_taps for a in tap[1:])
+
+
+def test_perturbed_even_block_refused_by_manifold_step():
+    """The interpolatory verdict is taken per mask: a perturbed copy of a
+    provider's mask is refused with the same message."""
+    mask = cubic_provider().mask_at(0)
+    M = Sphere2()
+    P = M.project_point(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    c = ManifoldHermiteSeq(M, P, np.zeros_like(P))
+    assert len(manifold_subdivide_once(mask, c)) == 6
+    for delta in (1e-15, -0.5):
+        broken = mask.perturbed(0, np.array([[delta, 0.0], [0.0, 0.0]]))
+        assert not interpolatory_check(broken) and interpolatory_check(mask)
+        with pytest.raises(
+            ValueError,
+            match="^manifold subdivision requires an interpolatory mask$",
+        ):
+            manifold_subdivide_once(broken, c)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0])
+def test_exponential_provider_refuses_bad_lambda(lam):
+    message = (
+        "^exponential predictor requires a finite nonzero lambda, "
+        f"got {re.escape(repr(lam))}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        exponential_provider(lam)
+    with pytest.raises(SchemaError, match=message):
+        provider_from_config("exp", lam)
+    assert provider_from_config("cubic", lam) == cubic_provider()

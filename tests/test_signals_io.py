@@ -1,6 +1,7 @@
 """Signal presets, sampling, file formats, config parsing, decay reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,19 @@ def test_pyramid_metadata_validation(tmp_path):
     json.dump(obj, open(path, "w"))
     with pytest.raises(SchemaError):
         read_pyramid(path)
+    # an exp predictor whose lambda is not finite or is zero
+    for lam, message in [
+        (math.nan, "got nan"), (math.inf, "got inf"), (0.0, "got 0.0"),
+        (-(10**400), "integer too large for a float"),
+    ]:
+        obj = json.load(open(path))
+        obj["rule"] = "midpoint"
+        obj["predictor"] = {"kind": "exp", "lambda": lam}
+        json.dump(obj, open(path, "w"))
+        with pytest.raises(SchemaError) as exc:
+            read_pyramid(path)
+        assert str(exc.value).startswith(f"{path}.predictor.lambda: ")
+        assert message in str(exc.value)
 
 
 def test_decay_csv_format(tmp_path):
@@ -194,12 +208,20 @@ def test_decay_csv_format(tmp_path):
     write_decay_csv(rep, path)
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "level,sup_norm,log2_ratio"
-    assert len(lines) == 1 + 3 + 2
+    assert len(lines) == 1 + 3 + 3
+    assert lines[-3] == f"constant_estimate,{rep.constant_estimate!r},"
     assert lines[-2].startswith("fitted_slope,")
     assert lines[-1].startswith("fit_range,")
     # numeric payload round-trips through repr
     level, sup, _ = lines[1].split(",")
     assert float(sup) == rep.sup_norms[0]
+    # an annihilated signal leaves the three footers blank
+    rep = decay_experiment(get_preset("euclidean:1", "poly3"), cubic_provider(), nmin=3, nmax=6)
+    write_decay_csv(rep, path)
+    lines = open(path).read().strip().splitlines()
+    assert lines[-3:] == [
+        "constant_estimate,,", "fitted_slope,exact annihilation,", "fit_range,,"
+    ]
 
 
 def test_report_json(tmp_path):
