@@ -145,6 +145,7 @@ def decay_experiment(
     if not nmin < nmax:
         raise SchemaError(f"decay levels need nmin < nmax, got {nmin}:{nmax}")
     detail_levels = list(range(nmin, nmax))
+    provider.mask_at(nmin)  # the coarsest mask fails before sampling
     cN = sample_signal(spec, nmax)
     if isinstance(cN, HermiteSequence) and not cN.periodic:
         details = dual_filter_details(cN, build_bank(provider), nmax - nmin)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .manifolds import Euclidean
-from .predictors import MaskProvider, interpolatory_check, sample_hermite_interior
+from .predictors import MaskProvider, interpolatory_check
 from .sequences import (
     HermiteSequence,
     Mask,
@@ -35,6 +35,7 @@ from .sequences import (
     single_block_mask,
     sup_norm,
 )
+from .signals import real_signal, sample_signal
 from .transform import (
     ManifoldPyramid,
     decompose_manifold,
@@ -189,16 +190,17 @@ def symbol_biorthogonality_residuals(
 
 def vanishing_moment_residual(
     filters: LevelFilters,
-    f: Callable[[float], float],
-    df: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
+    df: Callable[[np.ndarray], np.ndarray],
     level: int,
     window: tuple[int, int],
 ) -> float:
-    """Sup norm of D_{Bt^T} applied to normalized level-(n+1) samples of f
-    over interior-valid indices."""
-    c = sample_hermite_interior(f, df, level + 1, window)
-    out = _dual_decomp(filters.Bt, c)
-    return sup_norm(out)
+    """Sup norm of D_{Bt^T} applied to the normalized level-(n+1) samples of a
+    real function f (an array function, as reproduction elements are) at the
+    indices of ``window``, over interior-valid indices."""
+    h = 2.0 ** (-level - 1)
+    spec = real_signal("element", f, df, (window[0] * h, window[1] * h))
+    return sup_norm(_dual_decomp(filters.Bt, sample_signal(spec, level + 1)))
 
 
 def dual_filter_details(

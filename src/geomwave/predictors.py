@@ -12,16 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import SchemaError
-from .sequences import (
-    HermiteSequence,
-    Mask,
-    interior_sequence,
-)
+from .sequences import Mask
 
 __all__ = [
     "MaskProvider",
@@ -32,7 +27,6 @@ __all__ = [
     "exponential_provider",
     "provider_from_config",
     "interpolatory_check",
-    "sample_hermite_interior",
     "poly_space",
     "exponential_space",
 ]
@@ -41,6 +35,11 @@ __all__ = [
 # as the polynomial limit and the cubic mask is returned instead.
 _LAMBDA_SWITCH = 1e-6
 _LAMBDA_OVERFLOW = 50.0
+
+# math.exp and math.pow entrywise: numpy's SIMD exp and power differ from the
+# C library's in the last bit for some arguments; these keep samples bitwise.
+libm_exp = np.vectorize(math.exp, otypes=[float])
+libm_pow = np.vectorize(math.pow, otypes=[float])
 
 
 def cubic_hermite_mask() -> Mask:
@@ -95,7 +94,8 @@ def exponential_hermite_mask(lam: float, level: int) -> Mask:
     h = 2.0 ** (-level)
     if abs(lam) * h > _LAMBDA_OVERFLOW:
         raise ValueError(
-            f"|lambda| * 2^-level = {abs(lam) * h:g} exceeds overflow guard"
+            f"|lambda| * 2^-level = {abs(lam) * h:g} exceeds overflow guard "
+            f"{_LAMBDA_OVERFLOW:g}"
         )
     if abs(lam) * h < _LAMBDA_SWITCH:
         return cubic_hermite_mask()
@@ -148,7 +148,12 @@ class MaskProvider:
             if self.kind == "cubic":
                 mask = cubic_hermite_mask()
             else:
-                mask = exponential_hermite_mask(self.lam, level)
+                try:
+                    mask = exponential_hermite_mask(self.lam, level)
+                except ValueError as err:
+                    raise SchemaError(
+                        f"exp predictor lambda={self.lam:g} at level {level}: {err}"
+                    ) from None
             mask.blocks.flags.writeable = False
             self._masks[level] = mask
         return self._masks[level]
@@ -180,7 +185,7 @@ def provider_from_config(kind: str, lam: float | None = None) -> MaskProvider:
 
 @dataclass(frozen=True)
 class ReproductionSpace:
-    """Function space with exact derivative evaluators for each basis element."""
+    """Basis elements with exact derivatives, as array functions of x."""
 
     name: str
     elements: tuple  # of (label, f, fprime)
@@ -189,22 +194,18 @@ class ReproductionSpace:
 def poly_space(degree: int) -> ReproductionSpace:
     elems = []
     for d in range(degree + 1):
-        f = (lambda d: lambda x: x**d)(d)
-        df = (lambda d: lambda x: d * x ** (d - 1) if d > 0 else 0.0)(d)
+        f = (lambda d: lambda x: libm_pow(x, d))(d)
+        df = (lambda d: lambda x: d * libm_pow(x, d - 1))(d) if d else np.zeros_like
         elems.append((f"x^{d}", f, df))
     return ReproductionSpace(f"poly<= {degree}", tuple(elems))
 
 
 def exponential_space(lam: float) -> ReproductionSpace:
     elems = (
-        ("1", lambda x: 1.0, lambda x: 0.0),
-        ("x", lambda x: x, lambda x: 1.0),
-        ("e^{lx}", lambda x: math.exp(lam * x), lambda x: lam * math.exp(lam * x)),
-        (
-            "e^{-lx}",
-            lambda x: math.exp(-lam * x),
-            lambda x: -lam * math.exp(-lam * x),
-        ),
+        ("1", np.ones_like, np.zeros_like),
+        ("x", lambda x: x, np.ones_like),
+        ("e^{lx}", lambda x: libm_exp(lam * x), lambda x: lam * libm_exp(lam * x)),
+        ("e^{-lx}", lambda x: libm_exp(-lam * x), lambda x: -lam * libm_exp(-lam * x)),
     )
     return ReproductionSpace(f"exp(lambda={lam:g})", elems)
 
@@ -212,18 +213,3 @@ def exponential_space(lam: float) -> ReproductionSpace:
 def interpolatory_check(mask: Mask) -> bool:
     """True iff every even-index block equals D*delta (exact comparison)."""
     return mask.interpolatory
-
-
-def sample_hermite_interior(
-    f: Callable[[float], float],
-    df: Callable[[float], float],
-    level: int,
-    window: tuple[int, int],
-) -> HermiteSequence:
-    """Normalized samples (f(j/2^n), 2^-n f'(j/2^n)) for j in [window]."""
-    a, b = window
-    h = 2.0 ** (-level)
-    idx = np.arange(a, b + 1)
-    p = np.array([[f(j * h)] for j in idx], dtype=float)
-    v = np.array([[h * df(j * h)] for j in idx], dtype=float)
-    return interior_sequence(p, v, a, level=level)

@@ -11,6 +11,15 @@ Presets per manifold:
   axis-angle path).
 
 Periodic presets live on [0, 1) and close up in value and derivative.
+
+A ``SignalSpec``'s ``f`` and ``df`` are array functions: an array t of shape
+(L,) gives an (L, d) array, d the ambient dimension, and a scalar t gives
+shape (d,).  ``sample_signal`` evaluates each once on the whole grid, and
+refuses any other output shape.  The array forms are bitwise equal to
+evaluating the same formulas one scalar t at a time: exp and powers go
+through the C library entrywise (``predictors.libm_exp``/``libm_pow``), and
+quaternion norms through the BLAS dot of one 3-vector, as ``np.linalg.norm``
+computes them.
 """
 
 from __future__ import annotations
@@ -23,20 +32,21 @@ import numpy as np
 
 from .errors import SchemaError
 from .manifolds import Manifold, manifold_from_tag
+from .predictors import libm_exp, libm_pow
 from .sequences import interior_sequence, periodic_sequence
 from .transform import ManifoldHermiteSeq
 
-__all__ = ["SignalSpec", "get_preset", "preset_names", "sample_signal"]
+__all__ = ["SignalSpec", "get_preset", "preset_names", "real_signal", "sample_signal"]
 
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """A curve t -> M with its exact derivative."""
+    """A curve t -> M with its exact derivative, as array functions."""
 
     name: str
     manifold_tag: str
-    f: Callable[[float], np.ndarray]
-    df: Callable[[float], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float] = (0.0, 1.0)
     periodic: bool = True
     params: dict = field(default_factory=dict)
@@ -46,48 +56,55 @@ class SignalSpec:
         return manifold_from_tag(self.manifold_tag)
 
 
-def _sphere_from_angles(phi, dphi, psi, dpsi):
-    """Point and velocity on S^2 from latitude/longitude angle paths."""
-    cp, sp = math.cos(phi), math.sin(phi)
-    cs, ss = math.cos(psi), math.sin(psi)
-    p = np.array([cp * cs, cp * ss, sp])
-    v = np.array(
-        [
+def _stack(*columns) -> np.ndarray:
+    """Coordinate columns (arrays of one shape, or constants) as the last
+    axis."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, one BLAS dot per vector."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _sphere_from_angles(name: str, angles, params=None) -> SignalSpec:
+    """The S^2 curve of latitude/longitude angle paths, with
+    angles(t) = (phi, phi', psi, psi')."""
+
+    def point_velocity(t):
+        phi, dphi, psi, dpsi = angles(t)
+        cp, sp = np.cos(phi), np.sin(phi)
+        cs, ss = np.cos(psi), np.sin(psi)
+        v = _stack(
             -sp * dphi * cs - cp * ss * dpsi,
             -sp * dphi * ss + cp * cs * dpsi,
             cp * dphi,
-        ]
+        )
+        return _stack(cp * cs, cp * ss, sp), v
+
+    return SignalSpec(
+        name, "sphere2", lambda t: point_velocity(t)[0],
+        lambda t: point_velocity(t)[1], params=params or {},
     )
-    return p, v
 
 
 def _great_circle() -> SignalSpec:
-    def f(t):
-        return _sphere_from_angles(0.0, 0.0, 2 * math.pi * t, 2 * math.pi)[0]
-
-    def df(t):
-        return _sphere_from_angles(0.0, 0.0, 2 * math.pi * t, 2 * math.pi)[1]
-
-    return SignalSpec("greatcircle", "sphere2", f, df)
+    return _sphere_from_angles(
+        "greatcircle", lambda t: (0.0, 0.0, 2 * math.pi * t, 2 * math.pi)
+    )
 
 
 def _wobble(a1: float = 0.4, a2: float = 0.2) -> SignalSpec:
     """Great circle with a two-frequency latitude perturbation."""
 
     def angles(t):
-        phi = a1 * math.sin(2 * math.pi * t) + a2 * math.sin(4 * math.pi * t)
-        dphi = 2 * math.pi * a1 * math.cos(2 * math.pi * t) + 4 * math.pi * a2 * math.cos(
+        phi = a1 * np.sin(2 * math.pi * t) + a2 * np.sin(4 * math.pi * t)
+        dphi = 2 * math.pi * a1 * np.cos(2 * math.pi * t) + 4 * math.pi * a2 * np.cos(
             4 * math.pi * t
         )
         return phi, dphi, 2 * math.pi * t, 2 * math.pi
 
-    def f(t):
-        return _sphere_from_angles(*angles(t))[0]
-
-    def df(t):
-        return _sphere_from_angles(*angles(t))[1]
-
-    return SignalSpec("wobble", "sphere2", f, df, params={"a1": a1, "a2": a2})
+    return _sphere_from_angles("wobble", angles, {"a1": a1, "a2": a2})
 
 
 def _quat_curve() -> SignalSpec:
@@ -95,103 +112,82 @@ def _quat_curve() -> SignalSpec:
     w(t) = (0.8 + 0.3 sin 2pi t, 0.4 cos 2pi t, 0.3 sin 4pi t)."""
 
     def omega(t):
-        return np.array(
-            [
-                0.8 + 0.3 * math.sin(2 * math.pi * t),
-                0.4 * math.cos(2 * math.pi * t),
-                0.3 * math.sin(4 * math.pi * t),
-            ]
+        return _stack(
+            0.8 + 0.3 * np.sin(2 * math.pi * t),
+            0.4 * np.cos(2 * math.pi * t),
+            0.3 * np.sin(4 * math.pi * t),
         )
 
     def domega(t):
-        return np.array(
-            [
-                0.6 * math.pi * math.cos(2 * math.pi * t),
-                -0.8 * math.pi * math.sin(2 * math.pi * t),
-                1.2 * math.pi * math.cos(4 * math.pi * t),
-            ]
+        return _stack(
+            0.6 * math.pi * np.cos(2 * math.pi * t),
+            -0.8 * math.pi * np.sin(2 * math.pi * t),
+            1.2 * math.pi * np.cos(4 * math.pi * t),
         )
 
     def f(t):
         w = omega(t)
-        th = np.linalg.norm(w)
-        return np.concatenate(([math.cos(th / 2)], math.sin(th / 2) * w / th))
+        th = np.sqrt(_dot(w, w))[..., None]
+        return np.concatenate((np.cos(th / 2), np.sin(th / 2) * w / th), axis=-1)
 
     def df(t):
         w, dw = omega(t), domega(t)
-        th = np.linalg.norm(w)
-        dth = float(w @ dw) / th
+        th = np.sqrt(_dot(w, w))[..., None]
+        dth = _dot(w, dw)[..., None] / th
         n = w / th
-        dn = dw / th - w * dth / th**2
-        return np.concatenate(
-            (
-                [-dth / 2 * math.sin(th / 2)],
-                dth / 2 * math.cos(th / 2) * n + math.sin(th / 2) * dn,
-            )
-        )
+        dn = dw / th - w * dth / libm_pow(th, 2)
+        s, c = np.sin(th / 2), np.cos(th / 2)
+        return np.concatenate((-dth / 2 * s, dth / 2 * c * n + s * dn), axis=-1)
 
     return SignalSpec("quatcurve", "so3-quat", f, df)
+
+
+def real_signal(name: str, f, df, domain, params=None) -> SignalSpec:
+    """An interior signal in R^1 from a real function and its derivative,
+    each mapping an array t to an array of t's shape."""
+    return SignalSpec(
+        name, "euclidean:1", lambda t: _stack(f(t)), lambda t: _stack(df(t)),
+        domain=domain, periodic=False, params=params or {},
+    )
 
 
 def _poly(degree: int) -> SignalSpec:
     coeffs = [1.0, -0.5, 0.25, 0.125, -0.0625][: degree + 1]
 
     def f(t):
-        return np.array([sum(c * t**k for k, c in enumerate(coeffs))])
+        return sum(c * libm_pow(t, k) for k, c in enumerate(coeffs))
 
     def df(t):
-        return np.array(
-            [sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k > 0)]
-        )
+        return sum(k * c * libm_pow(t, k - 1) for k, c in enumerate(coeffs) if k > 0)
 
-    return SignalSpec(
-        f"poly{degree}",
-        "euclidean:1",
-        f,
-        df,
-        domain=(-2.0, 2.0),
-        periodic=False,
-        params={"degree": degree},
-    )
+    return real_signal(f"poly{degree}", f, df, (-2.0, 2.0), {"degree": degree})
 
 
 def _exp_signal(lam: float = 1.0) -> SignalSpec:
     def f(t):
-        return np.array([math.exp(lam * t)])
+        return libm_exp(lam * t)
 
     def df(t):
-        return np.array([lam * math.exp(lam * t)])
+        return lam * libm_exp(lam * t)
 
-    return SignalSpec(
-        "exp",
-        "euclidean:1",
-        f,
-        df,
-        domain=(-2.0, 2.0),
-        periodic=False,
-        params={"lambda": lam},
-    )
+    return real_signal("exp", f, df, (-2.0, 2.0), {"lambda": lam})
 
 
 def _trigblend() -> SignalSpec:
     def f(t):
         w = 2 * math.pi * t
-        return np.array(
-            [
-                math.sin(w) + 0.5 * math.cos(2 * w),
-                math.cos(w) - 0.3 * math.sin(2 * w),
-                0.4 * math.sin(2 * w),
-            ]
+        return _stack(
+            np.sin(w) + 0.5 * np.cos(2 * w),
+            np.cos(w) - 0.3 * np.sin(2 * w),
+            0.4 * np.sin(2 * w),
         )
 
     def df(t):
         w = 2 * math.pi * t
-        return 2 * math.pi * np.array(
-            [
-                math.cos(w) - math.sin(2 * w),
-                -math.sin(w) - 0.6 * math.cos(2 * w),
-                0.8 * math.cos(2 * w),
-            ]
+        return 2 * math.pi * _stack(
+            np.cos(w) - np.sin(2 * w),
+            -np.sin(w) - 0.6 * np.cos(2 * w),
+            0.8 * np.cos(2 * w),
         )
 
     return SignalSpec("trigblend", "euclidean:3", f, df)
@@ -229,29 +225,33 @@ def sample_signal(spec: SignalSpec, level: int):
     """Normalized Hermite samples c^[n]_i = (f(i/2^n), 2^-n f'(i/2^n)).
 
     Returns a periodic ManifoldHermiteSeq for manifold presets, a (periodic
-    or interior) HermiteSequence for Euclidean ones.
+    or interior) HermiteSequence for Euclidean ones.  Each field is called
+    once, on the whole grid; a periodic grid runs to t = 1 to check that the
+    curve closes up.
     """
     h = 2.0 ** (-level)
     if spec.periodic:
         if level < 0:
             raise SchemaError(f"preset {spec.name} needs level >= 0, got {level}")
-        close_p = np.abs(spec.f(0.0) - spec.f(1.0)).max()
-        close_v = np.abs(spec.df(0.0) - spec.df(1.0)).max()
-        if max(close_p, close_v) > 1e-12:
-            raise ValueError(
-                f"preset {spec.name} does not close up on [0, 1): "
-                f"gap {max(close_p, close_v):g}"
+        lo, hi = 0, 1 << level
+    else:
+        a, b = spec.domain
+        lo, hi = math.ceil(a / h), math.floor(b / h)
+    t = np.arange(lo, hi + 1) * h
+    shape = (len(t), spec.manifold.ambient_dim)
+    P, V = (np.asarray(fn(t), dtype=float) for fn in (spec.f, spec.df))
+    for name, x in (("f", P), ("df", V)):
+        if x.shape != shape:
+            raise SchemaError(
+                f"preset {spec.name}: {name} maps t of shape {t.shape} to "
+                f"shape {x.shape}, not {shape}"
             )
-        L = 1 << level
-        P = np.array([spec.f(i * h) for i in range(L)])
-        V = np.array([h * spec.df(i * h) for i in range(L)])
-        if spec.manifold_tag.startswith("euclidean"):
-            return periodic_sequence(P, V, level=level)
-        return ManifoldHermiteSeq(spec.manifold, P, V, level=level)
-    a, b = spec.domain
-    lo = math.ceil(a / h)
-    hi = math.floor(b / h)
-    idx = np.arange(lo, hi + 1)
-    P = np.array([spec.f(j * h) for j in idx])
-    V = np.array([h * spec.df(j * h) for j in idx])
-    return interior_sequence(P, V, lo, level=level)
+    if not spec.periodic:
+        return interior_sequence(P, h * V, lo, level=level)
+    gap = max(np.abs(P[0] - P[-1]).max(), np.abs(V[0] - V[-1]).max())
+    if gap > 1e-12:
+        raise ValueError(f"preset {spec.name} does not close up on [0, 1): gap {gap:g}")
+    P, V = P[:-1], h * V[:-1]
+    if spec.manifold_tag.startswith("euclidean"):
+        return periodic_sequence(P, V, level=level)
+    return ManifoldHermiteSeq(spec.manifold, P, V, level=level)

@@ -221,13 +221,15 @@ def decompose_manifold(
             f"cannot decompose {len(cN)} samples over {levels} levels: "
             "need levels >= 0 and a length divisible by 2^levels"
         )
+    # coarsest mask first: a predictor that cannot be built fails before work
+    masks = [provider.mask_at(n) for n in range(cN.level - levels, cN.level)]
     c = cN
     details: list[TangentPairSeq] = []
-    for _ in range(levels):
+    for mask in reversed(masks):
         n = c.level - 1  # mask level: the grid the coarse data lives on
         coarse = _halve(c)
         try:
-            pred = manifold_subdivide_once(provider.mask_at(n), coarse, rule)
+            pred = manifold_subdivide_once(mask, coarse, rule)
             bases, u0, u1 = ominus(
                 M,
                 (c.points[1::2], c.vectors[1::2]),
@@ -247,19 +249,21 @@ def reconstruct_manifold(
     pyr: ManifoldPyramid, provider: MaskProvider | None = None, rule: str | None = None
 ) -> ManifoldHermiteSeq:
     """Invert decompose_manifold.  Detail base points are recomputed from the
-    coarse data and audited against the stored ones."""
+    coarse data and audited against the stored ones.  The masks are built
+    first, coarsest first."""
     provider = provider or pyr.provider
     rule = rule or pyr.rule
     M = pyr.coarse.manifold
     c = pyr.coarse
-    for d in pyr.details:
+    masks = [provider.mask_at(c.level + k) for k in range(pyr.levels)]
+    for d, mask in zip(pyr.details, masks):
         n = c.level
         if len(d) != len(c):
             raise ValueError(
                 f"detail length {len(d)} != coarse length {len(c)} at level {n}"
             )
         try:
-            pred = manifold_subdivide_once(provider.mask_at(n), c, rule)
+            pred = manifold_subdivide_once(mask, c, rule)
             P, V = pred.points, pred.vectors
             drift = M.dist(d.bases, P[1::2])
             bad = drift > _BASE_AUDIT_TOL

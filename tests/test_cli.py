@@ -94,6 +94,40 @@ def test_bad_level_arguments_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and message in err, err
 
 
+def test_exp_lambda_too_large_for_level_exit_2(tmp_path, capsys):
+    """An exp predictor whose |lambda| * 2^-level passes the overflow guard at
+    the coarsest level is a schema error naming lambda and that level, raised
+    before any level runs: decompose, reconstruct and decay exit 2."""
+    s = str(tmp_path / "s.json")
+    p = str(tmp_path / "p.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "10", "--out", s) == 0
+    assert run("decompose", "--in", s, "--levels", "8", "--predictor", "exp",
+               "--out", p) == 0
+    obj = json.load(open(p))
+    obj["predictor"]["lambda"] = 1000.0
+    json.dump(obj, open(p, "w"))
+    guard = "exceeds overflow guard 50"
+    cases = [
+        (("decompose", "--in", s, "--levels", "8", "--predictor", "exp",
+          "--lambda", "1000"),
+         "exp predictor lambda=1000 at level 2: |lambda| * 2^-level = 250 " + guard),
+        (("reconstruct", "--in", p),
+         "exp predictor lambda=1000 at level 2: |lambda| * 2^-level = 250 " + guard),
+        (("decay", "--preset", "wobble", "--manifold", "sphere2",
+          "--predictor", "exp", "--lambda", "1000", "--levels", "3:8"),
+         "exp predictor lambda=1000 at level 3: |lambda| * 2^-level = 125 " + guard),
+        (("decay", "--preset", "exp", "--manifold", "euclidean:1",
+          "--predictor", "exp", "--lambda", "-800", "--levels", "2:6"),
+         "exp predictor lambda=-800 at level 2: |lambda| * 2^-level = 200 " + guard),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+
+
 def test_sample_unknown_preset(tmp_path):
     assert run("sample", "--preset", "bogus", "--manifold", "sphere2",
                "--level", "3", "--out", str(tmp_path / "s.json")) == 2

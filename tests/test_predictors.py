@@ -22,15 +22,29 @@ from geomwave.predictors import (
     poly_space,
     exponential_space,
     provider_from_config,
-    sample_hermite_interior,
 )
 from geomwave.sequences import (
+    HermiteSequence,
     apply_subdivision,
     seq_sub,
     sup_norm,
 )
+from geomwave.signals import real_signal, sample_signal
 from geomwave.transform import ManifoldHermiteSeq, manifold_subdivide_once
 from sequence_ops import delta_sequence
+
+
+def sample_window(
+    f: Callable[[np.ndarray], np.ndarray],
+    df: Callable[[np.ndarray], np.ndarray],
+    level: int,
+    window: tuple[int, int],
+) -> HermiteSequence:
+    """Normalized samples (f(j/2^n), 2^-n f'(j/2^n)) of a real array function
+    for j in [window], through ``sample_signal``."""
+    h = 2.0 ** (-level)
+    spec = real_signal("element", f, df, (window[0] * h, window[1] * h))
+    return sample_signal(spec, level)
 
 
 def spectral_condition_residual(
@@ -45,11 +59,9 @@ def spectral_condition_residual(
     a, b = window
     if b - a < 2:
         raise ValueError("window too small for one subdivision step")
-    cn = sample_hermite_interior(f, df, level, window)
+    cn = sample_window(f, df, level, window)
     out = apply_subdivision(provider.mask_at(level), cn)
-    exact = sample_hermite_interior(
-        f, df, level + 1, (out.start, out.start + len(out) - 1)
-    )
+    exact = sample_window(f, df, level + 1, (out.start, out.start + len(out) - 1))
     diff = seq_sub(out, exact)
     return sup_norm(diff)
 
@@ -229,9 +241,9 @@ def test_run_scheme_interpolates_samples():
     prov = cubic_provider()
     f = lambda x: x**3 - x
     df = lambda x: 3 * x**2 - 1
-    c0 = sample_hermite_interior(f, df, 0, (-6, 6))
+    c0 = sample_window(f, df, 0, (-6, 6))
     c2 = apply_subdivision(prov.mask_at(1), apply_subdivision(prov.mask_at(0), c0))
-    exact = sample_hermite_interior(f, df, 2, (c2.start, c2.start + len(c2) - 1))
+    exact = sample_window(f, df, 2, (c2.start, c2.start + len(c2) - 1))
     err = np.abs(c2.points[c2.valid] - exact.points[c2.valid]).max()
     assert err <= 1e-12
     assert c2.level == 2

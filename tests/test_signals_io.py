@@ -67,7 +67,7 @@ def test_manifold_presets_stay_on_manifold(tag, name):
 def test_sampling_definition_interior():
     spec = SignalSpec(
         "linear", "euclidean:1",
-        lambda t: np.array([t]), lambda t: np.array([1.0]),
+        lambda t: t[:, None], lambda t: np.ones((len(t), 1)),
         domain=(0.0, 2.0), periodic=False,
     )
     s = sample_signal(spec, 1)
@@ -77,7 +77,7 @@ def test_sampling_definition_interior():
 
 
 def test_sampling_periodic_closure_enforced():
-    bad = SignalSpec("open", "euclidean:1", lambda t: np.array([t]), lambda t: np.array([1.0]))
+    bad = SignalSpec("open", "euclidean:1", lambda t: t[:, None], lambda t: np.ones((len(t), 1)))
     with pytest.raises(ValueError):
         sample_signal(bad, 3)
 
