@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from .errors import GeomwaveError, SchemaError, VerificationFailure
-from .experiments import decay_experiment, parse_config, verify_suite
 from .io import (
     read_pyramid,
     read_samples,
@@ -107,6 +106,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_decay(args) -> int:
+    from .experiments import decay_experiment
+
     try:
         nmin, nmax = (int(x) for x in args.levels.split(":"))
     except ValueError:
@@ -128,6 +129,8 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .experiments import parse_config, verify_suite
+
     config = None
     if args.config:
         try:

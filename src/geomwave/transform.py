@@ -12,6 +12,7 @@ the predicted odd points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,6 +97,81 @@ class ManifoldPyramid:
         return len(self.details)
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _odd_outputs(
+    M: Manifold,
+    points: np.ndarray,
+    vectors: np.ndarray,
+    blocks: list[tuple[Mask, int]],
+    rule: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Odd outputs of one subdivision step for a stack of periodic blocks.
+
+    Block ``(mask, step)`` subdivides every step-th row of ``points`` and
+    ``vectors`` with its vectors scaled by step (the data D^-k c of the
+    coarser grid, for step = 2^k; scaling by a power of 2 is exact).  Row i
+    of a block yields its odd output 2i+1; the outputs of the blocks are
+    stacked in order.  One midpoint, one gather, one ``log_transport``, one
+    exp and one transport serve every block; each block's taps are summed
+    over its own rows with its mask's coefficients."""
+    for mask, _ in blocks:
+        if not mask.interpolatory:
+            raise ValueError("manifold subdivision requires an interpolatory mask")
+    sizes = [len(points) // step for _, step in blocks]
+    starts = [0, *accumulate(sizes)]
+    # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; the tap axis
+    # holds every block's taps in ascending t
+    ts = sorted({tap[0] for mask, _ in blocks for tap in mask.odd_taps})
+
+    def rows(shift):
+        """The rows of points holding input i + shift of each block, wrapped
+        within the block, with one column per shift if shift is a list."""
+        return _stack([
+            np.take(
+                np.arange(0, len(points), step),
+                np.add.outer(np.arange(n), shift),
+                mode="wrap",
+            )
+            for (_, step), n in zip(blocks, sizes)
+        ])
+
+    if len(blocks) == 1:  # a view, not a copy: leftpoint bases cost nothing
+        here = points[:: blocks[0][1]]
+    else:
+        here = np.take(points, rows(0), axis=0)
+    if rule == "leftpoint":
+        m = here
+    elif rule == "midpoint":
+        m = M.midpoint(here, np.take(points, rows(1), axis=0))
+    else:
+        raise ValueError(f"unknown base point rule {rule!r}")
+    # axes are (output, tap, coordinate), so errors name the output first
+    src = rows([(1 - t) // 2 for t in ts])
+    p, v = np.take(points, src, axis=0), np.take(vectors, src, axis=0)
+    del here, src
+    for (_, step), s, e in zip(blocks, starts, starts[1:]):
+        if step > 1:
+            v[s:e] *= step
+    y, z = M.log_transport(m[:, None], p, v)
+    del p, v
+    w0 = np.zeros_like(m)
+    w1 = np.zeros_like(m)
+    for (mask, _), s, e in zip(blocks, starts, starts[1:]):
+        y_b, z_b, w0_b, w1_b = y[s:e], z[s:e], w0[s:e], w1[s:e]
+        for t, a00, a01, a10, a11 in mask.odd_taps:
+            k = ts.index(t)
+            for w, a, b in ((w0_b, a00, a01), (w1_b, a10, a11)):
+                term = a * y_b[:, k]
+                term += b * z_b[:, k]  # a y + b z with one temporary less
+                w += term
+    del y, z, y_b, z_b  # free the per-tap arrays before allocating the outputs
+    P = M.exp(m, w0)
+    return P, M.transport(m, w1, P)
+
+
 def manifold_subdivide_once(
     mask: Mask, c: ManifoldHermiteSeq, rule: str = "midpoint"
 ) -> ManifoldHermiteSeq:
@@ -106,36 +182,14 @@ def manifold_subdivide_once(
     based at the midpoint of (p_i, p_{i+1}) or at p_i (``rule``).  All odd
     outputs and all odd mask taps go through one array ``log_transport``,
     then one exp and one transport."""
-    if not mask.interpolatory:
-        raise ValueError("manifold subdivision requires an interpolatory mask")
     M = c.manifold
-    if rule == "leftpoint":
-        m = c.points
-    elif rule == "midpoint":
-        m = M.midpoint(c.points, np.roll(c.points, -1, axis=0))
-    else:
-        raise ValueError(f"unknown base point rule {rule!r}")
-    taps = mask.odd_taps
-    # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; axes are
-    # (output, tap, coordinate), so errors name the output first
-    src = np.arange(len(c))[:, None] + [(1 - tap[0]) // 2 for tap in taps]
-    y, z = M.log_transport(
-        m[:, None],
-        np.take(c.points, src, axis=0, mode="wrap"),
-        np.take(c.vectors, src, axis=0, mode="wrap"),
-    )
-    w0 = np.zeros_like(m)
-    w1 = np.zeros_like(m)
-    for k, (_, a00, a01, a10, a11) in enumerate(taps):
-        w0 += a00 * y[:, k] + a01 * z[:, k]
-        w1 += a10 * y[:, k] + a11 * z[:, k]
-    del src, y, z  # free the per-tap arrays before allocating the outputs
+    odd_p, odd_v = _odd_outputs(M, c.points, c.vectors, [(mask, 1)], rule)
     P = np.empty((2 * len(c), M.ambient_dim))
     V = np.empty_like(P)
     P[::2] = c.points
     V[::2] = 0.5 * c.vectors
-    P[1::2] = M.exp(m, w0)
-    V[1::2] = M.transport(m, w1, P[1::2])
+    P[1::2] = odd_p
+    V[1::2] = odd_v
     return ManifoldHermiteSeq(M, P, V, level=c.level + 1)
 
 
@@ -177,23 +231,51 @@ def _density_error(err: CutLocusError, level: int) -> DensityError:
     return DensityError(err.args[0], level=level, index=index)
 
 
-def _halve(c: ManifoldHermiteSeq) -> ManifoldHermiteSeq:
-    """c^[n]_i = D^-1 c^[n+1]_{2i}: point kept, tangent vector doubled."""
-    return ManifoldHermiteSeq(
-        c.manifold, c.points[::2].copy(), 2.0 * c.vectors[::2], level=c.level - 1
-    )
+def _stacked_details(
+    cN: ManifoldHermiteSeq, levels: list[int], masks: dict, rule: str
+) -> list[TangentPairSeq]:
+    """The details of ``levels``, finest first, from one odd-output kernel
+    call and one ominus over all of them stacked.  The coarse data of level
+    n is every 2^k-th sample of cN, with k = N - n, its vector scaled by 2^k
+    (c^[n]_i = D^-1 c^[n+1]_{2i}), and the odd rows of c^[n+1] start at
+    sample 2^(k-1)."""
+    if not levels:
+        return []
+    M, P, V = cN.manifold, cN.points, cN.vectors
+    steps = [1 << (cN.level - n) for n in levels]
+    blocks = [(masks[n], step) for n, step in zip(levels, steps)]
+    odd_p, odd_v = _odd_outputs(M, P, V, blocks, rule)
+    halves = [step // 2 for step in steps]
+    fine_p = _stack([P[h :: 2 * h] for h in halves])
+    fine_v = _stack([h * V[h :: 2 * h] if h > 1 else V[1::2] for h in halves])
+    bases, u0, u1 = ominus(M, (fine_p, fine_v), (odd_p, odd_v))
+    starts = [0, *accumulate(len(P) // step for step in steps)]
+    return [
+        TangentPairSeq(M, bases[s:e], u0[s:e], u1[s:e], level=n)
+        for n, s, e in zip(levels, starts, starts[1:])
+    ]
 
 
-def decompose_manifold(
-    cN: ManifoldHermiteSeq, provider: MaskProvider, rule: str, levels: int
-) -> ManifoldPyramid:
-    """Manifold prediction-correction decomposition of a closed curve.
+def _level_details(
+    cN: ManifoldHermiteSeq, n: int, masks: dict, rule: str
+) -> TangentPairSeq:
+    """The details of level n alone, a cut-locus failure named by level."""
+    try:
+        (d,) = _stacked_details(cN, [n], masks, rule)
+    except CutLocusError as err:
+        raise _density_error(err, n) from err
+    return d
 
-    Refuses a sample that is not finite, not on M, or whose vector is not
-    tangent at its point, with a SchemaError naming the first one; on SO(3),
-    a cyclically consecutive pair of quaternions with a negative inner
-    product, naming the first; and a level count that is negative or whose
-    2^levels does not divide the length."""
+
+def _refuse_rule(rule: str):
+    if rule not in RULES:
+        raise SchemaError(f"unknown base point rule {rule!r}: expected one of {RULES}")
+
+
+def _refuse_samples(cN: ManifoldHermiteSeq):
+    """SchemaError naming the first sample that is not finite, not on M, or
+    whose vector is not tangent at its point; on SO(3), the first cyclically
+    consecutive pair of quaternions with a negative inner product."""
     M, P, V = cN.manifold, cN.points, cN.vectors
     finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
     ok = finite & M.check_point(P) & M.check_tangent(P, V)
@@ -216,43 +298,57 @@ def decompose_manifold(
                 f"product {inner[i]:.3g} < 0: q and -q are the same rotation, "
                 "and the samples must have <q_i, q_(i+1 mod L)> >= 0"
             )
+
+
+def decompose_manifold(
+    cN: ManifoldHermiteSeq, provider: MaskProvider, rule: str, levels: int
+) -> ManifoldPyramid:
+    """Manifold prediction-correction decomposition of a closed curve.
+
+    Refuses, with a SchemaError, a rule not in RULES; a sample that is not
+    finite, not on M, or whose vector is not tangent at its point, naming
+    the first one; on SO(3), a cyclically consecutive pair of quaternions
+    with a negative inner product, naming the first; and a level count that
+    is negative or whose 2^levels does not divide the length."""
+    _refuse_rule(rule)
+    _refuse_samples(cN)
     if levels < 0 or len(cN) % (1 << levels) != 0:
         raise SchemaError(
             f"cannot decompose {len(cN)} samples over {levels} levels: "
             "need levels >= 0 and a length divisible by 2^levels"
         )
     # coarsest mask first: a predictor that cannot be built fails before work
-    masks = [provider.mask_at(n) for n in range(cN.level - levels, cN.level)]
-    c = cN
-    details: list[TangentPairSeq] = []
-    for mask in reversed(masks):
-        n = c.level - 1  # mask level: the grid the coarse data lives on
-        coarse = _halve(c)
-        try:
-            pred = manifold_subdivide_once(mask, coarse, rule)
-            bases, u0, u1 = ominus(
-                M,
-                (c.points[1::2], c.vectors[1::2]),
-                (pred.points[1::2], pred.vectors[1::2]),
-            )
-        except CutLocusError as err:
-            raise _density_error(err, n) from err
-        # bases is a view of the whole prediction; keep only the odd rows
-        details.append(TangentPairSeq(M, bases.copy(), u0, u1, level=n))
-        # free the finer prediction before the next level subdivides
-        del pred, bases
-        c = coarse
-    return ManifoldPyramid(c, tuple(reversed(details)), provider, rule)
+    N = cN.level
+    masks = {n: provider.mask_at(n) for n in range(N - levels, N)}
+    finest_first = list(reversed(masks))
+    # two passes: every coarser level stacked (fewer rows in all than the
+    # finest level), then the finest level alone.  The finest pass runs
+    # second because it needs less memory (its base points are a view of
+    # the samples) while the other pass's details are held.  A failure of
+    # the stacked pass reruns the levels one at a time, finest first, so the
+    # error named is the one a level-by-level pyramid meets first.
+    try:
+        coarser = _stacked_details(cN, finest_first[1:], masks, rule)
+    except CutLocusError:
+        coarser = None
+    alone = finest_first if coarser is None else finest_first[:1]
+    details = [_level_details(cN, n, masks, rule) for n in alone] + (coarser or [])
+    step = 1 << levels
+    coarse = ManifoldHermiteSeq(
+        cN.manifold, cN.points[::step].copy(), step * cN.vectors[::step], N - levels
+    )
+    return ManifoldPyramid(coarse, tuple(reversed(details)), provider, rule)
 
 
 def reconstruct_manifold(
     pyr: ManifoldPyramid, provider: MaskProvider | None = None, rule: str | None = None
 ) -> ManifoldHermiteSeq:
     """Invert decompose_manifold.  Detail base points are recomputed from the
-    coarse data and audited against the stored ones.  The masks are built
-    first, coarsest first."""
+    coarse data and audited against the stored ones.  A rule not in RULES is
+    a SchemaError; the masks are built first, coarsest first."""
     provider = provider or pyr.provider
     rule = rule or pyr.rule
+    _refuse_rule(rule)
     M = pyr.coarse.manifold
     c = pyr.coarse
     masks = [provider.mask_at(c.level + k) for k in range(pyr.levels)]

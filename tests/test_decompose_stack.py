@@ -1,0 +1,218 @@
+"""The two-pass decomposition against the level-by-level reference: bitwise
+equal pyramids, the same density errors, no higher memory peak, and the
+refusal of an unknown base point rule."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from geomwave.errors import DensityError, SchemaError
+from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
+from geomwave.predictors import cubic_provider, exponential_provider
+from geomwave.signals import get_preset, sample_signal
+from geomwave.transform import (
+    RULES,
+    ManifoldHermiteSeq,
+    ManifoldPyramid,
+    decompose_manifold,
+    reconstruct_manifold,
+)
+import reference_transform
+
+MANIFOLDS = {
+    "euclidean:1": Euclidean(1),
+    "euclidean:2": Euclidean(2),
+    "euclidean:3": Euclidean(3),
+    "sphere2": Sphere2(),
+    "so3-quat": SO3Quat(),
+}
+
+
+def outcome(decompose, cN, provider, rule, levels):
+    """Every array of the pyramid as raw 64-bit words (so -0.0 != 0.0),
+    with the level tags; or the DensityError's type, level, index and
+    message."""
+    try:
+        pyr = decompose(cN, provider, rule, levels)
+    except DensityError as err:
+        return (type(err), err.level, err.index, str(err))
+    arrays = [pyr.coarse.points, pyr.coarse.vectors]
+    for d in pyr.details:
+        arrays += [d.bases, d.u0, d.u1]
+    words = [(a.shape, np.ascontiguousarray(a).view(np.uint64).tobytes())
+             for a in arrays]
+    return words, pyr.coarse.level, [d.level for d in pyr.details], pyr.rule
+
+
+def closed_curve(M, rng, L, amp, vscale):
+    """L samples of a random closed trigonometric curve, mapped onto M, with
+    random tangent vectors.  A large ``amp`` makes coarse samples far apart,
+    up to antipodal on the spheres."""
+    t = np.arange(L)[:, None] / L
+    d = M.ambient_dim
+    x = rng.normal(size=d) + amp * sum(
+        rng.normal(size=d) * np.cos(2 * np.pi * k * t + rng.uniform(0, 2 * np.pi))
+        for k in (1, 2)
+    )
+    P = M.project_point(x)
+    if isinstance(M, SO3Quat):
+        # a lift without sign flips between neighbours, as decompose requires
+        for i in range(1, L):
+            if P[i] @ P[i - 1] < 0:
+                P[i] = -P[i]
+    V = M.project_tangent(P, vscale * rng.normal(size=(L, d)))
+    return P, V
+
+
+PROVIDERS = st.one_of(
+    st.just(("cubic", None)),
+    st.tuples(st.just("exp"), st.sampled_from([0.5, 1.0, 3.0, 4.25])),
+)
+
+
+def provider_of(kind):
+    name, lam = kind
+    return cubic_provider() if name == "cubic" else exponential_provider(lam)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tag=st.sampled_from(sorted(MANIFOLDS)),
+    kind=PROVIDERS,
+    rule=st.sampled_from(RULES),
+    log2_length=st.integers(0, 9),
+    data=st.data(),
+)
+def test_pyramid_bitwise_equals_level_loop(tag, kind, rule, log2_length, data):
+    """Every array of the pyramid, and every density error, is the
+    level-by-level reference's, on smooth and on sparse data."""
+    M = MANIFOLDS[tag]
+    L = 1 << log2_length
+    levels = data.draw(st.integers(0, log2_length), label="levels")
+    amp = data.draw(st.sampled_from([0.0, 0.3, 1.0, 3.0]), label="amp")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    P, V = closed_curve(M, rng, L, amp, data.draw(st.sampled_from([0.0, 0.1, 2.0])))
+    assume(not isinstance(M, SO3Quat) or P[-1] @ P[0] >= 0)
+    cN = ManifoldHermiteSeq(M, P, V, level=log2_length)
+    provider = provider_of(kind)
+    got = outcome(decompose_manifold, cN, provider, rule, levels)
+    assert got == outcome(reference_transform.decompose, cN, provider, rule, levels)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=PROVIDERS,
+    rule=st.sampled_from(RULES),
+    log2_length=st.integers(2, 9),
+    data=st.data(),
+)
+def test_injected_antipode_same_density_error(kind, rule, log2_length, data):
+    """On S^2, a sample replaced by the antipode of the sample 2^k places
+    on fails where the reference fails, with its type, level, index and
+    message (or passes where it passes)."""
+    M = Sphere2()
+    L = 1 << log2_length
+    levels = data.draw(st.integers(1, log2_length), label="levels")
+    k = data.draw(st.integers(1, levels), label="k")
+    j = data.draw(st.integers(0, L - 1), label="j")
+    if data.draw(st.booleans(), label="on the 2^k grid"):
+        j -= j % (1 << k)  # then j and j + 2^k are neighbours at some level
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    P, V = closed_curve(M, rng, L, 0.3, 0.1)
+    P[j] = -P[(j + (1 << k)) % L]
+    V[j] = M.project_tangent(P[j], V[j])
+    cN = ManifoldHermiteSeq(M, P, V, level=log2_length)
+    provider = provider_of(kind)
+    got = outcome(decompose_manifold, cN, provider, rule, levels)
+    assert got == outcome(reference_transform.decompose, cN, provider, rule, levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=PROVIDERS,
+    rule=st.sampled_from(RULES),
+    log2_length=st.integers(3, 9),
+    data=st.data(),
+)
+def test_quaternion_great_circle_same_density_error(kind, rule, log2_length, data):
+    """On S^3, unit quaternions walking a great circle in steps of pi/2^k,
+    k >= 2: neighbours stay within pi/4 (no sign flip), and samples 2^k
+    apart are antipodal.  Decompose fails where the reference fails."""
+    L = 1 << log2_length
+    k = data.draw(st.integers(2, log2_length - 1), label="k")
+    levels = data.draw(st.integers(1, log2_length), label="levels")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    e, _ = np.linalg.qr(rng.normal(size=(4, 2)))
+    theta = np.arange(L)[:, None] * math.pi / (1 << k)
+    P = np.cos(theta) * e[:, 0] + np.sin(theta) * e[:, 1]
+    M = SO3Quat()
+    V = M.project_tangent(P, 0.1 * rng.normal(size=(L, 4)))
+    cN = ManifoldHermiteSeq(M, P, V, level=log2_length)
+    provider = provider_of(kind)
+    got = outcome(decompose_manifold, cN, provider, rule, levels)
+    assert got == outcome(reference_transform.decompose, cN, provider, rule, levels)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_finer_ominus_failure_named_before_coarser_subdivision(rule):
+    """On the equator, at level 5 with 3 levels: samples 8 apart are
+    antipodal, so the level-2 subdivision fails; sample 18 is the antipode
+    of its level-3 prediction, so the level-3 ominus fails first.  Both
+    pyramids name level 3."""
+    theta = np.arange(32) * math.pi / 8
+    theta[18] += math.pi
+    P = np.stack([np.cos(theta), np.sin(theta), np.zeros(32)], axis=1)
+    cN = ManifoldHermiteSeq(Sphere2(), P, np.zeros_like(P), level=5)
+    got = outcome(decompose_manifold, cN, cubic_provider(), rule, 3)
+    assert got == outcome(reference_transform.decompose, cN, cubic_provider(), rule, 3)
+    assert got[:3] == (DensityError, 3, 4)
+    assert "antipodal" in got[3]
+    # the coarser failure on its own: level 2, in the subdivision
+    coarse = ManifoldHermiteSeq(Sphere2(), P[::4], np.zeros((8, 3)), level=3)
+    with pytest.raises(DensityError) as exc:
+        decompose_manifold(coarse, cubic_provider(), rule, 1)
+    assert (exc.value.level, exc.value.index) == (2, 0)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_peak_memory_no_higher_than_level_loop(rule):
+    """The tracemalloc peak of decompose on R^3 at 2^14 samples over 8
+    levels is no higher than the level-by-level reference's."""
+    rng = np.random.default_rng(7)
+    cN = ManifoldHermiteSeq(
+        Euclidean(3), rng.normal(size=(1 << 14, 3)), rng.normal(size=(1 << 14, 3)),
+        level=14,
+    )
+    provider = cubic_provider()
+    peaks = []
+    for decompose in (decompose_manifold, reference_transform.decompose):
+        decompose(cN, provider, rule, 8)  # masks built, caches warm
+        tracemalloc.start()
+        try:
+            decompose(cN, provider, rule, 8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
+def test_unknown_rule_refused_at_entry():
+    """An unknown rule is a SchemaError naming it and RULES, at any level
+    count, in both directions, before any work."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 4)
+    want = f"unknown base point rule 'bogus': expected one of {RULES}"
+    for levels in (0, 2):
+        with pytest.raises(SchemaError) as exc:
+            decompose_manifold(c, cubic_provider(), "bogus", levels)
+        assert str(exc.value) == want
+        assert exc.value.exit_code == 2
+    pyr = decompose_manifold(c, cubic_provider(), "midpoint", 2)
+    with pytest.raises(SchemaError, match="^unknown base point rule 'bogus'"):
+        reconstruct_manifold(pyr, rule="bogus")
+    forged = ManifoldPyramid(pyr.coarse, pyr.details, pyr.provider, "bogus")
+    with pytest.raises(SchemaError, match="^unknown base point rule 'bogus'"):
+        reconstruct_manifold(forged)
