@@ -1,6 +1,6 @@
 """Command-line interface: sample / decompose / reconstruct / decay / verify.
 
-Exit codes: 0 success, 2 schema error, 3 density (cut-locus) error,
+Exit codes: 0 success, 2 schema or file error, 3 density (cut-locus) error,
 4 verification failure.
 """
 
@@ -11,6 +11,7 @@ import sys
 
 from .errors import GeomwaveError, SchemaError, VerificationFailure
 from .io import (
+    open_text,
     read_pyramid,
     read_samples,
     write_decay_csv,
@@ -75,11 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     spec = get_preset(args.manifold, args.preset)
-    if spec.manifold_tag.split(":")[0] != args.manifold.split(":")[0]:
-        raise SchemaError(
-            f"preset {args.preset!r} belongs to {spec.manifold_tag!r}, "
-            f"not {args.manifold!r}"
-        )
     write_samples(sample_signal(spec, args.level), args.out)
     print(f"wrote level-{args.level} samples of {args.preset} to {args.out}")
     return 0
@@ -133,11 +129,8 @@ def _cmd_verify(args) -> int:
 
     config = None
     if args.config:
-        try:
-            with open(args.config) as fh:
-                config = parse_config(fh.read())
-        except FileNotFoundError:
-            raise SchemaError(f"{args.config}: file not found") from None
+        with open_text(args.config) as fh:
+            config = parse_config(fh.read())
     report = verify_suite(config)
     write_report(report, args.out)
     for line in report.lines():

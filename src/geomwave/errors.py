@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: schema/integrity problems -> 2,
+Exit-code mapping used by the CLI: schema/integrity/file problems -> 2,
 geometry density (cut locus) problems -> 3, verification failures -> 4.
 """
 
@@ -12,8 +12,8 @@ class GeomwaveError(Exception):
 
 
 class SchemaError(GeomwaveError):
-    """A file does not conform to the expected schema, or metadata is
-    inconsistent (wrong predictor, corrupted pyramid, non-unit points)."""
+    """A file cannot be read, written or parsed, or metadata is inconsistent
+    (wrong predictor, corrupted pyramid, non-unit points)."""
 
     exit_code = 2
 

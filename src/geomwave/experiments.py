@@ -73,6 +73,8 @@ __all__ = [
 # Detail norms at or below this are treated as exact annihilation: the signal
 # lies in the reproduced space and log-slopes are meaningless roundoff.
 _ANNIHILATION_TOL = 1e-12
+# The decay slope is fitted over at most this many of the finest levels.
+_FIT_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -93,18 +95,12 @@ class DecayReport:
     exact_annihilation: bool = False
 
 
-def _ols_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept)
-
-
 def _fit_report(
     spec: SignalSpec,
     provider: MaskProvider,
     rule: str,
     levels: list[int],
     norms: list[float],
-    fit_levels: int,
 ) -> DecayReport:
     levels_t = tuple(levels)
     norms_t = tuple(float(x) for x in norms)
@@ -116,10 +112,9 @@ def _fit_report(
         )
     log2n = [math.log2(x) if x > 0 else -math.inf for x in norms_t]
     ratios = tuple(b - a for a, b in zip(log2n, log2n[1:]))
-    take = min(fit_levels, len(levels_t))
-    xs = np.array(levels_t[-take:], dtype=float)
-    ys = np.array(log2n[-take:], dtype=float)
-    slope, intercept = _ols_line(xs, ys)
+    xs = np.array(levels_t[-_FIT_LEVELS:], dtype=float)
+    ys = np.array(log2n[-_FIT_LEVELS:], dtype=float)
+    slope, intercept = map(float, np.polyfit(xs, ys, 1))
     c_est = max(x * 4.0**n for n, x in zip(levels_t, norms_t))
     return DecayReport(
         spec.name, spec.manifold_tag, provider.kind, rule,
@@ -134,7 +129,6 @@ def decay_experiment(
     rule: str = "midpoint",
     nmin: int = 3,
     nmax: int = 8,
-    fit_levels: int = 5,
 ) -> DecayReport:
     """Sample at level nmax, decompose down to nmin, fit the decay slope.
 
@@ -158,7 +152,7 @@ def decay_experiment(
             cN = from_linear(Euclidean(cN.dim), cN)
         pyr = decompose_manifold(cN, provider, rule, nmax - nmin)
         norms = [detail_sup_norm(d) for d in pyr.details]
-    return _fit_report(spec, provider, rule, detail_levels, norms, fit_levels)
+    return _fit_report(spec, provider, rule, detail_levels, norms)
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import SchemaError
 from .manifolds import Euclidean
-from .predictors import MaskProvider, interpolatory_check
+from .predictors import MaskProvider
 from .sequences import (
     HermiteSequence,
     Mask,
@@ -88,19 +89,12 @@ class PredictionCorrectionBank:
 
     def filters_at(self, level: int) -> LevelFilters:
         if level not in self._cache:
-            A = self.provider.mask_at(level)
-            if not interpolatory_check(A):
-                raise ValueError(
-                    f"predictor mask at level {level} is not interpolatory"
-                )
-            self._cache[level] = _derived_filters(A)
+            self._cache[level] = _derived_filters(self.provider.mask_at(level))
         return self._cache[level]
 
 
 def build_bank(provider: MaskProvider) -> PredictionCorrectionBank:
-    bank = PredictionCorrectionBank(provider)
-    bank.filters_at(0)  # fail fast on a non-interpolatory predictor
-    return bank
+    return PredictionCorrectionBank(provider)
 
 
 def decompose_linear(
@@ -117,8 +111,11 @@ def decompose_linear(
 def reconstruct_linear(
     pyr: ManifoldPyramid, bank: PredictionCorrectionBank
 ) -> HermiteSequence:
-    """Invert decompose_linear."""
-    return to_linear(reconstruct_manifold(pyr, bank.provider))
+    """Invert decompose_linear.  The pyramid records its predictor; a bank
+    with another one is a SchemaError naming both."""
+    if bank.provider != pyr.provider:
+        raise SchemaError(f"bank {bank.provider} is not the pyramid's {pyr.provider}")
+    return to_linear(reconstruct_manifold(pyr))
 
 
 def _dual_decomp(mask: Mask, s: HermiteSequence) -> HermiteSequence:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -29,6 +30,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SCHEMA",
+    "open_text",
     "read_samples",
     "write_samples",
     "read_pyramid",
@@ -101,13 +103,24 @@ def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
     return arrays
 
 
+@contextmanager
+def open_text(path: str, mode: str = "r"):
+    """A UTF-8 text file opened for reading ("r") or writing ("w").  An
+    OSError or a byte that is not UTF-8 is a SchemaError naming the path."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
+    except OSError as err:
+        raise SchemaError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 ({err})") from None
+
+
 def _load(path: str) -> tuple[dict, Manifold]:
     """Parse a file and check its schema and manifold tag."""
     try:
-        with open(path) as fh:
+        with open_text(path) as fh:
             obj = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"{path}: file not found") from None
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}: not valid JSON ({err})") from None
     schema = _require(obj, "schema", path)
@@ -147,7 +160,7 @@ def _write_entries(fh, value, depth: int):
 
 def _dump(path: str, header: dict, lists: dict):
     """json.dump(schema | header | lists, indent=1) and a newline."""
-    with open(path, "w") as fh:
+    with open_text(path, "w") as fh:
         fh.write(json.dumps({"schema": SCHEMA} | header, indent=1)[:-2])
         for key, value in lists.items():
             fh.write(f',\n "{key}": ')
@@ -250,7 +263,7 @@ def read_pyramid(path: str) -> ManifoldPyramid:
 
 
 def write_report(report: VerifyReport, path: str):
-    with open(path, "w") as fh:
+    with open_text(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=1)
         fh.write("\n")
 
@@ -272,5 +285,5 @@ def write_decay_csv(report: DecayReport, path: str):
         lines.append(f"constant_estimate,{report.constant_estimate!r},")
         lines.append(f"fitted_slope,{report.fitted_slope!r},")
         lines.append(f"fit_range,{report.fit_range[0]}:{report.fit_range[1]},")
-    with open(path, "w") as fh:
+    with open_text(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

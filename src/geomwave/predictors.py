@@ -136,7 +136,9 @@ class MaskProvider:
 
     def __post_init__(self):
         if self.kind not in ("cubic", "exp"):
-            raise ValueError(f"unknown predictor kind {self.kind!r}")
+            raise ValueError(
+                f"unknown predictor kind {self.kind!r} (use 'cubic' or 'exp')"
+            )
         if self.kind == "exp" and not (math.isfinite(self.lam) and self.lam != 0.0):
             raise ValueError(
                 f"exponential predictor requires a finite nonzero lambda, "
@@ -173,14 +175,12 @@ def exponential_provider(lam: float) -> MaskProvider:
 
 
 def provider_from_config(kind: str, lam: float | None = None) -> MaskProvider:
-    if kind == "cubic":
-        return cubic_provider()
-    if kind == "exp":
-        try:
+    try:
+        if kind == "exp":
             return exponential_provider(1.0 if lam is None else lam)
-        except ValueError as err:
-            raise SchemaError(str(err)) from None
-    raise SchemaError(f"unknown predictor kind {kind!r} (use 'cubic' or 'exp')")
+        return MaskProvider(kind)
+    except ValueError as err:
+        raise SchemaError(str(err)) from None
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SchemaError
-from .manifolds import Manifold, manifold_from_tag
+from .manifolds import Euclidean, Manifold, manifold_from_tag
 from .predictors import libm_exp, libm_pow
 from .sequences import interior_sequence, periodic_sequence
 from .transform import ManifoldHermiteSeq
@@ -193,32 +193,39 @@ def _trigblend() -> SignalSpec:
     return SignalSpec("trigblend", "euclidean:3", f, df)
 
 
-_PRESETS: dict[tuple[str, str], Callable[..., SignalSpec]] = {
-    ("sphere2", "greatcircle"): _great_circle,
-    ("sphere2", "wobble"): _wobble,
-    ("so3-quat", "quatcurve"): _quat_curve,
-    ("euclidean", "poly2"): lambda: _poly(2),
-    ("euclidean", "poly3"): lambda: _poly(3),
-    ("euclidean", "poly4"): lambda: _poly(4),
-    ("euclidean", "exp"): _exp_signal,
-    ("euclidean", "trigblend"): _trigblend,
+_PRESETS: dict[str, Callable[..., SignalSpec]] = {
+    "greatcircle": _great_circle,
+    "wobble": _wobble,
+    "quatcurve": _quat_curve,
+    "poly2": lambda: _poly(2),
+    "poly3": lambda: _poly(3),
+    "poly4": lambda: _poly(4),
+    "exp": _exp_signal,
+    "trigblend": _trigblend,
 }
 
 
 def preset_names() -> list[str]:
-    return sorted({name for _, name in _PRESETS})
+    return sorted(_PRESETS)
 
 
 def get_preset(manifold_tag: str, name: str, **params) -> SignalSpec:
-    family = "euclidean" if manifold_tag.startswith("euclidean") else manifold_tag
+    """The preset ``name``; a tag other than its own is a SchemaError."""
     try:
-        factory = _PRESETS[(family, name)]
-    except KeyError:
+        tag = manifold_from_tag(manifold_tag).tag
+    except ValueError as err:
+        raise SchemaError(str(err)) from None
+    if name not in _PRESETS:
         raise SchemaError(
             f"no preset {name!r} for manifold {manifold_tag!r}; "
             f"known presets: {preset_names()}"
-        ) from None
-    return factory(**params)
+        )
+    spec = _PRESETS[name](**params)
+    if spec.manifold_tag != tag:
+        raise SchemaError(
+            f"preset {name!r} belongs to {spec.manifold_tag!r}, not {manifold_tag!r}"
+        )
+    return spec
 
 
 def sample_signal(spec: SignalSpec, level: int):
@@ -252,6 +259,6 @@ def sample_signal(spec: SignalSpec, level: int):
     if gap > 1e-12:
         raise ValueError(f"preset {spec.name} does not close up on [0, 1): gap {gap:g}")
     P, V = P[:-1], h * V[:-1]
-    if spec.manifold_tag.startswith("euclidean"):
+    if isinstance(spec.manifold, Euclidean):
         return periodic_sequence(P, V, level=level)
     return ManifoldHermiteSeq(spec.manifold, P, V, level=level)

@@ -144,10 +144,8 @@ def _odd_outputs(
         here = np.take(points, rows(0), axis=0)
     if rule == "leftpoint":
         m = here
-    elif rule == "midpoint":
-        m = M.midpoint(here, np.take(points, rows(1), axis=0))
     else:
-        raise ValueError(f"unknown base point rule {rule!r}")
+        m = M.midpoint(here, np.take(points, rows(1), axis=0))
     # axes are (output, tap, coordinate), so errors name the output first
     src = rows([(1 - t) // 2 for t in ts])
     p, v = np.take(points, src, axis=0), np.take(vectors, src, axis=0)
@@ -181,7 +179,8 @@ def manifold_subdivide_once(
     Even outputs are the interpolatory copy D c_i.  Each odd output 2i+1 is
     based at the midpoint of (p_i, p_{i+1}) or at p_i (``rule``).  All odd
     outputs and all odd mask taps go through one array ``log_transport``,
-    then one exp and one transport."""
+    then one exp and one transport.  A rule not in RULES is a SchemaError."""
+    _refuse_rule(rule)
     M = c.manifold
     odd_p, odd_v = _odd_outputs(M, c.points, c.vectors, [(mask, 1)], rule)
     P = np.empty((2 * len(c), M.ambient_dim))
@@ -340,18 +339,14 @@ def decompose_manifold(
     return ManifoldPyramid(coarse, tuple(reversed(details)), provider, rule)
 
 
-def reconstruct_manifold(
-    pyr: ManifoldPyramid, provider: MaskProvider | None = None, rule: str | None = None
-) -> ManifoldHermiteSeq:
-    """Invert decompose_manifold.  Detail base points are recomputed from the
-    coarse data and audited against the stored ones.  A rule not in RULES is
-    a SchemaError; the masks are built first, coarsest first."""
-    provider = provider or pyr.provider
-    rule = rule or pyr.rule
-    _refuse_rule(rule)
+def reconstruct_manifold(pyr: ManifoldPyramid) -> ManifoldHermiteSeq:
+    """Invert decompose_manifold with the pyramid's own predictor and rule.
+    Detail base points are recomputed and audited against the stored ones.
+    A rule not in RULES is a SchemaError; masks are built coarsest first."""
+    _refuse_rule(pyr.rule)
     M = pyr.coarse.manifold
     c = pyr.coarse
-    masks = [provider.mask_at(c.level + k) for k in range(pyr.levels)]
+    masks = [pyr.provider.mask_at(c.level + k) for k in range(pyr.levels)]
     for d, mask in zip(pyr.details, masks):
         n = c.level
         if len(d) != len(c):
@@ -359,7 +354,7 @@ def reconstruct_manifold(
                 f"detail length {len(d)} != coarse length {len(c)} at level {n}"
             )
         try:
-            pred = manifold_subdivide_once(mask, c, rule)
+            pred = manifold_subdivide_once(mask, c, pyr.rule)
             P, V = pred.points, pred.vectors
             drift = M.dist(d.bases, P[1::2])
             bad = drift > _BASE_AUDIT_TOL

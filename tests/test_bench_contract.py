@@ -41,3 +41,10 @@ def test_manifold_roundtrip_workload_checks(tmp_path):
     assert len(workload.cycle) == 8
     for k in range(len(workload.cycle)):
         assert workload.check(k, workload.op(k))
+
+
+def test_cli_files_workload_checks(tmp_path):
+    workload = load("workloads").CliFiles(1, str(tmp_path))
+    workload.in_process = True
+    for k in (0, 1):
+        assert workload.check(k, workload.op(k))

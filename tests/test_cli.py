@@ -148,6 +148,39 @@ def test_decompose_schema_error_exit_2(tmp_path):
                "--out", str(tmp_path / "p.json")) == 2
 
 
+def test_bad_tags_and_files_exit_2(tmp_path, capsys):
+    """A manifold tag that does not parse or is not the preset's own, an input
+    that is a directory or not UTF-8, and an output that cannot be created
+    each end in exit 2 and one ``error:`` line naming the tag or path."""
+    s = str(tmp_path / "s.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"schema": "geomwave/1\xff"}')
+    missing = str(tmp_path / "missing" / "p.json")
+    cases = [
+        (("sample", "--manifold", "euclidean:5", "--preset", "trigblend",
+          "--level", "3", "--out", s), "'euclidean:5'"),
+        (("sample", "--manifold", "euclidean:foo", "--preset", "poly2",
+          "--level", "3", "--out", s), "'euclidean:foo'"),
+        (("decay", "--manifold", "euclidean:7", "--preset", "trigblend",
+          "--out", s), "'euclidean:7'"),
+        (("decompose", "--in", str(tmp_path), "--levels", "1", "--out", s),
+         f"{tmp_path}: "),
+        (("reconstruct", "--in", str(binary), "--out", s), f"{binary}: "),
+        (("verify", "--config", str(tmp_path), "--out", s), f"{tmp_path}: "),
+        (("decompose", "--in", s, "--levels", "1", "--out", missing),
+         f"{missing}: "),
+    ]
+    capsys.readouterr()
+    for argv, named in cases:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err, err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_antipodal_decompose_exit_3(tmp_path, capsys):
     M = Sphere2()
     P = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])

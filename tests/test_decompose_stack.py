@@ -19,6 +19,7 @@ from geomwave.transform import (
     ManifoldHermiteSeq,
     ManifoldPyramid,
     decompose_manifold,
+    manifold_subdivide_once,
     reconstruct_manifold,
 )
 import reference_transform
@@ -202,7 +203,7 @@ def test_peak_memory_no_higher_than_level_loop(rule):
 
 def test_unknown_rule_refused_at_entry():
     """An unknown rule is a SchemaError naming it and RULES, at any level
-    count, in both directions, before any work."""
+    count, in both directions and in one subdivision step, before any work."""
     c = sample_signal(get_preset("sphere2", "wobble"), 4)
     want = f"unknown base point rule 'bogus': expected one of {RULES}"
     for levels in (0, 2):
@@ -210,9 +211,10 @@ def test_unknown_rule_refused_at_entry():
             decompose_manifold(c, cubic_provider(), "bogus", levels)
         assert str(exc.value) == want
         assert exc.value.exit_code == 2
+    with pytest.raises(SchemaError) as exc:
+        manifold_subdivide_once(cubic_provider().mask_at(4), c, "bogus")
+    assert str(exc.value) == want
     pyr = decompose_manifold(c, cubic_provider(), "midpoint", 2)
-    with pytest.raises(SchemaError, match="^unknown base point rule 'bogus'"):
-        reconstruct_manifold(pyr, rule="bogus")
     forged = ManifoldPyramid(pyr.coarse, pyr.details, pyr.provider, "bogus")
     with pytest.raises(SchemaError, match="^unknown base point rule 'bogus'"):
         reconstruct_manifold(forged)

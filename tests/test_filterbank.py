@@ -153,6 +153,29 @@ def test_exponential_pyramid_uses_absolute_levels(rng):
     assert errs.max() <= 1e-12
 
 
+def test_reconstruct_linear_refuses_another_predictor(rng):
+    """A pyramid reconstructs with its own predictor: a bank built from
+    another one is a SchemaError naming both, not a base-audit mismatch."""
+    data = periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
+    pyr = decompose_linear(data, build_bank(cubic_provider()), 2)
+    assert reconstruct_linear(pyr, build_bank(cubic_provider())).level == data.level
+    with pytest.raises(SchemaError) as exc:
+        reconstruct_linear(pyr, build_bank(exponential_provider(2.0)))
+    assert "kind='cubic'" in str(exc.value) and "lam=2.0" in str(exc.value)
+
+
+def test_bank_builds_only_the_levels_a_pyramid_uses(rng):
+    """exp(60) passes the mask's overflow guard (|lambda| 2^-n <= 50) at
+    levels 1 and finer only: a pyramid over levels 2..5 runs, and level 0
+    is refused when asked for."""
+    bank = build_bank(exponential_provider(60.0))
+    data = periodic_sequence(rng.normal(size=(64, 1)), rng.normal(size=(64, 1)), level=6)
+    rec = reconstruct_linear(decompose_linear(data, bank, 4), bank)
+    assert sup_norm(seq_sub(rec, data)) <= 1e-12
+    with pytest.raises(SchemaError, match="at level 0"):
+        bank.filters_at(0)
+
+
 def test_vanishing_moments_cubic_and_exponential():
     """Bt annihilates the whole reproduction space: cubics with the cubic
     bank (to 1e-12), and 1, x, e^{x}, e^{-x} with the exp(1) bank (1e-10)."""

@@ -1,5 +1,6 @@
 """Manifold subdivision, fiber algebra, pyramid round trips, proximity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -310,7 +311,7 @@ def test_base_audit_aborts_on_corruption():
         reconstruct_manifold(corrupted)
     # wrong rule also trips the audit
     with pytest.raises(BaseMismatchError):
-        reconstruct_manifold(pyr, rule="leftpoint")
+        reconstruct_manifold(dataclasses.replace(pyr, rule="leftpoint"))
 
 
 @pytest.mark.parametrize("rule", ["midpoint", "leftpoint"])
