@@ -89,7 +89,6 @@ class DecayReport:
     sup_norms: tuple  # ||d^[n]||_inf per level
     log2_ratios: tuple  # log2(||d^[n+1]|| / ||d^[n]||), one fewer entry
     fitted_slope: float | None
-    fitted_intercept: float | None
     fit_range: tuple | None  # (first, last) level used in the fit
     constant_estimate: float | None  # max_n ||d^[n]|| * 4^n
     exact_annihilation: bool = False
@@ -106,19 +105,19 @@ def _fit_report(
     norms_t = tuple(float(x) for x in norms)
     if all(x <= _ANNIHILATION_TOL for x in norms_t):
         return DecayReport(
-            spec.name, spec.manifold_tag, provider.kind, rule,
-            levels_t, norms_t, (), None, None, None, None,
+            spec.name, spec.manifold.tag, provider.kind, rule,
+            levels_t, norms_t, (), None, None, None,
             exact_annihilation=True,
         )
     log2n = [math.log2(x) if x > 0 else -math.inf for x in norms_t]
     ratios = tuple(b - a for a, b in zip(log2n, log2n[1:]))
     xs = np.array(levels_t[-_FIT_LEVELS:], dtype=float)
     ys = np.array(log2n[-_FIT_LEVELS:], dtype=float)
-    slope, intercept = map(float, np.polyfit(xs, ys, 1))
+    slope = float(np.polyfit(xs, ys, 1)[0])
     c_est = max(x * 4.0**n for n, x in zip(levels_t, norms_t))
     return DecayReport(
-        spec.name, spec.manifold_tag, provider.kind, rule,
-        levels_t, norms_t, ratios, slope, intercept,
+        spec.name, spec.manifold.tag, provider.kind, rule,
+        levels_t, norms_t, ratios, slope,
         (int(xs[0]), int(xs[-1])), c_est,
     )
 
@@ -371,7 +370,7 @@ def manifold_reconstruction(subject, cfg: dict) -> list[CheckResult]:
     coarse samples (cubic predictor, midpoint rule).  Subject: (preset,
     level).  ``sparse_sphere`` injects a density failure on the sphere."""
     spec, level = subject
-    if cfg["sparse_sphere"] and spec.manifold_tag == "sphere2":
+    if cfg["sparse_sphere"] and spec.manifold.tag == "sphere2":
         # a 4-point great circle halves to an antipodal coarse pair, which
         # the prediction step cannot log through
         P = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])

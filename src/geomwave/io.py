@@ -54,6 +54,14 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _integer(obj: dict, key: str, path: str) -> int:
+    """The integer field ``key``; a bool (an int to Python) is refused."""
+    value = _require(obj, key, path)
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail(f"{path}.{key}", "expected an integer")
+    return value
+
+
 def _check_entry(M: Manifold, entry, keys: tuple, path: str):
     """Each key a list of d finite numbers (not bools); the first on M, and
     every later one tangent at the first."""
@@ -173,21 +181,21 @@ def _dump(path: str, header: dict, lists: dict):
 
 
 def write_samples(seq, path: str):
-    """Write a ManifoldHermiteSeq or HermiteSequence."""
+    """Write a ManifoldHermiteSeq or a periodic HermiteSequence.  An interior
+    window, which no reader takes, is a SchemaError; nothing is written."""
     if isinstance(seq, HermiteSequence):
+        if not seq.periodic:
+            _fail(path, "only periodic samples can be written, got an interior window")
         tag = f"euclidean:{seq.dim}"
-        boundary = "periodic" if seq.periodic else "interior"
     else:
-        tag, boundary = seq.manifold.tag, "periodic"
-    header = {"manifold": tag, "level": int(seq.level), "boundary": boundary}
+        tag = seq.manifold.tag
+    header = {"manifold": tag, "level": int(seq.level), "boundary": "periodic"}
     _dump(path, header, {"data": {"p": seq.points, "v": seq.vectors}})
 
 
 def read_samples(path: str) -> ManifoldHermiteSeq:
     obj, M = _load(path)
-    level = _require(obj, "level", path)
-    if not isinstance(level, int):
-        _fail(f"{path}.level", "expected an integer")
+    level = _integer(obj, "level", path)
     boundary = _require(obj, "boundary", path)
     if boundary != "periodic":
         _fail(f"{path}.boundary", f"only 'periodic' is supported, got {boundary!r}")
@@ -237,9 +245,7 @@ def read_pyramid(path: str) -> ManifoldPyramid:
     rule = _require(obj, "rule", path)
     if rule not in RULES:
         _fail(f"{path}.rule", f"expected one of {RULES}, got {rule!r}")
-    level = _require(obj, "coarse_level", path)
-    if not isinstance(level, int):
-        _fail(f"{path}.coarse_level", "expected an integer")
+    level = _integer(obj, "coarse_level", path)
     raw_coarse = _require(obj, "coarse", path)
     P, V = _read_entries(M, raw_coarse, ("p", "v"), f"{path}.coarse")
     coarse = ManifoldHermiteSeq(M, P, V, level=level)

@@ -12,14 +12,15 @@ Presets per manifold:
 
 Periodic presets live on [0, 1) and close up in value and derivative.
 
-A ``SignalSpec``'s ``f`` and ``df`` are array functions: an array t of shape
-(L,) gives an (L, d) array, d the ambient dimension, and a scalar t gives
-shape (d,).  ``sample_signal`` evaluates each once on the whole grid, and
-refuses any other output shape.  The array forms are bitwise equal to
-evaluating the same formulas one scalar t at a time: exp and powers go
-through the C library entrywise (``predictors.libm_exp``/``libm_pow``), and
-quaternion norms through the BLAS dot of one 3-vector, as ``np.linalg.norm``
-computes them.
+A ``SignalSpec`` is one array function on one manifold: ``curve(t)`` gives
+the points f(t) and the velocities f'(t), for an array t of shape (L,) two
+(L, d) arrays, d the ambient dimension, and for a scalar t two of shape (d,).
+Terms the two share are computed once.  ``sample_signal`` calls ``curve``
+once on the whole grid, and refuses any other output shape.  The array
+forms are bitwise equal to evaluating the same formulas one scalar t at a
+time: exp and powers go through the C library entrywise
+(``predictors.libm_exp``/``libm_pow``), and quaternion norms through the
+BLAS dot of one 3-vector, as ``np.linalg.norm`` computes them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SchemaError
-from .manifolds import Euclidean, Manifold, manifold_from_tag
+from .manifolds import Euclidean, Manifold, SO3Quat, Sphere2, manifold_from_tag
 from .predictors import libm_exp, libm_pow
 from .sequences import interior_sequence, periodic_sequence
 from .transform import ManifoldHermiteSeq
@@ -41,19 +42,15 @@ __all__ = ["SignalSpec", "get_preset", "preset_names", "real_signal", "sample_si
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """A curve t -> M with its exact derivative, as array functions."""
+    """A curve t -> M with its exact derivative: ``curve(t)`` gives the
+    points and the velocities, as arrays."""
 
     name: str
-    manifold_tag: str
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
+    manifold: Manifold
+    curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain: tuple[float, float] = (0.0, 1.0)
     periodic: bool = True
     params: dict = field(default_factory=dict)
-
-    @property
-    def manifold(self) -> Manifold:
-        return manifold_from_tag(self.manifold_tag)
 
 
 def _stack(*columns) -> np.ndarray:
@@ -82,10 +79,7 @@ def _sphere_from_angles(name: str, angles, params=None) -> SignalSpec:
         )
         return _stack(cp * cs, cp * ss, sp), v
 
-    return SignalSpec(
-        name, "sphere2", lambda t: point_velocity(t)[0],
-        lambda t: point_velocity(t)[1], params=params or {},
-    )
+    return SignalSpec(name, Sphere2(), point_velocity, params=params or {})
 
 
 def _great_circle() -> SignalSpec:
@@ -111,86 +105,66 @@ def _quat_curve() -> SignalSpec:
     """Unit-quaternion lift of the axis-angle path
     w(t) = (0.8 + 0.3 sin 2pi t, 0.4 cos 2pi t, 0.3 sin 4pi t)."""
 
-    def omega(t):
-        return _stack(
-            0.8 + 0.3 * np.sin(2 * math.pi * t),
-            0.4 * np.cos(2 * math.pi * t),
-            0.3 * np.sin(4 * math.pi * t),
+    def curve(t):
+        s1, c1 = np.sin(2 * math.pi * t), np.cos(2 * math.pi * t)
+        w = _stack(0.8 + 0.3 * s1, 0.4 * c1, 0.3 * np.sin(4 * math.pi * t))
+        dw = _stack(
+            0.6 * math.pi * c1, -0.8 * math.pi * s1, 1.2 * math.pi * np.cos(4 * math.pi * t)
         )
-
-    def domega(t):
-        return _stack(
-            0.6 * math.pi * np.cos(2 * math.pi * t),
-            -0.8 * math.pi * np.sin(2 * math.pi * t),
-            1.2 * math.pi * np.cos(4 * math.pi * t),
-        )
-
-    def f(t):
-        w = omega(t)
-        th = np.sqrt(_dot(w, w))[..., None]
-        return np.concatenate((np.cos(th / 2), np.sin(th / 2) * w / th), axis=-1)
-
-    def df(t):
-        w, dw = omega(t), domega(t)
         th = np.sqrt(_dot(w, w))[..., None]
         dth = _dot(w, dw)[..., None] / th
         n = w / th
         dn = dw / th - w * dth / libm_pow(th, 2)
         s, c = np.sin(th / 2), np.cos(th / 2)
-        return np.concatenate((-dth / 2 * s, dth / 2 * c * n + s * dn), axis=-1)
+        return (
+            np.concatenate((c, s * w / th), axis=-1),
+            np.concatenate((-dth / 2 * s, dth / 2 * c * n + s * dn), axis=-1),
+        )
 
-    return SignalSpec("quatcurve", "so3-quat", f, df)
+    return SignalSpec("quatcurve", SO3Quat(), curve)
 
 
-def real_signal(name: str, f, df, domain, params=None) -> SignalSpec:
+def real_signal(name: str, f, df, domain) -> SignalSpec:
     """An interior signal in R^1 from a real function and its derivative,
     each mapping an array t to an array of t's shape."""
     return SignalSpec(
-        name, "euclidean:1", lambda t: _stack(f(t)), lambda t: _stack(df(t)),
-        domain=domain, periodic=False, params=params or {},
+        name, Euclidean(1), lambda t: (_stack(f(t)), _stack(df(t))),
+        domain=domain, periodic=False,
     )
 
 
 def _poly(degree: int) -> SignalSpec:
     coeffs = [1.0, -0.5, 0.25, 0.125, -0.0625][: degree + 1]
 
-    def f(t):
-        return sum(c * libm_pow(t, k) for k, c in enumerate(coeffs))
+    def curve(t):
+        powers = [libm_pow(t, k) for k in range(degree + 1)]
+        f = sum(c * x for c, x in zip(coeffs, powers))
+        df = sum(k * c * powers[k - 1] for k, c in enumerate(coeffs) if k > 0)
+        return _stack(f), _stack(df)
 
-    def df(t):
-        return sum(k * c * libm_pow(t, k - 1) for k, c in enumerate(coeffs) if k > 0)
-
-    return real_signal(f"poly{degree}", f, df, (-2.0, 2.0), {"degree": degree})
+    return SignalSpec(
+        f"poly{degree}", Euclidean(1), curve, (-2.0, 2.0), False, {"degree": degree}
+    )
 
 
 def _exp_signal(lam: float = 1.0) -> SignalSpec:
-    def f(t):
-        return libm_exp(lam * t)
+    def curve(t):
+        e = libm_exp(lam * t)
+        return _stack(e), _stack(lam * e)
 
-    def df(t):
-        return lam * libm_exp(lam * t)
-
-    return real_signal("exp", f, df, (-2.0, 2.0), {"lambda": lam})
+    return SignalSpec("exp", Euclidean(1), curve, (-2.0, 2.0), False, {"lambda": lam})
 
 
 def _trigblend() -> SignalSpec:
-    def f(t):
+    def curve(t):
         w = 2 * math.pi * t
-        return _stack(
-            np.sin(w) + 0.5 * np.cos(2 * w),
-            np.cos(w) - 0.3 * np.sin(2 * w),
-            0.4 * np.sin(2 * w),
+        s1, c1, s2, c2 = np.sin(w), np.cos(w), np.sin(2 * w), np.cos(2 * w)
+        return (
+            _stack(s1 + 0.5 * c2, c1 - 0.3 * s2, 0.4 * s2),
+            2 * math.pi * _stack(c1 - s2, -s1 - 0.6 * c2, 0.8 * c2),
         )
 
-    def df(t):
-        w = 2 * math.pi * t
-        return 2 * math.pi * _stack(
-            np.cos(w) - np.sin(2 * w),
-            -np.sin(w) - 0.6 * np.cos(2 * w),
-            0.8 * np.cos(2 * w),
-        )
-
-    return SignalSpec("trigblend", "euclidean:3", f, df)
+    return SignalSpec("trigblend", Euclidean(3), curve)
 
 
 _PRESETS: dict[str, Callable[..., SignalSpec]] = {
@@ -221,9 +195,9 @@ def get_preset(manifold_tag: str, name: str, **params) -> SignalSpec:
             f"known presets: {preset_names()}"
         )
     spec = _PRESETS[name](**params)
-    if spec.manifold_tag != tag:
+    if spec.manifold.tag != tag:
         raise SchemaError(
-            f"preset {name!r} belongs to {spec.manifold_tag!r}, not {manifold_tag!r}"
+            f"preset {name!r} belongs to {spec.manifold.tag!r}, not {manifold_tag!r}"
         )
     return spec
 
@@ -232,7 +206,7 @@ def sample_signal(spec: SignalSpec, level: int):
     """Normalized Hermite samples c^[n]_i = (f(i/2^n), 2^-n f'(i/2^n)).
 
     Returns a periodic ManifoldHermiteSeq for manifold presets, a (periodic
-    or interior) HermiteSequence for Euclidean ones.  Each field is called
+    or interior) HermiteSequence for Euclidean ones.  The curve is called
     once, on the whole grid; a periodic grid runs to t = 1 to check that the
     curve closes up.
     """
@@ -246,7 +220,7 @@ def sample_signal(spec: SignalSpec, level: int):
         lo, hi = math.ceil(a / h), math.floor(b / h)
     t = np.arange(lo, hi + 1) * h
     shape = (len(t), spec.manifold.ambient_dim)
-    P, V = (np.asarray(fn(t), dtype=float) for fn in (spec.f, spec.df))
+    P, V = (np.asarray(x, dtype=float) for x in spec.curve(t))
     for name, x in (("f", P), ("df", V)):
         if x.shape != shape:
             raise SchemaError(

@@ -1,7 +1,8 @@
 """The scalar presets, reproduction elements and samplers: ``f`` and ``df``
 take one float t and return a vector, and the samplers call them once per
-sample.  The differential tests require the array forms of
-``geomwave.signals`` and ``geomwave.predictors``, and the one array sampler
+sample.  A preset hands them to the library as the curve t -> (f(t), df(t)).
+The differential tests require the array forms of ``geomwave.signals`` and
+``geomwave.predictors``, and the one array sampler
 ``geomwave.signals.sample_signal``, to give the same numbers."""
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from geomwave.errors import SchemaError
 from geomwave.filterbank import LevelFilters
+from geomwave.manifolds import Euclidean, manifold_from_tag
 from geomwave.predictors import ReproductionSpace
 from geomwave.sequences import (
     HermiteSequence,
@@ -23,6 +25,11 @@ from geomwave.sequences import (
 )
 from geomwave.signals import SignalSpec
 from geomwave.transform import ManifoldHermiteSeq
+
+
+def _spec(name: str, tag: str, f, df, **fields) -> SignalSpec:
+    """The preset whose curve evaluates the scalar f and df at one t."""
+    return SignalSpec(name, manifold_from_tag(tag), lambda t: (f(t), df(t)), **fields)
 
 
 def _sphere_from_angles(phi, dphi, psi, dpsi):
@@ -47,7 +54,7 @@ def _great_circle() -> SignalSpec:
     def df(t):
         return _sphere_from_angles(0.0, 0.0, 2 * math.pi * t, 2 * math.pi)[1]
 
-    return SignalSpec("greatcircle", "sphere2", f, df)
+    return _spec("greatcircle", "sphere2", f, df)
 
 
 def _wobble(a1: float = 0.4, a2: float = 0.2) -> SignalSpec:
@@ -66,7 +73,7 @@ def _wobble(a1: float = 0.4, a2: float = 0.2) -> SignalSpec:
     def df(t):
         return _sphere_from_angles(*angles(t))[1]
 
-    return SignalSpec("wobble", "sphere2", f, df, params={"a1": a1, "a2": a2})
+    return _spec("wobble", "sphere2", f, df, params={"a1": a1, "a2": a2})
 
 
 def _quat_curve() -> SignalSpec:
@@ -109,7 +116,7 @@ def _quat_curve() -> SignalSpec:
             )
         )
 
-    return SignalSpec("quatcurve", "so3-quat", f, df)
+    return _spec("quatcurve", "so3-quat", f, df)
 
 
 def _poly(degree: int) -> SignalSpec:
@@ -123,7 +130,7 @@ def _poly(degree: int) -> SignalSpec:
             [sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k > 0)]
         )
 
-    return SignalSpec(
+    return _spec(
         f"poly{degree}",
         "euclidean:1",
         f,
@@ -141,7 +148,7 @@ def _exp_signal(lam: float = 1.0) -> SignalSpec:
     def df(t):
         return np.array([lam * math.exp(lam * t)])
 
-    return SignalSpec(
+    return _spec(
         "exp",
         "euclidean:1",
         f,
@@ -173,7 +180,7 @@ def _trigblend() -> SignalSpec:
             ]
         )
 
-    return SignalSpec("trigblend", "euclidean:3", f, df)
+    return _spec("trigblend", "euclidean:3", f, df)
 
 
 _PRESETS: dict[tuple[str, str], Callable[..., SignalSpec]] = {
@@ -214,25 +221,27 @@ def sample_signal(spec: SignalSpec, level: int):
     if spec.periodic:
         if level < 0:
             raise SchemaError(f"preset {spec.name} needs level >= 0, got {level}")
-        close_p = np.abs(spec.f(0.0) - spec.f(1.0)).max()
-        close_v = np.abs(spec.df(0.0) - spec.df(1.0)).max()
+        (p0, v0), (p1, v1) = spec.curve(0.0), spec.curve(1.0)
+        close_p, close_v = np.abs(p0 - p1).max(), np.abs(v0 - v1).max()
         if max(close_p, close_v) > 1e-12:
             raise ValueError(
                 f"preset {spec.name} does not close up on [0, 1): "
                 f"gap {max(close_p, close_v):g}"
             )
         L = 1 << level
-        P = np.array([spec.f(i * h) for i in range(L)])
-        V = np.array([h * spec.df(i * h) for i in range(L)])
-        if spec.manifold_tag.startswith("euclidean"):
+        rows = [spec.curve(i * h) for i in range(L)]
+        P = np.array([p for p, _ in rows])
+        V = np.array([h * v for _, v in rows])
+        if isinstance(spec.manifold, Euclidean):
             return periodic_sequence(P, V, level=level)
         return ManifoldHermiteSeq(spec.manifold, P, V, level=level)
     a, b = spec.domain
     lo = math.ceil(a / h)
     hi = math.floor(b / h)
     idx = np.arange(lo, hi + 1)
-    P = np.array([spec.f(j * h) for j in idx])
-    V = np.array([h * spec.df(j * h) for j in idx])
+    rows = [spec.curve(j * h) for j in idx]
+    P = np.array([p for p, _ in rows])
+    V = np.array([h * v for _, v in rows])
     return interior_sequence(P, V, lo, level=level)
 
 

@@ -20,6 +20,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def load(path):
+    return json.loads(Path(path).read_text())
+
+
+def save(obj, path):
+    Path(path).write_text(json.dumps(obj))
+
+
 def test_sample_decompose_reconstruct_roundtrip(tmp_path):
     s = str(tmp_path / "s.json")
     p = str(tmp_path / "p.json")
@@ -29,8 +37,8 @@ def test_sample_decompose_reconstruct_roundtrip(tmp_path):
     assert run("decompose", "--in", s, "--levels", "3", "--predictor", "cubic",
                "--rule", "midpoint", "--out", p) == 0
     assert run("reconstruct", "--in", p, "--out", r) == 0
-    a = json.load(open(s))
-    b = json.load(open(r))
+    a = load(s)
+    b = load(r)
     pa = np.array([e["p"] for e in a["data"]])
     pb = np.array([e["p"] for e in b["data"]])
     assert np.abs(pa - pb).max() <= 1e-10
@@ -44,7 +52,7 @@ def test_exponential_predictor_flag(tmp_path):
                "--level", "5", "--out", s) == 0
     assert run("decompose", "--in", s, "--levels", "2", "--predictor", "exp",
                "--lambda", "1.5", "--out", p) == 0
-    meta = json.load(open(p))["predictor"]
+    meta = load(p)["predictor"]
     assert meta == {"kind": "exp", "lambda": 1.5}
 
 
@@ -52,7 +60,7 @@ def test_decay_writes_csv(tmp_path):
     out = str(tmp_path / "d.csv")
     assert run("decay", "--preset", "wobble", "--manifold", "sphere2",
                "--levels", "3:7", "--out", out) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "level,sup_norm,log2_ratio"
     assert any(l.startswith("fitted_slope,") for l in lines)
 
@@ -104,9 +112,9 @@ def test_exp_lambda_too_large_for_level_exit_2(tmp_path, capsys):
                "--level", "10", "--out", s) == 0
     assert run("decompose", "--in", s, "--levels", "8", "--predictor", "exp",
                "--out", p) == 0
-    obj = json.load(open(p))
+    obj = load(p)
     obj["predictor"]["lambda"] = 1000.0
-    json.dump(obj, open(p, "w"))
+    save(obj, p)
     guard = "exceeds overflow guard 50"
     cases = [
         (("decompose", "--in", s, "--levels", "8", "--predictor", "exp",
@@ -216,11 +224,11 @@ def test_corrupted_pyramid_exit_2(tmp_path):
     run("sample", "--preset", "wobble", "--manifold", "sphere2",
         "--level", "5", "--out", s)
     run("decompose", "--in", s, "--levels", "2", "--out", p)
-    obj = json.load(open(p))
+    obj = load(p)
     base = np.array(obj["details"][0][1]["base"])
     base[0] += 1e-4
     obj["details"][0][1]["base"] = list(base / np.linalg.norm(base))
-    json.dump(obj, open(p, "w"))
+    save(obj, p)
     assert run("reconstruct", "--in", p, "--out", str(tmp_path / "r.json")) == 2
 
 
@@ -230,7 +238,7 @@ def test_verify_cli(tmp_path, capsys):
     with open(cfg, "w") as fh:
         fh.write("probes = 2\ncases = 5\nlevels = 2\n")
     code = run("verify", "--config", cfg, "--out", out)
-    report = json.load(open(out))
+    report = load(out)
     printed = capsys.readouterr().out
     assert len(report["checks"]) >= 15
     assert ("PASS" in printed) and (code in (0, 4))
@@ -310,10 +318,47 @@ def test_bad_lambda_exit_2(tmp_path, capsys):
             assert not out.exists()
     assert run("decompose", "--in", s, "--levels", "2", "--predictor", "exp",
                "--out", p) == 0
-    obj = json.load(open(p))
+    obj = load(p)
     obj["predictor"]["lambda"] = float("nan")
-    json.dump(obj, open(p, "w"))
+    save(obj, p)
     capsys.readouterr()
     assert run("reconstruct", "--in", p, "--out", str(tmp_path / "r.json")) == 2
     err = capsys.readouterr().err
     assert f"{p}.predictor.lambda: " in err and "got nan" in err
+
+
+def test_boolean_level_fields_exit_2(tmp_path, capsys):
+    """A JSON boolean is not an integer level: a samples file with
+    ``"level": true`` and a pyramid file with ``"coarse_level": false`` are
+    schema errors naming the field."""
+    s = str(tmp_path / "s.json")
+    p = str(tmp_path / "p.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    assert run("decompose", "--in", s, "--levels", "2", "--out", p) == 0
+    for path, key, value, argv in (
+        (s, "level", True, ("decompose", "--in", s, "--levels", "2")),
+        (p, "coarse_level", False, ("reconstruct", "--in", p)),
+    ):
+        obj = load(path)
+        obj[key] = value
+        save(obj, path)
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {path}.{key}: expected an integer\n"
+        assert not out.exists()
+
+
+def test_sample_of_interior_preset_exit_2(tmp_path, capsys):
+    """An interior preset has no file format any reader takes: sample exits
+    2 with one error line and writes nothing."""
+    out = tmp_path / "s.json"
+    assert run("sample", "--preset", "poly3", "--manifold", "euclidean:1",
+               "--level", "3", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {out}: only periodic samples can be written, got an interior window\n"
+    )
+    assert not out.exists()

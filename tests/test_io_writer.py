@@ -13,7 +13,7 @@ from geomwave.errors import SchemaError
 from geomwave.io import read_pyramid, read_samples, write_pyramid, write_samples
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
-from geomwave.sequences import interior_sequence
+from geomwave.sequences import interior_sequence, periodic_sequence
 from geomwave.transform import (
     RULES,
     ManifoldHermiteSeq,
@@ -48,7 +48,7 @@ def texts(write, reference, obj, folder):
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    tag=st.sampled_from([M.tag for M in MANIFOLDS] + ["interior"]),
+    tag=st.sampled_from([M.tag for M in MANIFOLDS] + ["flat"]),
     length=st.integers(1, 5),
     level=st.integers(0, 30),
     finite=st.booleans(),
@@ -59,13 +59,26 @@ def test_samples_text_matches_reference(
     M = next((M for M in MANIFOLDS if M.tag == tag), Euclidean(2))
     shape = (length, M.ambient_dim)
     P, V = (data.draw(hnp.arrays(float, shape, elements=values(finite))) for _ in "pv")
-    if tag == "interior":
-        seq = interior_sequence(P, V, start=-length, level=level)
+    if tag == "flat":
+        seq = periodic_sequence(P, V, level=level)
     else:
         seq = ManifoldHermiteSeq(M, P, V, level=level)
     folder = tmp_path_factory.mktemp("samples")
     new, ref = texts(write_samples, reference_writer.write_samples, seq, folder)
     assert new == ref
+
+
+def test_interior_samples_refused_before_writing(tmp_path):
+    """No reader takes an interior window, so the writer refuses one and
+    leaves no file."""
+    path = tmp_path / "s.json"
+    seq = interior_sequence(np.zeros((3, 1)), np.ones((3, 1)), start=-1, level=2)
+    with pytest.raises(SchemaError) as exc:
+        write_samples(seq, str(path))
+    assert str(exc.value) == (
+        f"{path}: only periodic samples can be written, got an interior window"
+    )
+    assert not path.exists()
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ compared with ``==``.  The verify report and the decay reports are the same
 with the scalar forms patched in."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import reference_signals
 from geomwave import experiments
 from geomwave.errors import SchemaError
 from geomwave.filterbank import build_bank, vanishing_moment_residual
+from geomwave.manifolds import Euclidean, Sphere2
 from geomwave.predictors import (
     cubic_provider,
     exponential_provider,
@@ -67,11 +69,28 @@ def test_array_presets_match_scalar_presets(preset, t):
     tag, name, params = preset
     spec = get_preset(tag, name, **params)
     ref = reference_signals.get_preset(tag, name, **params)
-    for got, want in ((spec.f, ref.f), (spec.df, ref.df)):
-        rows = scalar_rows(want, t)
-        assert np.array_equal(got(t), rows)
-        one = got(t[0])
+    scalar = [ref.curve(x) for x in t]
+    for got, one, rows in zip(spec.curve(t), spec.curve(t[0]), zip(*scalar)):
+        rows = np.array(rows, dtype=float)
+        assert np.array_equal(got, rows)
         assert one.shape == rows[0].shape and np.array_equal(one, rows[0])
+
+
+@pytest.mark.parametrize("tag,name", PRESETS)
+def test_sampler_calls_curve_once(tag, name):
+    """One call on the whole grid, for periodic and interior presets."""
+    spec = get_preset(tag, name)
+    shapes = []
+
+    def counted(t):
+        shapes.append(np.shape(t))
+        return spec.curve(t)
+
+    got = sample_signal(replace(spec, curve=counted), 5)
+    want = sample_signal(spec, 5)
+    assert shapes == [(len(want) + spec.periodic,)]
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,16 +165,17 @@ def test_sampler_refuses_scalar_style_output(periodic, message):
     refused, naming the preset and the shape, instead of sampling one point
     of dimension L.  A periodic grid runs to t = 1 for the closing check."""
     spec = SignalSpec(
-        "scalar-style", "euclidean:1",
-        lambda t: np.array([t]), lambda t: np.array([1.0 + 0.0 * t]),
+        "scalar-style", Euclidean(1),
+        lambda t: (np.array([t]), np.array([1.0 + 0.0 * t])),
         domain=(0.0, 2.0), periodic=periodic,
     )
     with pytest.raises(SchemaError, match=re.escape(f"preset scalar-style: {message}")):
         sample_signal(spec, 2)
     flat_df = SignalSpec(
-        "flat-df", "sphere2",
-        lambda t: np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1),
-        lambda t: np.zeros(len(t)),
+        "flat-df", Sphere2(),
+        lambda t: (
+            np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1), np.zeros(len(t))
+        ),
     )
     message = "preset flat-df: df maps t of shape (9,) to shape (9,), not (9, 3)"
     with pytest.raises(SchemaError, match=re.escape(message)):
@@ -178,7 +198,7 @@ def reference_registry():
             subject = (provider, windows, tuple(scalar[e[0]] for e in elements))
         elif isinstance(subject, tuple) and isinstance(subject[0], SignalSpec):
             spec, rest = subject[0], subject[1:]
-            tag, name = spec.manifold_tag, spec.name
+            tag, name = spec.manifold.tag, spec.name
             subject = (reference_signals.get_preset(tag, name, **spec.params),) + rest
         out.append((names, check, subject))
     return tuple(out)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,30 +45,36 @@ ALL_PRESETS = [
 ]
 
 
+def load(path):
+    return json.loads(Path(path).read_text())
+
+
+def save(obj, path):
+    Path(path).write_text(json.dumps(obj))
+
+
 @pytest.mark.parametrize("tag,name", ALL_PRESETS)
 def test_preset_derivatives_match_central_differences(tag, name):
     spec = get_preset(tag, name)
     (a, b), h = spec.domain, 1e-6
     for t in (a + (b - a) * (i + 0.5) / 9 for i in range(9)):
-        fd = (spec.f(t + h) - spec.f(t - h)) / (2 * h)
-        assert np.abs(fd - spec.df(t)).max() <= 1e-8, (name, t)
+        fd = (spec.curve(t + h)[0] - spec.curve(t - h)[0]) / (2 * h)
+        assert np.abs(fd - spec.curve(t)[1]).max() <= 1e-8, (name, t)
 
 
 @pytest.mark.parametrize("tag,name", [p for p in ALL_PRESETS if ":" not in p[0]])
 def test_manifold_presets_stay_on_manifold(tag, name):
     spec = get_preset(tag, name)
-    M = spec.manifold
     for t in np.linspace(0.0, 1.0, 17):
-        p = spec.f(float(t))
-        v = spec.df(float(t))
+        p, v = spec.curve(float(t))
         assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
         assert abs(float(np.dot(p, v))) <= 1e-12, (name, t)
 
 
 def test_sampling_definition_interior():
     spec = SignalSpec(
-        "linear", "euclidean:1",
-        lambda t: t[:, None], lambda t: np.ones((len(t), 1)),
+        "linear", Euclidean(1),
+        lambda t: (t[:, None], np.ones((len(t), 1))),
         domain=(0.0, 2.0), periodic=False,
     )
     s = sample_signal(spec, 1)
@@ -77,7 +84,7 @@ def test_sampling_definition_interior():
 
 
 def test_sampling_periodic_closure_enforced():
-    bad = SignalSpec("open", "euclidean:1", lambda t: t[:, None], lambda t: np.ones((len(t), 1)))
+    bad = SignalSpec("open", Euclidean(1), lambda t: (t[:, None], np.ones((len(t), 1))))
     with pytest.raises(ValueError):
         sample_signal(bad, 3)
 
@@ -162,9 +169,9 @@ def test_non_unit_point_rejected_with_index(tmp_path):
     cN = sample_signal(get_preset("sphere2", "greatcircle"), 3)
     path = str(tmp_path / "s.json")
     write_samples(cN, path)
-    obj = json.load(open(path))
+    obj = load(path)
     obj["data"][5]["p"] = [0.9, 0.0, 0.0]
-    json.dump(obj, open(path, "w"))
+    save(obj, path)
     with pytest.raises(SchemaError) as exc:
         read_samples(path)
     assert "data[5]" in str(exc.value)
@@ -175,16 +182,16 @@ def test_pyramid_metadata_validation(tmp_path):
     pyr = decompose_manifold(cN, cubic_provider(), "midpoint", 1)
     path = str(tmp_path / "p.json")
     write_pyramid(pyr, path)
-    obj = json.load(open(path))
+    obj = load(path)
     obj["predictor"] = {"kind": "quintic"}
-    json.dump(obj, open(path, "w"))
+    save(obj, path)
     with pytest.raises(SchemaError) as exc:
         read_pyramid(path)
     assert "predictor" in str(exc.value)
     write_pyramid(pyr, path)
-    obj = json.load(open(path))
+    obj = load(path)
     obj["rule"] = "endpoint"
-    json.dump(obj, open(path, "w"))
+    save(obj, path)
     with pytest.raises(SchemaError):
         read_pyramid(path)
     # an exp predictor whose lambda is not finite or is zero
@@ -192,10 +199,10 @@ def test_pyramid_metadata_validation(tmp_path):
         (math.nan, "got nan"), (math.inf, "got inf"), (0.0, "got 0.0"),
         (-(10**400), "integer too large for a float"),
     ]:
-        obj = json.load(open(path))
+        obj = load(path)
         obj["rule"] = "midpoint"
         obj["predictor"] = {"kind": "exp", "lambda": lam}
-        json.dump(obj, open(path, "w"))
+        save(obj, path)
         with pytest.raises(SchemaError) as exc:
             read_pyramid(path)
         assert str(exc.value).startswith(f"{path}.predictor.lambda: ")
@@ -206,7 +213,7 @@ def test_decay_csv_format(tmp_path):
     rep = decay_experiment(get_preset("sphere2", "wobble"), cubic_provider(), nmin=3, nmax=6)
     path = str(tmp_path / "d.csv")
     write_decay_csv(rep, path)
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == "level,sup_norm,log2_ratio"
     assert len(lines) == 1 + 3 + 3
     assert lines[-3] == f"constant_estimate,{rep.constant_estimate!r},"
@@ -218,7 +225,7 @@ def test_decay_csv_format(tmp_path):
     # an annihilated signal leaves the three footers blank
     rep = decay_experiment(get_preset("euclidean:1", "poly3"), cubic_provider(), nmin=3, nmax=6)
     write_decay_csv(rep, path)
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[-3:] == [
         "constant_estimate,,", "fitted_slope,exact annihilation,", "fit_range,,"
     ]
@@ -228,7 +235,7 @@ def test_report_json(tmp_path):
     rep = verify_suite({"probes": 2, "cases": 5})
     path = str(tmp_path / "r.json")
     write_report(rep, path)
-    obj = json.load(open(path))
+    obj = load(path)
     assert obj["schema"] == "geomwave/1"
     assert isinstance(obj["passed"], bool)
     assert len(obj["checks"]) == len(rep.checks)
