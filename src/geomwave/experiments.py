@@ -44,7 +44,6 @@ from .transform import (
     ManifoldHermiteSeq,
     decompose_manifold,
     detail_sup_norm,
-    from_linear,
     ominus,
     oplus,
     proximity_denominator,
@@ -131,24 +130,24 @@ def decay_experiment(
 ) -> DecayReport:
     """Sample at level nmax, decompose down to nmin, fit the decay slope.
 
-    Detail levels run nmin .. nmax-1 (d^[n] corrects level n -> n+1).
-    Interior (non-periodic) Euclidean samples take the details of the linear
-    Hermite wavelet from ``dual_filter_details``; all others run the pyramid.
+    Detail levels run nmin .. nmax-1 (d^[n] corrects level n -> n+1); a
+    slope needs two of them, so nmax - nmin < 2 is a SchemaError.  Interior
+    (non-periodic) Euclidean samples take the details of the linear Hermite
+    wavelet from ``dual_filter_details``; all others run the pyramid.
     """
-    if not nmin < nmax:
-        raise SchemaError(f"decay levels need nmin < nmax, got {nmin}:{nmax}")
+    if nmax - nmin < 2:
+        need = "nmin < nmax" if nmin >= nmax else "two detail levels to fit a slope"
+        raise SchemaError(f"decay levels need {need}, got {nmin}:{nmax}")
     detail_levels = list(range(nmin, nmax))
     provider.mask_at(nmin)  # the coarsest mask fails before sampling
     cN = sample_signal(spec, nmax)
-    if isinstance(cN, HermiteSequence) and not cN.periodic:
+    if not cN.periodic:
         details = dual_filter_details(cN, build_bank(provider), nmax - nmin)
         for n, d in zip(detail_levels, details):
             if not d.valid.any():
                 raise SchemaError(f"no valid interior details at level {n}")
         norms = [sup_norm(d) for d in details]
     else:
-        if isinstance(cN, HermiteSequence):
-            cN = from_linear(Euclidean(cN.dim), cN)
         pyr = decompose_manifold(cN, provider, rule, nmax - nmin)
         norms = [detail_sup_norm(d) for d in pyr.details]
     return _fit_report(spec, provider, rule, detail_levels, norms)
@@ -395,9 +394,7 @@ def euclidean_reduction(levels: int, cfg: dict) -> list[CheckResult]:
     ref = dual_filter_details(data, build_bank(cubic_provider()), levels)
     worst = 0.0
     for rule in RULES:
-        pyr = decompose_manifold(
-            from_linear(Euclidean(3), data), cubic_provider(), rule, levels
-        )
+        pyr = decompose_manifold(data, cubic_provider(), rule, levels)
         for dr, dm in zip(ref, pyr.details):
             worst = max(worst, _worst(dr.points - dm.u0, dr.vectors - dm.u1))
     return [_at_most(worst, 1e-13)]

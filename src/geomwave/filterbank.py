@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SchemaError
-from .manifolds import Euclidean
 from .predictors import MaskProvider
 from .sequences import (
     HermiteSequence,
@@ -37,13 +36,7 @@ from .sequences import (
     sup_norm,
 )
 from .signals import real_signal, sample_signal
-from .transform import (
-    ManifoldPyramid,
-    decompose_manifold,
-    from_linear,
-    reconstruct_manifold,
-    to_linear,
-)
+from .transform import ManifoldPyramid, decompose_manifold, reconstruct_manifold
 
 __all__ = [
     "LevelFilters",
@@ -103,9 +96,9 @@ def decompose_linear(
     """Prediction-correction decomposition of periodic Hermite data: the
     manifold pyramid on flat R^m.  Interpolatory masks reproduce constants,
     so on flat data every base point gives the same prediction; the left
-    point skips computing the midpoint."""
-    M = Euclidean(cN.dim)
-    return decompose_manifold(from_linear(M, cN), bank.provider, "leftpoint", levels)
+    point skips computing the midpoint.  An interior window is a
+    SchemaError."""
+    return decompose_manifold(cN, bank.provider, "leftpoint", levels)
 
 
 def reconstruct_linear(
@@ -115,7 +108,7 @@ def reconstruct_linear(
     with another one is a SchemaError naming both."""
     if bank.provider != pyr.provider:
         raise SchemaError(f"bank {bank.provider} is not the pyramid's {pyr.provider}")
-    return to_linear(reconstruct_manifold(pyr))
+    return reconstruct_manifold(pyr)
 
 
 def _dual_decomp(mask: Mask, s: HermiteSequence) -> HermiteSequence:

@@ -180,20 +180,17 @@ def _dump(path: str, header: dict, lists: dict):
 # samples
 
 
-def write_samples(seq, path: str):
-    """Write a ManifoldHermiteSeq or a periodic HermiteSequence.  An interior
-    window, which no reader takes, is a SchemaError; nothing is written."""
-    if isinstance(seq, HermiteSequence):
-        if not seq.periodic:
-            _fail(path, "only periodic samples can be written, got an interior window")
-        tag = f"euclidean:{seq.dim}"
-    else:
-        tag = seq.manifold.tag
+def write_samples(seq: HermiteSequence, path: str):
+    """Write a periodic HermiteSequence.  An interior window, which no reader
+    takes, is a SchemaError; nothing is written."""
+    if not seq.periodic:
+        _fail(path, "only periodic samples can be written, got an interior window")
+    tag = seq.manifold.tag
     header = {"manifold": tag, "level": int(seq.level), "boundary": "periodic"}
     _dump(path, header, {"data": {"p": seq.points, "v": seq.vectors}})
 
 
-def read_samples(path: str) -> ManifoldHermiteSeq:
+def read_samples(path: str) -> HermiteSequence:
     obj, M = _load(path)
     level = _integer(obj, "level", path)
     boundary = _require(obj, "boundary", path)

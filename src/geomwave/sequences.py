@@ -2,8 +2,9 @@
 linear subdivision and decomposition operators.
 
 A Hermite sequence attaches to every grid index a pair (p, v) of a value and a
-first-derivative value in R^m.  Masks are finitely supported sequences of 2x2
-coefficient blocks; a block acts on a pair as
+first-derivative value on a manifold, R^m unless it names another one.  Masks
+are finitely supported sequences of 2x2 coefficient blocks; a block acts on a
+pair as
 
     (a00*p + a01*v, a10*p + a11*v),
 
@@ -13,7 +14,8 @@ Bi-infinite sequences are realized either periodically (index arithmetic mod L,
 all operator identities exact) or on an interior window [a, b] where output
 indices whose stencil leaves the window are flagged invalid.  Both
 realizations go through one loop over the mask's taps; only the rows each tap
-reads and writes differ.
+reads and writes differ.  The operators are linear, so their outputs are data
+on R^m whatever manifold their input lies on.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+
+from .manifolds import Euclidean, Manifold
 
 __all__ = [
     "Mask",
@@ -110,15 +114,25 @@ def single_block_mask(k: int, blk: np.ndarray) -> Mask:
     return Mask(k, np.asarray(blk, dtype=float)[None, :, :])
 
 
+# The valid flags of an all-valid sequence are a read-only zero-stride view
+# of this one True, so they allocate nothing.
+_TRUE = np.ones(1, dtype=bool)
+_TRUE.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class HermiteSequence:
     """Finite realization of a bi-infinite sequence of (value, derivative)
-    pairs over R^m.
+    pairs (p_i, v_i) on ``manifold``, in its ambient coordinates, with v_i
+    tangent at p_i.  The manifold defaults to ``Euclidean(m)`` for data of
+    width m.
 
     Periodic mode: entries cover indices 0..L-1 with arithmetic mod L.
-    Interior mode: entries cover the window [start, start + L - 1]; ``valid``
-    flags indices whose value is meaningful (invalid entries hold NaN).
-    The ``level`` tag associates the sequence with the grid 2^-level * Z.
+    Interior mode (R^m only): entries cover the window [start, start + L - 1];
+    ``valid`` flags indices whose value is meaningful (invalid entries hold
+    NaN).  The ``level`` tag associates the sequence with the grid
+    2^-level * Z.  A width other than the manifold's ambient dimension, and
+    an interior window on any other manifold, are ValueErrors.
     """
 
     points: np.ndarray  # (L, m)
@@ -127,22 +141,32 @@ class HermiteSequence:
     start: int = 0
     valid: np.ndarray | None = None
     level: int = 0
+    manifold: Manifold | None = None
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.points, dtype=float))
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        if p.shape != v.shape:
+        p = np.asarray(self.points, dtype=float)
+        v = np.asarray(self.vectors, dtype=float)
+        if p.shape != v.shape or p.ndim != 2:
             raise ValueError(
-                f"point/vector shape mismatch: {p.shape} vs {v.shape}"
+                f"points and vectors must share shape (L, m): {p.shape} vs {v.shape}"
             )
+        M = self.manifold
+        if M is None:
+            M = Euclidean(p.shape[1])
+        elif p.shape[1] != M.ambient_dim:
+            raise ValueError(
+                f"ambient dimension {p.shape[1]} != {M.ambient_dim} of {M.tag}"
+            )
+        if not self.periodic and not isinstance(M, Euclidean):
+            raise ValueError(f"an interior window must be on R^m, not on {M.tag}")
+        if self.valid is None:
+            valid = np.ndarray(len(p), bool, _TRUE, 0, (0,))
+        else:
+            valid = np.asarray(self.valid, dtype=bool).copy()
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "vectors", v)
-        if self.valid is None:
-            object.__setattr__(self, "valid", np.ones(len(p), dtype=bool))
-        else:
-            object.__setattr__(
-                self, "valid", np.asarray(self.valid, dtype=bool).copy()
-            )
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "manifold", M)
 
     def __len__(self) -> int:
         return self.points.shape[0]

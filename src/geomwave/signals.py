@@ -34,8 +34,7 @@ import numpy as np
 from .errors import SchemaError
 from .manifolds import Euclidean, Manifold, SO3Quat, Sphere2, manifold_from_tag
 from .predictors import libm_exp, libm_pow
-from .sequences import interior_sequence, periodic_sequence
-from .transform import ManifoldHermiteSeq
+from .sequences import HermiteSequence
 
 __all__ = ["SignalSpec", "get_preset", "preset_names", "real_signal", "sample_signal"]
 
@@ -202,13 +201,11 @@ def get_preset(manifold_tag: str, name: str, **params) -> SignalSpec:
     return spec
 
 
-def sample_signal(spec: SignalSpec, level: int):
-    """Normalized Hermite samples c^[n]_i = (f(i/2^n), 2^-n f'(i/2^n)).
-
-    Returns a periodic ManifoldHermiteSeq for manifold presets, a (periodic
-    or interior) HermiteSequence for Euclidean ones.  The curve is called
-    once, on the whole grid; a periodic grid runs to t = 1 to check that the
-    curve closes up.
+def sample_signal(spec: SignalSpec, level: int) -> HermiteSequence:
+    """Normalized Hermite samples c^[n]_i = (f(i/2^n), 2^-n f'(i/2^n)) on the
+    preset's manifold, periodic or on the interior window of its domain.
+    The curve is called once, on the whole grid; a periodic grid runs to
+    t = 1 to check that the curve closes up.
     """
     h = 2.0 ** (-level)
     if spec.periodic:
@@ -227,12 +224,13 @@ def sample_signal(spec: SignalSpec, level: int):
                 f"preset {spec.name}: {name} maps t of shape {t.shape} to "
                 f"shape {x.shape}, not {shape}"
             )
-    if not spec.periodic:
-        return interior_sequence(P, h * V, lo, level=level)
-    gap = max(np.abs(P[0] - P[-1]).max(), np.abs(V[0] - V[-1]).max())
-    if gap > 1e-12:
-        raise ValueError(f"preset {spec.name} does not close up on [0, 1): gap {gap:g}")
-    P, V = P[:-1], h * V[:-1]
-    if isinstance(spec.manifold, Euclidean):
-        return periodic_sequence(P, V, level=level)
-    return ManifoldHermiteSeq(spec.manifold, P, V, level=level)
+    if spec.periodic:
+        gap = max(np.abs(P[0] - P[-1]).max(), np.abs(V[0] - V[-1]).max())
+        if gap > 1e-12:
+            raise ValueError(
+                f"preset {spec.name} does not close up on [0, 1): gap {gap:g}"
+            )
+        P, V = P[:-1], V[:-1]
+    return HermiteSequence(
+        P, h * V, spec.periodic, lo, level=level, manifold=spec.manifold
+    )

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BaseMismatchError, CutLocusError, DensityError, SchemaError
 from .manifolds import Manifold, SO3Quat
 from .predictors import MaskProvider
-from .sequences import HermiteSequence, Mask, apply_subdivision, periodic_sequence
+from .sequences import HermiteSequence, Mask, apply_subdivision
 
 __all__ = [
     "ManifoldHermiteSeq",
@@ -34,8 +34,6 @@ __all__ = [
     "proximity_numerator",
     "proximity_denominator",
     "detail_sup_norm",
-    "to_linear",
-    "from_linear",
 ]
 
 RULES = ("midpoint", "leftpoint")
@@ -45,30 +43,11 @@ RULES = ("midpoint", "leftpoint")
 _BASE_AUDIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ManifoldHermiteSeq:
-    """Periodic sequence of pairs (p_i, v_i) with v_i tangent at p_i."""
-
-    manifold: Manifold
-    points: np.ndarray  # (L, ambient_dim)
-    vectors: np.ndarray  # (L, ambient_dim)
-    level: int = 0
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        v = np.asarray(self.vectors, dtype=float)
-        if p.shape != v.shape or p.ndim != 2:
-            raise ValueError("points and vectors must share shape (L, d)")
-        if p.shape[1] != self.manifold.ambient_dim:
-            raise ValueError(
-                f"ambient dimension {p.shape[1]} != "
-                f"{self.manifold.ambient_dim} of {self.manifold.tag}"
-            )
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "vectors", v)
-
-    def __len__(self):
-        return self.points.shape[0]
+def ManifoldHermiteSeq(
+    manifold: Manifold, points, vectors, level: int = 0
+) -> HermiteSequence:
+    """Periodic sequence of pairs (p_i, v_i) on M, with v_i tangent at p_i."""
+    return HermiteSequence(points, vectors, level=level, manifold=manifold)
 
 
 @dataclass(frozen=True)
@@ -87,7 +66,7 @@ class TangentPairSeq:
 
 @dataclass(frozen=True)
 class ManifoldPyramid:
-    coarse: ManifoldHermiteSeq
+    coarse: HermiteSequence
     details: tuple  # of TangentPairSeq, d^[0] first
     provider: MaskProvider
     rule: str
@@ -171,8 +150,8 @@ def _odd_outputs(
 
 
 def manifold_subdivide_once(
-    mask: Mask, c: ManifoldHermiteSeq, rule: str = "midpoint"
-) -> ManifoldHermiteSeq:
+    mask: Mask, c: HermiteSequence, rule: str = "midpoint"
+) -> HermiteSequence:
     """One step of the manifold Hermite subdivision operator built from a
     linear mask: stencil combined in the tangent space at a base point.
 
@@ -231,7 +210,7 @@ def _density_error(err: CutLocusError, level: int) -> DensityError:
 
 
 def _stacked_details(
-    cN: ManifoldHermiteSeq, levels: list[int], masks: dict, rule: str
+    cN: HermiteSequence, levels: list[int], masks: dict, rule: str
 ) -> list[TangentPairSeq]:
     """The details of ``levels``, finest first, from one odd-output kernel
     call and one ominus over all of them stacked.  The coarse data of level
@@ -256,7 +235,7 @@ def _stacked_details(
 
 
 def _level_details(
-    cN: ManifoldHermiteSeq, n: int, masks: dict, rule: str
+    cN: HermiteSequence, n: int, masks: dict, rule: str
 ) -> TangentPairSeq:
     """The details of level n alone, a cut-locus failure named by level."""
     try:
@@ -271,7 +250,7 @@ def _refuse_rule(rule: str):
         raise SchemaError(f"unknown base point rule {rule!r}: expected one of {RULES}")
 
 
-def _refuse_samples(cN: ManifoldHermiteSeq):
+def _refuse_samples(cN: HermiteSequence):
     """SchemaError naming the first sample that is not finite, not on M, or
     whose vector is not tangent at its point; on SO(3), the first cyclically
     consecutive pair of quaternions with a negative inner product."""
@@ -300,16 +279,19 @@ def _refuse_samples(cN: ManifoldHermiteSeq):
 
 
 def decompose_manifold(
-    cN: ManifoldHermiteSeq, provider: MaskProvider, rule: str, levels: int
+    cN: HermiteSequence, provider: MaskProvider, rule: str, levels: int
 ) -> ManifoldPyramid:
     """Manifold prediction-correction decomposition of a closed curve.
 
-    Refuses, with a SchemaError, a rule not in RULES; a sample that is not
+    Refuses, with a SchemaError, a rule not in RULES; an interior window;
+    a sample that is not
     finite, not on M, or whose vector is not tangent at its point, naming
     the first one; on SO(3), a cyclically consecutive pair of quaternions
     with a negative inner product, naming the first; and a level count that
     is negative or whose 2^levels does not divide the length."""
     _refuse_rule(rule)
+    if not cN.periodic:
+        raise SchemaError("the pyramid takes periodic samples, got an interior window")
     _refuse_samples(cN)
     if levels < 0 or len(cN) % (1 << levels) != 0:
         raise SchemaError(
@@ -339,7 +321,7 @@ def decompose_manifold(
     return ManifoldPyramid(coarse, tuple(reversed(details)), provider, rule)
 
 
-def reconstruct_manifold(pyr: ManifoldPyramid) -> ManifoldHermiteSeq:
+def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
     """Invert decompose_manifold with the pyramid's own predictor and rule.
     Detail base points are recomputed and audited against the stored ones.
     A rule not in RULES is a SchemaError; masks are built coarsest first."""
@@ -377,21 +359,7 @@ def detail_sup_norm(d: TangentPairSeq) -> float:
     return float(max(np.abs(d.u0).max(), np.abs(d.u1).max()))
 
 
-def to_linear(c: ManifoldHermiteSeq) -> HermiteSequence:
-    """Reinterpret ambient coordinates as a flat Hermite sequence (sharing
-    the arrays)."""
-    return periodic_sequence(c.points, c.vectors, level=c.level)
-
-
-def from_linear(M: Manifold, s: HermiteSequence) -> ManifoldHermiteSeq:
-    """View a periodic flat Hermite sequence as data on M (sharing the
-    arrays)."""
-    if not s.periodic:
-        raise ValueError("manifold sequences are periodic")
-    return ManifoldHermiteSeq(M, s.points, s.vectors, level=s.level)
-
-
-def proximity_denominator(c: ManifoldHermiteSeq) -> float:
+def proximity_denominator(c: HermiteSequence) -> float:
     """||(delta p, v)||_inf^2, the scale the proximity numerator is held to."""
     dp = np.roll(c.points, -1, axis=0) - c.points
     denom = max(np.abs(dp).max(), np.abs(c.vectors).max())
@@ -401,9 +369,9 @@ def proximity_denominator(c: ManifoldHermiteSeq) -> float:
 
 
 def proximity_numerator(
-    mask: Mask, c: ManifoldHermiteSeq, rule: str = "midpoint"
+    mask: Mask, c: HermiteSequence, rule: str = "midpoint"
 ) -> float:
-    linear = apply_subdivision(mask, to_linear(c))
+    linear = apply_subdivision(mask, c)
     nonlinear = manifold_subdivide_once(mask, c, rule)
     return float(
         max(

@@ -6,7 +6,6 @@ its text."""
 import json
 
 from geomwave.io import SCHEMA
-from geomwave.sequences import HermiteSequence
 
 
 def _entries(**columns):
@@ -22,17 +21,12 @@ def _dump(obj, path):
 
 
 def write_samples(seq, path):
-    if isinstance(seq, HermiteSequence):
-        tag = f"euclidean:{seq.dim}"
-        boundary = "periodic" if seq.periodic else "interior"
-    else:
-        tag, boundary = seq.manifold.tag, "periodic"
     _dump(
         {
             "schema": SCHEMA,
-            "manifold": tag,
+            "manifold": seq.manifold.tag,
             "level": int(seq.level),
-            "boundary": boundary,
+            "boundary": "periodic" if seq.periodic else "interior",
             "data": _entries(p=seq.points, v=seq.vectors),
         },
         path,

@@ -44,12 +44,10 @@ from geomwave.signals import get_preset, sample_signal
 from geomwave.transform import (
     ManifoldHermiteSeq,
     decompose_manifold,
-    from_linear,
     ominus,
     oplus,
     proximity_numerator,
     reconstruct_manifold,
-    to_linear,
 )
 from fiber_ratio import ominus_lipschitz_ratio
 from random_cases import random_point, random_tangent, random_tangents
@@ -175,10 +173,7 @@ def test_criterion_07_manifold_perfect_reconstruction(criterion):
 def test_criterion_08_euclidean_reduction(criterion):
     (details,) = run(euclidean_reduction, [4])
     rng = np.random.default_rng(SEED)
-    data = from_linear(
-        Euclidean(3),
-        periodic_sequence(rng.normal(size=(64, 3)), rng.normal(size=(64, 3)), level=4),
-    )
+    data = periodic_sequence(rng.normal(size=(64, 3)), rng.normal(size=(64, 3)), level=4)
     rec = reconstruct_manifold(decompose_manifold(data, cubic_provider(), "midpoint", 4))
     worst = max(
         details,
@@ -207,7 +202,7 @@ def test_criterion_09_coefficient_decay(criterion):
     for tag, preset in (("sphere2", "wobble"), ("so3-quat", "quatcurve")):
         spec = get_preset(tag, preset)
         rep = decay_experiment(spec, cubic_provider(), "midpoint", 3, 8)
-        lin = dual_filter_details(to_linear(sample_signal(spec, 8)), lin_bank, 5)
+        lin = dual_filter_details(sample_signal(spec, 8), lin_bank, 5)
         lin_slope = float(
             np.polyfit(
                 [d.level for d in lin],

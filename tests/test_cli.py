@@ -73,7 +73,8 @@ def test_decay_bad_levels(tmp_path):
 def test_bad_level_arguments_exit_2(tmp_path, capsys):
     """A negative level, a level count the length does not allow, an empty
     decay range and decay levels too coarse for the preset's interior window
-    are schema errors: exit 2 with an ``error:`` line."""
+    are schema errors: exit 2 with an ``error:`` line.  So is a decay range
+    with one detail level, through which no slope can be fitted."""
     s = str(tmp_path / "s.json")
     assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
                "--level", "4", "--out", s) == 0
@@ -88,6 +89,9 @@ def test_bad_level_arguments_exit_2(tmp_path, capsys):
         (("decay", "--preset", "wobble", "--manifold", "sphere2",
           "--levels", "5:3"),
          "decay levels need nmin < nmax, got 5:3"),
+        (("decay", "--preset", "wobble", "--manifold", "sphere2",
+          "--levels", "7:8"),
+         "decay levels need two detail levels to fit a slope, got 7:8"),
         (("decay", "--preset", "exp", "--manifold", "euclidean:1",
           "--levels=-2:1"),
          "no valid interior details at level -2"),

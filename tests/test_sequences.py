@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomwave.manifolds import Euclidean, Sphere2
 from geomwave.sequences import (
     HermiteSequence,
     Mask,
@@ -208,6 +209,24 @@ def test_sup_norm_and_arithmetic(rng):
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         HermiteSequence(np.zeros((4, 2)), np.zeros((3, 2)))
+    for M in (Sphere2(), Euclidean(3)):  # a width other than the ambient one
+        with pytest.raises(ValueError, match="ambient dimension 2 != 3"):
+            HermiteSequence(np.zeros((4, 2)), np.zeros((4, 2)), manifold=M)
+
+
+def test_interior_window_only_on_flat_space():
+    P = np.array([[1.0, 0.0, 0.0]] * 4)
+    with pytest.raises(ValueError, match="interior window must be on R\\^m"):
+        HermiteSequence(P, np.zeros_like(P), periodic=False, manifold=Sphere2())
+    window = HermiteSequence(P, np.zeros_like(P), periodic=False)
+    assert window.manifold.tag == "euclidean:3"
+
+
+def test_all_valid_flags_allocate_nothing():
+    """The flags of an all-valid sequence are a read-only zero-stride view."""
+    s = periodic_sequence(np.zeros((1024, 2)), np.zeros((1024, 2)))
+    assert s.valid.all() and s.valid.shape == (1024,)
+    assert s.valid.strides == (0,) and not s.valid.flags.writeable
 
 
 def test_decomposition_needs_even_length(rng):

@@ -11,21 +11,19 @@ from geomwave.experiments import default_config, geometry_and_fiber
 from geomwave.filterbank import build_bank, decompose_linear, dual_filter_details
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
-from geomwave.sequences import periodic_sequence
+from geomwave.sequences import interior_sequence, periodic_sequence
 from geomwave.signals import get_preset, sample_signal
 from geomwave.transform import (
     ManifoldHermiteSeq,
     ManifoldPyramid,
     TangentPairSeq,
     decompose_manifold,
-    from_linear,
     manifold_subdivide_once,
     ominus,
     oplus,
     proximity_denominator,
     proximity_numerator,
     reconstruct_manifold,
-    to_linear,
 )
 from fiber_ratio import ominus_lipschitz_ratio
 from random_cases import random_point, random_tangent
@@ -190,6 +188,14 @@ def test_zero_details_reconstruct_to_iterated_subdivision(rng):
     assert np.abs(rec.vectors - pred.vectors).max() <= 1e-13
 
 
+def test_interior_window_refused_by_the_pyramid():
+    window = interior_sequence(np.zeros((16, 1)), np.ones((16, 1)), start=-3, level=4)
+    with pytest.raises(SchemaError, match="got an interior window"):
+        decompose_manifold(window, cubic_provider(), "midpoint", 2)
+    with pytest.raises(SchemaError, match="got an interior window"):
+        decompose_linear(window, build_bank(cubic_provider()), 2)
+
+
 def test_euclidean_reduction_matches_linear(rng):
     m = 3
     data = periodic_sequence(
@@ -198,9 +204,7 @@ def test_euclidean_reduction_matches_linear(rng):
     bank = build_bank(cubic_provider())
     ref = dual_filter_details(data, bank, 3)
     lin = decompose_linear(data, bank, 3)
-    man = decompose_manifold(
-        from_linear(Euclidean(m), data), cubic_provider(), "midpoint", 3
-    )
+    man = decompose_manifold(data, cubic_provider(), "midpoint", 3)
     for dr, dl, dm in zip(ref, lin.details, man.details):
         for d in (dl, dm):
             assert np.abs(dr.points - d.u0).max() <= 1e-13
@@ -209,8 +213,7 @@ def test_euclidean_reduction_matches_linear(rng):
     assert np.abs(rec.points - data.points).max() <= 1e-13
     assert np.abs(rec.vectors - data.vectors).max() <= 1e-13
     # proximity numerator vanishes identically in flat space
-    c = from_linear(Euclidean(m), data)
-    assert proximity_numerator(cubic_provider().mask_at(0), c) <= 1e-14
+    assert proximity_numerator(cubic_provider().mask_at(0), data) <= 1e-14
 
 
 def test_density_error_names_level():
@@ -401,10 +404,3 @@ def test_ominus_lipschitz_euclidean_exactly_one(rng):
     with pytest.raises(ValueError):
         ominus_lipschitz_ratio(M, a, a)
 
-
-def test_to_from_linear_roundtrip(rng):
-    c = smooth_sequence(Sphere2(), rng, level=2)
-    back = from_linear(Sphere2(), to_linear(c))
-    assert np.array_equal(back.points, c.points)
-    assert np.array_equal(back.vectors, c.vectors)
-    assert back.level == 2
