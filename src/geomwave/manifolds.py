@@ -40,7 +40,6 @@ class Manifold:
 
     tag: str
     ambient_dim: int
-    dim: int
 
     def exp(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -101,7 +100,6 @@ class Euclidean(Manifold):
 
     def __init__(self, m: int):
         self.ambient_dim = m
-        self.dim = m
         self.tag = f"euclidean:{m}"
 
     def exp(self, p, v):
@@ -150,7 +148,6 @@ class _RoundSphere(Manifold):
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.dim = ambient_dim - 1
 
     def injectivity_bound(self):
         return math.pi - _CUT_LOCUS_MARGIN

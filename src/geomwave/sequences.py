@@ -20,7 +20,7 @@ on R^m whatever manifold their input lies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -283,7 +283,8 @@ def _combine_valid(s: HermiteSequence, t: HermiteSequence) -> np.ndarray:
 
 
 def seq_sub(s: HermiteSequence, t: HermiteSequence) -> HermiteSequence:
+    """s - t, data on R^m like every linear operator's output."""
     valid = _combine_valid(s, t)
-    return replace(
-        s, points=s.points - t.points, vectors=s.vectors - t.vectors, valid=valid
+    return HermiteSequence(
+        s.points - t.points, s.vectors - t.vectors, s.periodic, s.start, valid, s.level
     )

@@ -149,6 +149,14 @@ def _odd_outputs(
     return P, M.transport(m, w1, P)
 
 
+def _interleave(points, vectors, odd_p, odd_v) -> tuple[np.ndarray, np.ndarray]:
+    """Even rows the interpolatory copy D c_i = (p_i, v_i / 2), odd rows the
+    given odd outputs: the rows of one subdivision step."""
+    d = points.shape[1]
+    P = np.stack((points, odd_p), axis=1).reshape(-1, d)
+    return P, np.stack((0.5 * vectors, odd_v), axis=1).reshape(-1, d)
+
+
 def manifold_subdivide_once(
     mask: Mask, c: HermiteSequence, rule: str = "midpoint"
 ) -> HermiteSequence:
@@ -161,14 +169,8 @@ def manifold_subdivide_once(
     then one exp and one transport.  A rule not in RULES is a SchemaError."""
     _refuse_rule(rule)
     M = c.manifold
-    odd_p, odd_v = _odd_outputs(M, c.points, c.vectors, [(mask, 1)], rule)
-    P = np.empty((2 * len(c), M.ambient_dim))
-    V = np.empty_like(P)
-    P[::2] = c.points
-    V[::2] = 0.5 * c.vectors
-    P[1::2] = odd_p
-    V[1::2] = odd_v
-    return ManifoldHermiteSeq(M, P, V, level=c.level + 1)
+    odd = _odd_outputs(M, c.points, c.vectors, [(mask, 1)], rule)
+    return ManifoldHermiteSeq(M, *_interleave(c.points, c.vectors, *odd), c.level + 1)
 
 
 def oplus(
@@ -323,22 +325,20 @@ def decompose_manifold(
 
 def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
     """Invert decompose_manifold with the pyramid's own predictor and rule.
-    Detail base points are recomputed and audited against the stored ones.
-    A rule not in RULES is a SchemaError; masks are built coarsest first."""
+    Per level: predict the odd rows, audit the stored detail bases, add the
+    details with oplus, interleave.  A rule not in RULES is a SchemaError."""
     _refuse_rule(pyr.rule)
-    M = pyr.coarse.manifold
-    c = pyr.coarse
-    masks = [pyr.provider.mask_at(c.level + k) for k in range(pyr.levels)]
-    for d, mask in zip(pyr.details, masks):
-        n = c.level
-        if len(d) != len(c):
+    M, N0 = pyr.coarse.manifold, pyr.coarse.level
+    P, V = pyr.coarse.points, pyr.coarse.vectors
+    masks = [pyr.provider.mask_at(N0 + k) for k in range(pyr.levels)]
+    for n, d, mask in zip(range(N0, N0 + pyr.levels), pyr.details, masks):
+        if len(d) != len(P):
             raise ValueError(
-                f"detail length {len(d)} != coarse length {len(c)} at level {n}"
+                f"detail length {len(d)} != coarse length {len(P)} at level {n}"
             )
         try:
-            pred = manifold_subdivide_once(mask, c, pyr.rule)
-            P, V = pred.points, pred.vectors
-            drift = M.dist(d.bases, P[1::2])
+            odd_p, odd_v = _odd_outputs(M, P, V, [(mask, 1)], pyr.rule)
+            drift = M.dist(d.bases, odd_p)
             bad = drift > _BASE_AUDIT_TOL
             if bad.any():
                 i = int(np.argmax(bad))
@@ -347,11 +347,12 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
                     "away from the recomputed prediction (corrupted pyramid "
                     "or wrong predictor/rule)"
                 )
-            P[1::2], V[1::2] = oplus(M, (P[1::2], V[1::2]), d.bases, d.u0, d.u1)
+            odd_p, odd_v = oplus(M, (odd_p, odd_v), d.bases, d.u0, d.u1)
         except CutLocusError as err:
             raise _density_error(err, n) from err
-        c = ManifoldHermiteSeq(M, P, V, level=c.level + 1)
-    return c
+        P, V = _interleave(P, V, odd_p, odd_v)
+        del odd_p, odd_v, drift, bad  # freed before the next level's kernel
+    return ManifoldHermiteSeq(M, P, V, level=N0 + pyr.levels)
 
 
 def detail_sup_norm(d: TangentPairSeq) -> float:

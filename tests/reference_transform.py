@@ -1,20 +1,24 @@
-"""The level-by-level manifold pyramid.  Each level halves the data it was
-given, runs one full subdivision step on the halved data and takes ominus
-against the odd rows.  The differential tests require
-``geomwave.transform.decompose_manifold``, which computes the finest level
-and then every coarser level stacked, to give bitwise the same pyramids and
-the same density errors."""
+"""The level-by-level manifold pyramid.  Each decomposition level halves the
+data it was given, runs one full subdivision step on the halved data and
+takes ominus against the odd rows; each reconstruction level runs one full
+subdivision step, audits the detail bases and writes oplus into its odd
+rows.  The differential tests require ``geomwave.transform``'s
+``decompose_manifold``, which computes the finest level and then every
+coarser level stacked, and ``reconstruct_manifold``, which interleaves plain
+arrays, to give bitwise the same outputs and the same errors."""
 
 import numpy as np
 
-from geomwave.errors import CutLocusError
+from geomwave.errors import BaseMismatchError, CutLocusError
 from geomwave.sequences import Mask
 from geomwave.transform import (
+    _BASE_AUDIT_TOL,
     ManifoldHermiteSeq,
     ManifoldPyramid,
     TangentPairSeq,
     _density_error,
     ominus,
+    oplus,
 )
 
 
@@ -86,3 +90,33 @@ def decompose(
         del pred, bases
         c = coarse
     return ManifoldPyramid(c, tuple(reversed(details)), provider, rule)
+
+
+def reconstruct(pyr: ManifoldPyramid) -> ManifoldHermiteSeq:
+    """The samples of a pyramid, one level at a time, coarsest first."""
+    M = pyr.coarse.manifold
+    c = pyr.coarse
+    masks = [pyr.provider.mask_at(c.level + k) for k in range(pyr.levels)]
+    for d, mask in zip(pyr.details, masks):
+        n = c.level
+        if len(d) != len(c):
+            raise ValueError(
+                f"detail length {len(d)} != coarse length {len(c)} at level {n}"
+            )
+        try:
+            pred = subdivide_once(mask, c, pyr.rule)
+            P, V = pred.points, pred.vectors
+            drift = M.dist(d.bases, P[1::2])
+            bad = drift > _BASE_AUDIT_TOL
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise BaseMismatchError(
+                    f"detail base at level {n}, index {i} is {drift[i]:g} "
+                    "away from the recomputed prediction (corrupted pyramid "
+                    "or wrong predictor/rule)"
+                )
+            P[1::2], V[1::2] = oplus(M, (P[1::2], V[1::2]), d.bases, d.u0, d.u1)
+        except CutLocusError as err:
+            raise _density_error(err, n) from err
+        c = ManifoldHermiteSeq(M, P, V, level=n + 1)
+    return c

@@ -1,7 +1,8 @@
-"""The two-pass decomposition against the level-by-level reference: bitwise
-equal pyramids, the same density errors, no higher memory peak, and the
-refusal of an unknown base point rule."""
+"""The two-pass decomposition and the array-loop reconstruction against the
+level-by-level reference: bitwise equal outputs, the same errors, no higher
+memory peak, and the refusal of an unknown base point rule."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomwave.errors import DensityError, SchemaError
+from geomwave.errors import BaseMismatchError, DensityError, SchemaError
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
+from geomwave.sequences import HermiteSequence
 from geomwave.signals import get_preset, sample_signal
 from geomwave.transform import (
     RULES,
@@ -44,9 +46,24 @@ def outcome(decompose, cN, provider, rule, levels):
     arrays = [pyr.coarse.points, pyr.coarse.vectors]
     for d in pyr.details:
         arrays += [d.bases, d.u0, d.u1]
-    words = [(a.shape, np.ascontiguousarray(a).view(np.uint64).tobytes())
-             for a in arrays]
-    return words, pyr.coarse.level, [d.level for d in pyr.details], pyr.rule
+    return words(arrays), pyr.coarse.level, [d.level for d in pyr.details], pyr.rule
+
+
+def words(arrays):
+    """Each array's shape and raw 64-bit words."""
+    return [(a.shape, np.ascontiguousarray(a).view(np.uint64).tobytes())
+            for a in arrays]
+
+
+def reconstruction(reconstruct, pyr):
+    """The reconstruction as raw 64-bit words, with its level and manifold;
+    or the error's type, level, index and message."""
+    try:
+        c = reconstruct(pyr)
+    except (DensityError, BaseMismatchError, ValueError) as err:
+        where = (getattr(err, "level", None), getattr(err, "index", None))
+        return (type(err), *where, str(err))
+    return words([c.points, c.vectors]), c.level, c.manifold.tag
 
 
 def closed_curve(M, rng, L, amp, vscale):
@@ -158,6 +175,93 @@ def test_quaternion_great_circle_same_density_error(kind, rule, log2_length, dat
     assert got == outcome(reference_transform.decompose, cN, provider, rule, levels)
 
 
+FAULTS = ("none", "antipode", "base", "size", "detail")
+
+
+def faulty(pyr, fault, k, j, scale, rng):
+    """The pyramid with one fault: coarse sample j replaced by the antipode
+    of sample j + 1 ("antipode"); or, in the details of level k from the
+    coarsest, base j moved by about ``scale`` ("base"), the last entry
+    dropped ("size"), or a random tangent vector of size about ``scale``
+    added to u0 at entry j ("detail")."""
+    M, c = pyr.coarse.manifold, pyr.coarse
+    if fault == "antipode":
+        P, V = c.points.copy(), c.vectors.copy()
+        P[j] = -P[(j + 1) % len(P)]
+        V[j] = M.project_tangent(P[j], V[j])
+        return dataclasses.replace(pyr, coarse=ManifoldHermiteSeq(M, P, V, c.level))
+    if fault == "none":
+        return pyr
+    d = pyr.details[k]
+    noise = scale * rng.normal(size=M.ambient_dim)
+    if fault == "base":
+        bases = d.bases.copy()
+        bases[j] = M.project_point(bases[j] + noise)
+        d = dataclasses.replace(d, bases=bases)
+    elif fault == "size":
+        d = dataclasses.replace(d, bases=d.bases[:-1], u0=d.u0[:-1], u1=d.u1[:-1])
+    else:
+        u0 = d.u0.copy()
+        u0[j] += M.project_tangent(d.bases[j], noise)
+        d = dataclasses.replace(d, u0=u0)
+    details = list(pyr.details)
+    details[k] = d
+    return dataclasses.replace(pyr, details=tuple(details))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tag=st.sampled_from(sorted(MANIFOLDS)),
+    kind=PROVIDERS,
+    rule=st.sampled_from(RULES),
+    fault=st.sampled_from(FAULTS),
+    data=st.data(),
+)
+def test_reconstruction_bitwise_equals_level_loop(tag, kind, rule, fault, data):
+    """The reconstruction of a pyramid, intact or with one fault, is the
+    level-by-level reference's, word for word; and every DensityError,
+    BaseMismatchError and ValueError it raises is the reference's, with
+    its level, index and message."""
+    M = MANIFOLDS[tag]
+    lo = 0 if fault in ("none", "antipode") else 1  # a detail fault needs a level
+    log2_length = data.draw(st.integers(lo, 9), label="log2_length")
+    L = 1 << log2_length
+    levels = data.draw(st.integers(lo, log2_length), label="levels")
+    amp = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="amp")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    P, V = closed_curve(M, rng, L, amp, data.draw(st.sampled_from([0.0, 0.1, 2.0])))
+    assume(not isinstance(M, SO3Quat) or P[-1] @ P[0] >= 0)
+    cN = ManifoldHermiteSeq(M, P, V, level=log2_length)
+    try:
+        pyr = decompose_manifold(cN, provider_of(kind), rule, levels)
+    except DensityError:
+        assume(False)
+    k = data.draw(st.integers(0, max(levels - 1, 0)), label="k")
+    size = len(pyr.coarse) if fault == "antipode" else L >> (levels - k)
+    j = data.draw(st.integers(0, size - 1), label="j")
+    scale = data.draw(st.sampled_from([1e-12, 1e-3, 0.1, 3.0]), label="scale")
+    pyr = faulty(pyr, fault, k, j, scale, rng)
+    got = reconstruction(reconstruct_manifold, pyr)
+    assert got == reconstruction(reference_transform.reconstruct, pyr)
+
+
+@pytest.mark.parametrize(
+    "fault,error,level",
+    [("antipode", DensityError, 4), ("base", BaseMismatchError, 5),
+     ("size", ValueError, 5)],
+)
+def test_each_fault_fails_as_the_level_loop(fault, error, level):
+    """On `wobble` at 2^8 samples over 4 levels, an antipodal coarse sample,
+    a moved detail base and a short detail each raise their error at the
+    level they are in, as the reference does."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 8)
+    pyr = decompose_manifold(c, cubic_provider(), "midpoint", 4)
+    pyr = faulty(pyr, fault, 1, 3, 0.1, np.random.default_rng(0))
+    got = reconstruction(reconstruct_manifold, pyr)
+    assert got == reconstruction(reference_transform.reconstruct, pyr)
+    assert got[0] is error and f"level {level}" in got[3]
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_finer_ominus_failure_named_before_coarser_subdivision(rule):
     """On the equator, at level 5 with 3 levels: samples 8 apart are
@@ -199,6 +303,44 @@ def test_peak_memory_no_higher_than_level_loop(rule):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1], peaks
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_reconstruct_peak_memory_no_higher_than_level_loop(rule):
+    """The tracemalloc peak of reconstruct on R^3 at 2^14 samples over 8
+    levels is no higher than the level-by-level reference's."""
+    rng = np.random.default_rng(7)
+    cN = ManifoldHermiteSeq(
+        Euclidean(3), rng.normal(size=(1 << 14, 3)), rng.normal(size=(1 << 14, 3)),
+        level=14,
+    )
+    pyr = decompose_manifold(cN, cubic_provider(), rule, 8)
+    peaks = []
+    for reconstruct in (reconstruct_manifold, reference_transform.reconstruct):
+        reconstruct(pyr)  # caches warm
+        tracemalloc.start()
+        try:
+            reconstruct(pyr)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
+def test_round_trip_builds_two_sequences(monkeypatch):
+    """A 4-level decompose and reconstruct build one HermiteSequence each:
+    the coarse data and the result, none per level."""
+    built = []
+    init = HermiteSequence.__post_init__
+
+    def counted(self):
+        built.append(len(self.points))
+        init(self)
+
+    c = sample_signal(get_preset("sphere2", "wobble"), 8)
+    monkeypatch.setattr(HermiteSequence, "__post_init__", counted)
+    reconstruct_manifold(decompose_manifold(c, cubic_provider(), "midpoint", 4))
+    assert built == [16, 256]
 
 
 def test_unknown_rule_refused_at_entry():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomwave.io import read_samples, write_samples
 from geomwave.manifolds import Euclidean, Sphere2
 from geomwave.sequences import (
     HermiteSequence,
@@ -20,6 +21,7 @@ from geomwave.sequences import (
     single_block_mask,
     sup_norm,
 )
+from geomwave.signals import get_preset, sample_signal
 from sequence_ops import delta_sequence, shift
 
 
@@ -204,6 +206,19 @@ def test_sup_norm_and_arithmetic(rng):
     assert sup_norm(scaled) == pytest.approx(2.0 * sup_norm(s))
     t = random_periodic(rng)
     assert sup_norm(seq_sub(s, t)) <= sup_norm(s) + sup_norm(t) + 1e-15
+
+
+def test_difference_of_manifold_samples_lies_on_flat_space(tmp_path):
+    """seq_sub of sphere samples is data on R^3, so its file reads back."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 5)
+    diff = seq_sub(c, c)
+    assert diff.manifold.tag == "euclidean:3"
+    path = str(tmp_path / "diff.json")
+    write_samples(diff, path)
+    back = read_samples(path)
+    assert back.manifold.tag == "euclidean:3"
+    assert np.array_equal(back.points, diff.points)
+    assert np.array_equal(back.vectors, diff.vectors)
 
 
 def test_shape_mismatch_rejected():
