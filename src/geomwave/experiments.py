@@ -144,7 +144,7 @@ def decay_experiment(
     if not cN.periodic:
         details = dual_filter_details(cN, build_bank(provider), nmax - nmin)
         for n, d in zip(detail_levels, details):
-            if not d.valid.any():
+            if len(d) == 0:
                 raise SchemaError(f"no valid interior details at level {n}")
         norms = [sup_norm(d) for d in details]
     else:

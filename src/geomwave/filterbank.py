@@ -127,8 +127,8 @@ def biorthogonality_residuals(
     for c in probes:
         if len(c) < 4 * max(filters.A.width, filters.Bt.width):
             raise ValueError("probe too short for the filter support")
-        if not (c.periodic and c.valid.all()):
-            raise ValueError("biorthogonality probes must be periodic and valid")
+        if not c.periodic:
+            raise ValueError("biorthogonality probes must be periodic")
     r = [0.0, 0.0, 0.0, 0.0]
     for length in dict.fromkeys(map(len, probes)):
         group = [s for s in probes if len(s) == length]
@@ -187,7 +187,8 @@ def vanishing_moment_residual(
 ) -> float:
     """Sup norm of D_{Bt^T} applied to the normalized level-(n+1) samples of a
     real function f (an array function, as reproduction elements are) at the
-    indices of ``window``, over interior-valid indices."""
+    indices of ``window``; the operator returns only the outputs whose taps
+    all lie in the window."""
     h = 2.0 ** (-level - 1)
     spec = real_signal("element", f, df, (window[0] * h, window[1] * h))
     return sup_norm(_dual_decomp(filters.Bt, sample_signal(spec, level + 1)))

@@ -11,11 +11,11 @@ pair as
 i.e. each scalar entry multiplies the identity on R^m.
 
 Bi-infinite sequences are realized either periodically (index arithmetic mod L,
-all operator identities exact) or on an interior window [a, b] where output
-indices whose stencil leaves the window are flagged invalid.  Both
-realizations go through one loop over the mask's taps; only the rows each tap
-reads and writes differ.  The operators are linear, so their outputs are data
-on R^m whatever manifold their input lies on.
+all operator identities exact) or on an interior window [a, b], where an
+operator returns only the output indices whose taps all read window entries.
+Both realizations go through one loop over the mask's taps; only the rows
+each tap reads and writes differ.  The operators are linear, so their outputs
+are data on R^m whatever manifold their input lies on.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ def single_block_mask(k: int, blk: np.ndarray) -> Mask:
     return Mask(k, np.asarray(blk, dtype=float)[None, :, :])
 
 
-# The valid flags of an all-valid sequence are a read-only zero-stride view
-# of this one True, so they allocate nothing.
-_TRUE = np.ones(1, dtype=bool)
-_TRUE.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class HermiteSequence:
     """Finite realization of a bi-infinite sequence of (value, derivative)
@@ -128,18 +122,16 @@ class HermiteSequence:
     width m.
 
     Periodic mode: entries cover indices 0..L-1 with arithmetic mod L.
-    Interior mode (R^m only): entries cover the window [start, start + L - 1];
-    ``valid`` flags indices whose value is meaningful (invalid entries hold
-    NaN).  The ``level`` tag associates the sequence with the grid
-    2^-level * Z.  A width other than the manifold's ambient dimension, and
-    an interior window on any other manifold, are ValueErrors.
+    Interior mode (R^m only): entries cover the window [start, start + L - 1],
+    every one of them known.  The ``level`` tag associates the sequence with
+    the grid 2^-level * Z.  A width other than the manifold's ambient
+    dimension, and an interior window on any other manifold, are ValueErrors.
     """
 
     points: np.ndarray  # (L, m)
     vectors: np.ndarray  # (L, m)
     periodic: bool = True
     start: int = 0
-    valid: np.ndarray | None = None
     level: int = 0
     manifold: Manifold | None = None
 
@@ -159,13 +151,8 @@ class HermiteSequence:
             )
         if not self.periodic and not isinstance(M, Euclidean):
             raise ValueError(f"an interior window must be on R^m, not on {M.tag}")
-        if self.valid is None:
-            valid = np.ndarray(len(p), bool, _TRUE, 0, (0,))
-        else:
-            valid = np.asarray(self.valid, dtype=bool).copy()
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "valid", valid)
         object.__setattr__(self, "manifold", M)
 
     def __len__(self) -> int:
@@ -180,12 +167,8 @@ def periodic_sequence(points, vectors, level: int = 0) -> HermiteSequence:
     return HermiteSequence(points, vectors, periodic=True, level=level)
 
 
-def interior_sequence(
-    points, vectors, start: int, level: int = 0, valid=None
-) -> HermiteSequence:
-    return HermiteSequence(
-        points, vectors, periodic=False, start=start, valid=valid, level=level
-    )
+def interior_sequence(points, vectors, start: int, level: int = 0) -> HermiteSequence:
+    return HermiteSequence(points, vectors, periodic=False, start=start, level=level)
 
 
 def _apply_block(blk: np.ndarray, p: np.ndarray, v: np.ndarray):
@@ -193,98 +176,86 @@ def _apply_block(blk: np.ndarray, p: np.ndarray, v: np.ndarray):
 
 
 def apply_subdivision(mask: Mask, s: HermiteSequence) -> HermiteSequence:
-    """Subdivision (upsampling) operator: out_j = sum_k A_{j-2k} s_k."""
-    # Tap t sends entry k to output j = 2k + t; output j has the taps
-    # k in [ceil((j - hi)/2), (j - lo)//2].
+    """Subdivision (upsampling) operator: out_j = sum_k A_{j-2k} s_k.
+
+    On a window [a, b] the output is j in [2a + hi - 1, 2b + lo + 1]: the j
+    whose taps k in [ceil((j - hi)/2), (j - lo)//2] all lie in the window.
+    With a one-tap mask every other output has no tap and is zero."""
+    # Tap t sends entry k to output j = 2k + t.
     L = len(s)
     if s.periodic:
         base = 2 * np.arange(L)
         return _taps(mask, s, 0, 2 * L, s.level + 1,
-                     lambda t: ((base + t) % (2 * L), slice(None)), None)
+                     lambda t: ((base + t) % (2 * L), slice(None)))
 
-    out_start = 2 * s.start + mask.lo
-    out_len = 2 * (L - 1) + mask.width
+    out_len = max(2 * L + 2 - mask.width, 0)
 
     def rows(t):
-        return slice(t - mask.lo, t - mask.lo + 2 * L - 1, 2), slice(None)
+        # window row i lands on output row 2i + c, and c <= 1: the rows
+        # i0..i1-1 land in [0, out_len)
+        c = t - mask.hi + 1
+        i0, i1 = (1 - c) // 2, (out_len + 1 - c) // 2
+        return slice(2 * i0 + c, 2 * i1 + c, 2), slice(i0, i1)
 
-    j = out_start + np.arange(out_len)
-    taps = (j - mask.lo) // 2 + (mask.hi - j) // 2 + 1
-    return _taps(mask, s, out_start, out_len, s.level + 1, rows, taps)
+    return _taps(mask, s, 2 * s.start + mask.hi - 1, out_len, s.level + 1, rows)
 
 
 def apply_decomposition(mask: Mask, s: HermiteSequence) -> HermiteSequence:
-    """Decomposition (wavelet) operator: out_j = sum_i A_{i-2j} s_i."""
-    # Tap t sends entry i to output j = (i - t)/2 when i - t is even;
-    # output j has the taps i = 2j + lo .. 2j + hi.
+    """Decomposition (wavelet) operator: out_j = sum_i A_{i-2j} s_i.
+
+    On a window [a, b] the output is j in [ceil((a - lo)/2), (b - hi)//2]:
+    the j whose taps i = 2j + lo .. 2j + hi all lie in the window."""
+    # Tap t sends entry i to output j = (i - t)/2 when i - t is even.
     L = len(s)
     if s.periodic:
         if L % 2 != 0:
             raise ValueError("periodic length must be even for decomposition")
         base = 2 * np.arange(L // 2)
         return _taps(mask, s, 0, L // 2, s.level - 1,
-                     lambda t: (slice(None), (base + t) % L), None)
+                     lambda t: (slice(None), (base + t) % L))
 
     a = s.start
-    j_lo = -((mask.hi - a) // 2)  # ceil((a - hi)/2): first j touching window
-    out_len = max((a + L - 1 - mask.lo) // 2 - j_lo + 1, 0)
+    j0 = (a - mask.lo + 1) // 2
+    out_len = max((a + L - 1 - mask.hi) // 2 - j0 + 1, 0)
 
     def rows(t):
-        w0 = (t - a) % 2  # first window row that tap t reads
-        r0 = (a + w0 - t) // 2 - j_lo
-        return slice(r0, r0 + (L - w0 + 1) // 2), slice(w0, None, 2)
+        w0 = 2 * j0 + t - a  # window row that tap t reads for output j0
+        return slice(None), slice(w0, w0 + 2 * out_len, 2)
 
-    return _taps(mask, s, j_lo, out_len, s.level - 1, rows, mask.width)
+    return _taps(mask, s, j0, out_len, s.level - 1, rows)
 
 
 def _taps(
-    mask: Mask, s: HermiteSequence, start: int, out_len: int, level: int, rows, taps
+    mask: Mask, s: HermiteSequence, start: int, out_len: int, level: int, rows
 ) -> HermiteSequence:
     """The output of an operator.  For each tap t in ascending order, with
     (out, src) = rows(t), block t of the entries src is added onto the
-    outputs out.  Periodic rows wrap around, so every output is valid.  An
-    interior output is valid when it has at least one tap and read a valid
-    window entry through each of its ``taps``; invalid outputs hold NaN."""
+    outputs out, which start at zero."""
     if s.periodic and len(s) < 2:
         # wrap-around folds the stencil but keeps the identities exact for
         # any period; only degenerate lengths are refused
         raise ValueError(f"periodic length {len(s)} too small (need >= 2)")
     P = np.zeros((out_len, s.dim))
     V = np.zeros((out_len, s.dim))
-    count = np.zeros(out_len, dtype=int)
     for t in range(mask.lo, mask.hi + 1):
         out, src = rows(t)
         bp, bv = _apply_block(mask.block(t), s.points[src], s.vectors[src])
         P[out] += bp
         V[out] += bv
-        if not s.periodic:
-            count[out] += s.valid[src]
-    if s.periodic:
-        return periodic_sequence(P, V, level=level)
-    valid = (count == taps) & (taps > 0)
-    P[~valid] = np.nan
-    V[~valid] = np.nan
-    return interior_sequence(P, V, start, level=level, valid=valid)
+    return HermiteSequence(P, V, s.periodic, start, level)
 
 
 def sup_norm(s: HermiteSequence) -> float:
-    """Max over valid entries of the max-abs over all 2m components."""
-    if not s.valid.any():
-        raise ValueError("sup_norm of a sequence with no valid entries")
-    p = np.abs(s.points[s.valid]).max()
-    v = np.abs(s.vectors[s.valid]).max()
-    return float(max(p, v))
-
-
-def _combine_valid(s: HermiteSequence, t: HermiteSequence) -> np.ndarray:
-    if s.periodic != t.periodic or len(s) != len(t) or s.start != t.start:
-        raise ValueError("sequences are not index-compatible")
-    return s.valid & t.valid
+    """Max over all entries of the max-abs over all 2m components."""
+    if len(s) == 0:
+        raise ValueError("sup_norm of an empty sequence")
+    return float(max(np.abs(s.points).max(), np.abs(s.vectors).max()))
 
 
 def seq_sub(s: HermiteSequence, t: HermiteSequence) -> HermiteSequence:
     """s - t, data on R^m like every linear operator's output."""
-    valid = _combine_valid(s, t)
+    if s.periodic != t.periodic or len(s) != len(t) or s.start != t.start:
+        raise ValueError("sequences are not index-compatible")
     return HermiteSequence(
-        s.points - t.points, s.vectors - t.vectors, s.periodic, s.start, valid, s.level
+        s.points - t.points, s.vectors - t.vectors, s.periodic, s.start, s.level
     )

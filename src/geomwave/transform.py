@@ -336,6 +336,15 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
             raise ValueError(
                 f"detail length {len(d)} != coarse length {len(P)} at level {n}"
             )
+        for name in ("bases", "u0", "u1"):
+            shape = getattr(d, name).shape
+            if shape != P.shape:
+                raise ValueError(
+                    f"detail {name} shape {shape} != coarse shape {P.shape} "
+                    f"at level {n}"
+                )
+        if d.level != n:
+            raise ValueError(f"detail tagged level {d.level} at level {n}")
         try:
             odd_p, odd_v = _odd_outputs(M, P, V, [(mask, 1)], pyr.rule)
             drift = M.dist(d.bases, odd_p)

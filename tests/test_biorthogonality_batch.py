@@ -112,7 +112,7 @@ def test_verify_suite_residuals_match_per_probe_loop(config, monkeypatch):
     assert batched == experiments.verify_suite(config).checks
 
 
-def test_non_periodic_or_invalid_probe_refused(rng):
+def test_interior_window_probe_refused(rng):
     filt = build_bank(cubic_provider()).filters_at(0)
     good = periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
     window = interior_sequence(
@@ -120,7 +120,3 @@ def test_non_periodic_or_invalid_probe_refused(rng):
     )
     with pytest.raises(ValueError, match="must be periodic"):
         biorthogonality_residuals(filt, [good, window])
-    # a stacked pass has one validity flag per row, shared by all its probes
-    holed = replace(good, valid=np.arange(32) != 7)
-    with pytest.raises(ValueError, match="must be periodic and valid"):
-        biorthogonality_residuals(filt, [good, holed])

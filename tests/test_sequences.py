@@ -168,23 +168,20 @@ def test_interior_subdivision_validity(rng):
     mask = random_mask(rng, lo=-1, width=3)
     s = interior_sequence(rng.normal(size=(5, 1)), rng.normal(size=(5, 1)), start=2)
     out = apply_subdivision(mask, s)
-    # valid outputs j need the full stencil k in [ceil((j-1)/2), (j+1)/2]
-    # inside [2, 6]
-    for r in range(len(out)):
-        j = out.start + r
-        kmin = -((1 - j) // 2)
-        kmax = (j + 1) // 2
-        assert out.valid[r] == (kmin >= 2 and kmax <= 6)
-    assert np.isnan(out.points[~out.valid]).all()
+    # the outputs j whose stencil k in [ceil((j-1)/2), (j+1)/2] lies inside
+    # [2, 6]: j from 2*2 + 1 - 1 to 2*6 - 1 + 1
+    assert (out.start, out.start + len(out) - 1) == (4, 12)
 
 
 def test_interior_decomposition_validity(rng):
     mask = random_mask(rng, lo=-1, width=3)
     s = interior_sequence(rng.normal(size=(9, 1)), rng.normal(size=(9, 1)), start=-4)
     out = apply_decomposition(mask, s)
-    for r in range(len(out)):
-        j = out.start + r
-        assert out.valid[r] == (2 * j - 1 >= -4 and 2 * j + 1 <= 4)
+    # the outputs j with 2j - 1 >= -4 and 2j + 1 <= 4
+    assert (out.start, out.start + len(out) - 1) == (-1, 1)
+    # a window shorter than the mask has no output
+    short = interior_sequence(np.zeros((2, 1)), np.zeros((2, 1)), start=-4)
+    assert len(apply_decomposition(mask, short)) == 0
 
 
 def test_interior_matches_periodic_away_from_boundary(rng):
@@ -193,10 +190,10 @@ def test_interior_matches_periodic_away_from_boundary(rng):
     V = rng.normal(size=(16, 1))
     per = apply_subdivision(mask, periodic_sequence(P, V))
     inte = apply_subdivision(mask, interior_sequence(P, V, start=0))
-    for j in range(4, 24):
-        r = j - inte.start
-        if inte.valid[r]:
-            assert np.allclose(inte.points[r], per.points[j], atol=1e-13)
+    assert (inte.start, len(inte)) == (0, 31)
+    j = slice(inte.start, inte.start + len(inte))
+    assert np.allclose(inte.points, per.points[j], atol=1e-13)
+    assert np.allclose(inte.vectors, per.vectors[j], atol=1e-13)
 
 
 def test_sup_norm_and_arithmetic(rng):
@@ -206,6 +203,9 @@ def test_sup_norm_and_arithmetic(rng):
     assert sup_norm(scaled) == pytest.approx(2.0 * sup_norm(s))
     t = random_periodic(rng)
     assert sup_norm(seq_sub(s, t)) <= sup_norm(s) + sup_norm(t) + 1e-15
+    empty = interior_sequence(np.zeros((0, 2)), np.zeros((0, 2)), start=3)
+    with pytest.raises(ValueError, match="sup_norm of an empty sequence"):
+        sup_norm(empty)
 
 
 def test_difference_of_manifold_samples_lies_on_flat_space(tmp_path):
@@ -235,13 +235,6 @@ def test_interior_window_only_on_flat_space():
         HermiteSequence(P, np.zeros_like(P), periodic=False, manifold=Sphere2())
     window = HermiteSequence(P, np.zeros_like(P), periodic=False)
     assert window.manifold.tag == "euclidean:3"
-
-
-def test_all_valid_flags_allocate_nothing():
-    """The flags of an all-valid sequence are a read-only zero-stride view."""
-    s = periodic_sequence(np.zeros((1024, 2)), np.zeros((1024, 2)))
-    assert s.valid.all() and s.valid.shape == (1024,)
-    assert s.valid.strides == (0,) and not s.valid.flags.writeable
 
 
 def test_decomposition_needs_even_length(rng):

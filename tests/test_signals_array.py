@@ -125,7 +125,7 @@ def test_sampler_matches_per_sample_sampler(preset, level):
     assert got.points.tobytes() == want.points.tobytes()
     assert got.vectors.tobytes() == want.vectors.tobytes()
     if not spec.periodic:
-        assert got.start == want.start and np.array_equal(got.valid, want.valid)
+        assert got.start == want.start
 
 
 @settings(max_examples=60, deadline=None)

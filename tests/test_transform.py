@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from geomwave import transform
 from geomwave.errors import BaseMismatchError, DensityError, SchemaError
 from geomwave.experiments import default_config, geometry_and_fiber
 from geomwave.filterbank import build_bank, decompose_linear, dual_filter_details
@@ -350,6 +352,25 @@ def test_base_mismatch_names_first_index():
     with pytest.raises(BaseMismatchError) as exc:
         reconstruct_manifold(corrupted)
     assert f"level {d0.level}, index 3 " in str(exc.value)
+
+
+def test_detail_of_wrong_width_or_level_refused(monkeypatch):
+    """A sphere2 detail whose bases have width 4, and one tagged level 7
+    where level 4 is rebuilt, are ValueErrors naming level 4, raised before
+    any kernel call."""
+    cN = sample_signal(get_preset("sphere2", "wobble"), 6)
+    pyr = decompose_manifold(cN, cubic_provider(), "midpoint", 2)
+    d0 = pyr.details[0]
+    wide = dataclasses.replace(d0, bases=np.hstack([d0.bases, d0.bases[:, :1]]))
+    late = dataclasses.replace(d0, level=7)
+    monkeypatch.setattr(transform, "_odd_outputs", None)  # any call fails
+    for d, message in (
+        (wide, "detail bases shape (16, 4) != coarse shape (16, 3) at level 4"),
+        (late, "detail tagged level 7 at level 4"),
+    ):
+        bad = dataclasses.replace(pyr, details=(d,) + pyr.details[1:])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reconstruct_manifold(bad)
 
 
 def test_proximity_ratio_and_errors(rng):
