@@ -48,7 +48,9 @@ class Manifold:
         raise NotImplementedError
 
     def transport(self, p: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Parallel transport of v from T_p to T_q along the geodesic."""
+        """Parallel transport of v from T_p to T_q along the geodesic.  The
+        result may be v itself (flat space), so callers must not write into
+        it."""
         raise NotImplementedError
 
     def log_transport(
@@ -109,7 +111,7 @@ class Euclidean(Manifold):
         return q - p
 
     def transport(self, p, v, q):
-        return np.array(v, dtype=float)
+        return np.asarray(v, dtype=float)
 
     def dist(self, p, q):
         return np.linalg.norm(np.asarray(q) - p, axis=-1)

@@ -80,6 +80,23 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _wrapped(a: np.ndarray, blocks, shifts) -> np.ndarray:
+    """Row i + shift of each block's rows ``a[::step]``, wrapped within the
+    block: an (outputs, shifts, d) view of a tap-major buffer, so that each
+    shift's rows are contiguous."""
+    parts = [a[::step] for _, step in blocks]
+    out = np.empty((len(shifts), sum(map(len, parts)), a.shape[1]))
+    s = 0
+    for x in parts:
+        n = len(x)
+        for o, shift in zip(out, shifts):
+            j = shift % n
+            o[s : s + n - j] = x[j:]
+            o[s + n - j : s + n] = x[:j]
+        s += n
+    return out.transpose(1, 0, 2)
+
+
 def _odd_outputs(
     M: Manifold,
     points: np.ndarray,
@@ -95,40 +112,29 @@ def _odd_outputs(
     of a block yields its odd output 2i+1; the outputs of the blocks are
     stacked in order.  One midpoint, one gather, one ``log_transport``, one
     exp and one transport serve every block; each block's taps are summed
-    over its own rows with its mask's coefficients."""
+    over its own rows with its mask's coefficients.  The gather copies
+    rolled slices of each block into tap-major buffers, so every tap's rows
+    are contiguous through ``log_transport`` and the tap sum."""
     for mask, _ in blocks:
         if not mask.interpolatory:
             raise ValueError("manifold subdivision requires an interpolatory mask")
-    sizes = [len(points) // step for _, step in blocks]
-    starts = [0, *accumulate(sizes)]
+    starts = [0, *accumulate(len(points) // step for _, step in blocks)]
     # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; the tap axis
     # holds every block's taps in ascending t
     ts = sorted({tap[0] for mask, _ in blocks for tap in mask.odd_taps})
-
-    def rows(shift):
-        """The rows of points holding input i + shift of each block, wrapped
-        within the block, with one column per shift if shift is a list."""
-        return _stack([
-            np.take(
-                np.arange(0, len(points), step),
-                np.add.outer(np.arange(n), shift),
-                mode="wrap",
-            )
-            for (_, step), n in zip(blocks, sizes)
-        ])
-
     if len(blocks) == 1:  # a view, not a copy: leftpoint bases cost nothing
         here = points[:: blocks[0][1]]
     else:
-        here = np.take(points, rows(0), axis=0)
+        here = _wrapped(points, blocks, [0])[:, 0]
     if rule == "leftpoint":
         m = here
     else:
-        m = M.midpoint(here, np.take(points, rows(1), axis=0))
-    # axes are (output, tap, coordinate), so errors name the output first
-    src = rows([(1 - t) // 2 for t in ts])
-    p, v = np.take(points, src, axis=0), np.take(vectors, src, axis=0)
-    del here, src
+        m = M.midpoint(here, _wrapped(points, blocks, [1])[:, 0])
+    # logical axes are (output, tap, coordinate), so errors name the output
+    # first; the memory is tap-major, and log_transport keeps that layout
+    shifts = [(1 - t) // 2 for t in ts]
+    p, v = _wrapped(points, blocks, shifts), _wrapped(vectors, blocks, shifts)
+    del here
     for (_, step), s, e in zip(blocks, starts, starts[1:]):
         if step > 1:
             v[s:e] *= step
@@ -257,9 +263,11 @@ def _refuse_samples(cN: HermiteSequence):
     whose vector is not tangent at its point; on SO(3), the first cyclically
     consecutive pair of quaternions with a negative inner product."""
     M, P, V = cN.manifold, cN.points, cN.vectors
-    finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
-    ok = finite & M.check_point(P) & M.check_tangent(P, V)
-    if not ok.all():
+    on_M = M.check_point(P) & M.check_tangent(P, V)
+    # whole-array tests first: the per-row mask only names a failing sample
+    if not (np.all(on_M) and np.isfinite(P).all() and np.isfinite(V).all()):
+        finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
+        ok = finite & on_M
         i = int(np.argmin(ok))
         if not finite[i]:
             raise SchemaError(f"sample {i} is not finite")
@@ -329,7 +337,8 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
     details with oplus, interleave.  A rule not in RULES is a SchemaError."""
     _refuse_rule(pyr.rule)
     M, N0 = pyr.coarse.manifold, pyr.coarse.level
-    P, V = pyr.coarse.points, pyr.coarse.vectors
+    # copies, so that even a 0-level result shares no array with the pyramid
+    P, V = pyr.coarse.points.copy(), pyr.coarse.vectors.copy()
     masks = [pyr.provider.mask_at(N0 + k) for k in range(pyr.levels)]
     for n, d, mask in zip(range(N0, N0 + pyr.levels), pyr.details, masks):
         if len(d) != len(P):

@@ -1,6 +1,7 @@
 """The two-pass decomposition and the array-loop reconstruction against the
 level-by-level reference: bitwise equal outputs, the same errors, no higher
-memory peak, and the refusal of an unknown base point rule."""
+memory peak, and the refusal of an unknown base point rule; and no public
+function of the pyramid writing into the arrays it is given."""
 
 import dataclasses
 import math
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomwave.errors import BaseMismatchError, DensityError, SchemaError
+from geomwave.errors import BaseMismatchError, CutLocusError, DensityError, SchemaError
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
-from geomwave.sequences import HermiteSequence
+from geomwave.sequences import HermiteSequence, Mask, diag_d
 from geomwave.signals import get_preset, sample_signal
 from geomwave.transform import (
     RULES,
@@ -22,6 +23,8 @@ from geomwave.transform import (
     ManifoldPyramid,
     decompose_manifold,
     manifold_subdivide_once,
+    ominus,
+    oplus,
     reconstruct_manifold,
 )
 import reference_transform
@@ -173,6 +176,59 @@ def test_quaternion_great_circle_same_density_error(kind, rule, log2_length, dat
     provider = provider_of(kind)
     got = outcome(decompose_manifold, cN, provider, rule, levels)
     assert got == outcome(reference_transform.decompose, cN, provider, rule, levels)
+
+
+@pytest.mark.parametrize("kind", [("cubic", None), ("exp", 1.0)], ids=["cubic", "exp1"])
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("tag", ["euclidean:3", "sphere2"])
+def test_benchmark_size_bitwise_equals_level_loop(tag, rule, kind):
+    """At 2^12 samples over 8 levels, the size the benchmarks run, the
+    pyramid and its reconstruction are the reference's word for word.  The
+    vectors are small enough that their 2^8-fold coarse scaling keeps the
+    odd-output stencils off the cut locus."""
+    M = MANIFOLDS[tag]
+    P, V = closed_curve(M, np.random.default_rng(2024), 1 << 12, 0.3, 1e-3)
+    cN = ManifoldHermiteSeq(M, P, V, level=12)
+    provider = provider_of(kind)
+    got = outcome(decompose_manifold, cN, provider, rule, 8)
+    assert got[0] is not DensityError
+    assert got == outcome(reference_transform.decompose, cN, provider, rule, 8)
+    pyr = decompose_manifold(cN, provider, rule, 8)
+    got = reconstruction(reconstruct_manifold, pyr)
+    assert got[0] is not DensityError
+    assert got == reconstruction(reference_transform.reconstruct, pyr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tag=st.sampled_from(sorted(MANIFOLDS)),
+    rule=st.sampled_from(RULES),
+    log2_length=st.integers(0, 3),
+    data=st.data(),
+)
+def test_wide_mask_step_bitwise_equals_reference(tag, rule, log2_length, data):
+    """An interpolatory mask on [-5, 5] has odd taps reading inputs i - 2
+    to i + 3; on sequences as short as one sample those shifts wrap around
+    more than once.  One step, or its cut-locus error, is the reference's
+    (``np.take(..., mode="wrap")``) word for word."""
+    M = MANIFOLDS[tag]
+    L = 1 << log2_length
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    blocks = np.zeros((11, 2, 2))
+    blocks[5] = diag_d()
+    blocks[::2] = 0.3 * rng.normal(size=(6, 2, 2))  # the odd taps -5, ..., 5
+    mask = Mask(-5, blocks)
+    P, V = closed_curve(M, rng, L, 0.3, 0.1)
+    c = ManifoldHermiteSeq(M, P, V, level=log2_length)
+
+    def step(subdivide):
+        try:
+            out = subdivide(mask, c, rule)
+        except CutLocusError as err:
+            return type(err), err.index, str(err)
+        return words([out.points, out.vectors])
+
+    assert step(manifold_subdivide_once) == step(reference_transform.subdivide_once)
 
 
 FAULTS = ("none", "antipode", "base", "size", "detail")
@@ -360,3 +416,61 @@ def test_unknown_rule_refused_at_entry():
     forged = ManifoldPyramid(pyr.coarse, pyr.details, pyr.provider, "bogus")
     with pytest.raises(SchemaError, match="^unknown base point rule 'bogus'"):
         reconstruct_manifold(forged)
+
+
+def pyramid_arrays(pyr):
+    """The coarse arrays, then each level's bases, u0 and u1."""
+    arrays = [pyr.coarse.points, pyr.coarse.vectors]
+    for d in pyr.details:
+        arrays += [d.bases, d.u0, d.u1]
+    return arrays
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tag=st.sampled_from(["euclidean:3", "sphere2", "so3-quat"]),
+    kind=st.sampled_from([("cubic", None), ("exp", 1.0)]),
+    rule=st.sampled_from(RULES),
+    log2_length=st.integers(1, 7),
+    data=st.data(),
+)
+def test_public_functions_leave_inputs_unchanged(tag, kind, rule, log2_length, data):
+    """decompose_manifold, reconstruct_manifold, manifold_subdivide_once,
+    oplus, ominus and Manifold.transport leave every array they are given
+    bitwise unchanged, also after the results they own are written into."""
+    M = MANIFOLDS[tag]
+    L = 1 << log2_length
+    levels = data.draw(st.integers(0, log2_length), label="levels")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    P, V = closed_curve(M, rng, L, 0.3, 0.1)
+    assume(not isinstance(M, SO3Quat) or P[-1] @ P[0] >= 0)
+    Q, U = np.roll(P, 1, axis=0), np.roll(V, 1, axis=0)
+    inputs = [P, V, Q, U]
+    before = words(inputs)
+
+    def spoil(*results):
+        """Write into every result, as a caller that owns it may."""
+        for a in results:
+            a[...] = np.nan
+
+    cN = ManifoldHermiteSeq(M, P, V, level=log2_length)
+    provider = provider_of(kind)
+    try:
+        pyr = decompose_manifold(cN, provider, rule, levels)
+    except DensityError:
+        assume(False)
+    held = words(pyramid_arrays(pyr))
+    c = reconstruct_manifold(pyr)
+    assert words(pyramid_arrays(pyr)) == held
+    spoil(c.points, c.vectors)
+    assert words(pyramid_arrays(pyr)) == held
+    spoil(*pyramid_arrays(pyr))
+    c = manifold_subdivide_once(provider.mask_at(log2_length), cN, rule)
+    spoil(c.points, c.vectors)
+    bases, u0, u1 = ominus(M, (Q, U), (P, V))
+    differences = words([bases, u0, u1])
+    q, u = oplus(M, (P, V), bases, u0, u1)
+    assert words([bases, u0, u1]) == differences
+    spoil(q, u, u0, u1)  # bases is b's own point, P
+    M.transport(P, V, Q)  # may be V itself, so it is not written into
+    assert words(inputs) == before

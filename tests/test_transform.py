@@ -273,6 +273,64 @@ def test_non_finite_sample_rejected(decompose, message):
     assert exc.value.exit_code == 2
 
 
+def _mixed_faults(P, V):
+    P[9, 1] = np.nan  # not finite, later than the off-sphere sample
+    P[5] *= 2.0
+    c = ManifoldHermiteSeq(Sphere2(), P, V, level=4)
+    return decompose_manifold(c, cubic_provider(), "midpoint", 2)
+
+
+def _non_finite_and_off_sphere(P, V):
+    P[3] *= 2.0
+    P[3, 0] = np.inf  # both: the non-finite message wins
+    V[7] += 0.5 * P[7]
+    c = ManifoldHermiteSeq(Sphere2(), P, V, level=4)
+    return decompose_manifold(c, cubic_provider(), "midpoint", 2)
+
+
+def _off_so3_before_sign_flip(P, V):
+    P[1::2] *= -1.0  # the sign check alone would name samples 0 and 1
+    V[1::2] *= -1.0
+    P[6] *= 2.0
+    c = ManifoldHermiteSeq(SO3Quat(), P, V, level=4)
+    return decompose_manifold(c, cubic_provider(), "midpoint", 2)
+
+
+@pytest.mark.parametrize(
+    "tag,preset,decompose,message",
+    [
+        ("sphere2", "wobble", _mixed_faults, "sample 5 is not on sphere2 (|p| = 2)"),
+        ("sphere2", "wobble", _non_finite_and_off_sphere, "sample 3 is not finite"),
+        ("so3-quat", "quatcurve", _off_so3_before_sign_flip,
+         "sample 6 is not on so3-quat (|p| = 2)"),
+    ],
+    ids=["first-sample-named", "non-finite-first", "off-M-before-sign"],
+)
+def test_sample_faults_named_in_order(tag, preset, decompose, message):
+    """Among several faulty samples the first is named; a sample both
+    non-finite and off M is named as not finite; a sample off M is named
+    before a quaternion sign flip."""
+    c = sample_signal(get_preset(tag, preset), 4)
+    with pytest.raises(SchemaError) as exc:
+        decompose(c.points.copy(), c.vectors.copy())
+    assert str(exc.value) == message
+
+
+def test_zero_level_reconstruction_is_a_copy():
+    """A 0-level pyramid reconstructs to new arrays: writing into the result
+    leaves the pyramid, and so the decomposed samples, unchanged."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 4)
+    pyr = decompose_manifold(c, cubic_provider(), "midpoint", 0)
+    before = pyr.coarse.points.copy(), pyr.coarse.vectors.copy()
+    out = reconstruct_manifold(pyr)
+    assert np.array_equal(out.points, before[0])
+    assert np.array_equal(out.vectors, before[1])
+    out.points[:] = 0.0
+    out.vectors[:] = 0.0
+    assert np.array_equal(pyr.coarse.points, before[0])
+    assert np.array_equal(pyr.coarse.vectors, before[1])
+
+
 def test_flipped_quaternion_signs_rejected():
     """Negating every odd quaternion sample gives the same rotations, but not
     a lift the pyramid can use: it is refused where it enters, naming the
