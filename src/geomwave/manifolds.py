@@ -10,6 +10,12 @@ manifold enforces its own invariants (unit norm, tangency) via
 the exponential map raise :class:`CutLocusError` near the cut locus, naming
 the first failing entry; downstream code reports it as "data not dense
 enough".
+
+The round-sphere kernel calls numpy's ufuncs directly rather than through
+their Python wrappers, which cost more than the arithmetic on the small
+arrays of a pyramid level: ``_norm`` is the arithmetic ``np.linalg.norm``
+itself runs over one axis of a real array, and ``_clip`` is ``np.clip``'s.
+Results are word for word those of the wrapped calls.
 """
 
 from __future__ import annotations
@@ -145,6 +151,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)[..., None]
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, kept as a length-1 axis: the
+    arithmetic ``np.linalg.norm(x, axis=-1, keepdims=True)`` runs on a real
+    array, without its Python wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+
+
+def _clip(c: np.ndarray) -> np.ndarray:
+    """``np.clip(c, -1.0, 1.0)`` as its two ufuncs."""
+    return np.minimum(np.maximum(c, -1.0), 1.0)
+
+
 class _RoundSphere(Manifold):
     """Unit sphere in R^(d+1) with the round metric; closed-form geodesics."""
 
@@ -156,7 +174,7 @@ class _RoundSphere(Manifold):
 
     def project_point(self, p):
         p = np.asarray(p, dtype=float)
-        n = np.linalg.norm(p, axis=-1, keepdims=True)
+        n = _norm(p)
         if (n == 0.0).any():
             raise ValueError("cannot normalize the zero vector to the sphere")
         return p / n
@@ -166,14 +184,14 @@ class _RoundSphere(Manifold):
         return v - _dot(p, v) * p
 
     def check_point(self, p):
-        return abs(np.linalg.norm(p, axis=-1) - 1.0) <= _INVARIANT_TOL
+        return abs(_norm(np.asarray(p, dtype=float))[..., 0] - 1.0) <= _INVARIANT_TOL
 
     def check_tangent(self, p, v):
         return abs(_dot(p, v)[..., 0]) <= _INVARIANT_TOL
 
     def exp(self, p, v):
         p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
-        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        theta = _norm(v)
         _raise_first(
             theta[..., 0] >= self.injectivity_bound(), theta[..., 0],
             "tangent norm {:g} reaches the cut locus; data not dense enough",
@@ -197,17 +215,15 @@ class _RoundSphere(Manifold):
 
     def _log(self, p, q):
         """log_p(q), and the inner product c = <p, q> it was built from."""
-        equal = np.all(p == q, axis=-1, keepdims=True)
+        equal = (p == q).all(axis=-1, keepdims=True)
         c = _dot(p, q)
-        inner = np.clip(c, -1.0, 1.0)
+        inner = _clip(c)
         u = q - inner * p
-        s = np.linalg.norm(u, axis=-1, keepdims=True)
+        s = _norm(u)
         theta = np.arctan2(s, inner)
-        _raise_first(
-            ~equal[..., 0] & (theta[..., 0] >= self.injectivity_bound()),
-            theta[..., 0],
-            _ANTIPODAL,
-        )
+        far = theta[..., 0] >= self.injectivity_bound()
+        if far.any():  # the antipode mask is built only when it can be hit
+            _raise_first(~equal[..., 0] & far, theta[..., 0], _ANTIPODAL)
         zero = equal | (s == 0.0)
         return np.where(zero, 0.0, theta / np.where(zero, 1.0, s) * u), c
 
@@ -217,15 +233,15 @@ class _RoundSphere(Manifold):
         # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
         # so the arccos test runs only on inputs with a pair below that
         if (c < -0.5).any():
-            theta = np.arccos(np.clip(c[..., 0], -1.0, 1.0))
+            theta = np.arccos(_clip(c[..., 0]))
             _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
         return v - _dot(q, v) / (1.0 + c) * (p + q)
 
     def dist(self, p, q):
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-        inner = np.clip(_dot(p, q), -1.0, 1.0)
-        s = np.linalg.norm(q - inner * p, axis=-1)
-        return np.arctan2(s, inner[..., 0])
+        inner = _clip(_dot(p, q))
+        s = _norm(q - inner * p)
+        return np.arctan2(s[..., 0], inner[..., 0])
 
 
 class Sphere2(_RoundSphere):

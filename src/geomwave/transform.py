@@ -172,8 +172,9 @@ def manifold_subdivide_once(
     Even outputs are the interpolatory copy D c_i.  Each odd output 2i+1 is
     based at the midpoint of (p_i, p_{i+1}) or at p_i (``rule``).  All odd
     outputs and all odd mask taps go through one array ``log_transport``,
-    then one exp and one transport.  A rule not in RULES is a SchemaError."""
-    _refuse_rule(rule)
+    then one exp and one transport.  A rule not in RULES, an interior window
+    and an empty sequence are SchemaErrors."""
+    _refuse_entry(c, rule)
     M = c.manifold
     odd = _odd_outputs(M, c.points, c.vectors, [(mask, 1)], rule)
     return ManifoldHermiteSeq(M, *_interleave(c.points, c.vectors, *odd), c.level + 1)
@@ -192,7 +193,7 @@ def oplus(
     its own base would pick up holonomy and break the exact inversion
     property)."""
     p, v = a
-    u0p, u1p = M.transport(b_base, np.stack([u0, u1]), p)
+    u0p, u1p = M.transport(b_base, np.array((u0, u1)), p)
     q = M.exp(p, u0p)
     return q, M.transport(p, v + u1p, q)  # transport is linear in v
 
@@ -253,9 +254,19 @@ def _level_details(
     return d
 
 
-def _refuse_rule(rule: str):
+def _refuse_entry(c: HermiteSequence, rule: str):
+    """The SchemaErrors every entry point shares: a rule not in RULES; an
+    interior window, whose ends the periodic kernel would wrap together; and
+    an empty sequence, which has no length to wrap by."""
     if rule not in RULES:
         raise SchemaError(f"unknown base point rule {rule!r}: expected one of {RULES}")
+    if not c.periodic:
+        raise SchemaError("the pyramid takes periodic samples, got an interior window")
+    if len(c) == 0:
+        raise SchemaError(
+            "the pyramid takes at least one sample, got none: periodic indices "
+            "are taken mod the length"
+        )
 
 
 def _refuse_samples(cN: HermiteSequence):
@@ -293,15 +304,13 @@ def decompose_manifold(
 ) -> ManifoldPyramid:
     """Manifold prediction-correction decomposition of a closed curve.
 
-    Refuses, with a SchemaError, a rule not in RULES; an interior window;
-    a sample that is not
-    finite, not on M, or whose vector is not tangent at its point, naming
-    the first one; on SO(3), a cyclically consecutive pair of quaternions
-    with a negative inner product, naming the first; and a level count that
-    is negative or whose 2^levels does not divide the length."""
-    _refuse_rule(rule)
-    if not cN.periodic:
-        raise SchemaError("the pyramid takes periodic samples, got an interior window")
+    Refuses, with a SchemaError, a rule not in RULES; an interior window; an
+    empty sequence; a sample that is not finite, not on M, or whose vector
+    is not tangent at its point, naming the first one; on SO(3), a
+    cyclically consecutive pair of quaternions with a negative inner
+    product, naming the first; and a level count that is negative or whose
+    2^levels does not divide the length."""
+    _refuse_entry(cN, rule)
     _refuse_samples(cN)
     if levels < 0 or len(cN) % (1 << levels) != 0:
         raise SchemaError(
@@ -334,8 +343,9 @@ def decompose_manifold(
 def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
     """Invert decompose_manifold with the pyramid's own predictor and rule.
     Per level: predict the odd rows, audit the stored detail bases, add the
-    details with oplus, interleave.  A rule not in RULES is a SchemaError."""
-    _refuse_rule(pyr.rule)
+    details with oplus, interleave.  A rule not in RULES, and a coarse
+    sequence that is an interior window or empty, are SchemaErrors."""
+    _refuse_entry(pyr.coarse, pyr.rule)
     M, N0 = pyr.coarse.manifold, pyr.coarse.level
     # copies, so that even a 0-level result shares no array with the pyramid
     P, V = pyr.coarse.points.copy(), pyr.coarse.vectors.copy()

@@ -1,0 +1,118 @@
+"""The round-sphere kernel, which calls numpy's ufuncs directly, against the
+same formulas written with ``np.linalg.norm``, ``np.clip`` and ``np.all`` in
+``reference_manifolds``: every result word for word and of the same type,
+and every CutLocusError with the same index and message."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomwave.errors import CutLocusError
+from geomwave.manifolds import SO3Quat, Sphere2
+from random_cases import random_point, random_tangents
+from reference_manifolds import RoundSphere
+
+MANIFOLDS = {M.tag: M for M in (Sphere2(), SO3Quat())}
+
+OPS = {
+    "exp": lambda S, a: S.exp(a.p, a.v),
+    "exp from the base": lambda S, a: S.exp(a.base, a.w),
+    "log": lambda S, a: S.log(a.base, a.p),
+    "transport": lambda S, a: S.transport(a.p, a.v, a.base),
+    "log_transport": lambda S, a: S.log_transport(a.base, a.p, a.v),
+    "midpoint": lambda S, a: S.midpoint(a.base, a.p),
+    "dist": lambda S, a: S.dist(a.base, a.p),
+    "check_point": lambda S, a: (S.check_point(a.p), S.check_point(a.base)),
+    "project_point": lambda S, a: S.project_point(a.raw),
+}
+
+
+def outcome(call):
+    """Type, shape, dtype and raw bytes of each result of a call, or the
+    error it raises: a CutLocusError with its message and index, or the
+    ValueError of a zero vector projected onto the sphere."""
+    try:
+        out = call()
+    except CutLocusError as err:
+        return ("CutLocusError", str(err), err.index)
+    except ValueError as err:
+        return ("ValueError", str(err))
+    results = out if isinstance(out, tuple) else (out,)
+    return [(type(x).__name__, np.asarray(x).dtype.str, np.shape(x),
+             np.asarray(x).tobytes()) for x in results]
+
+
+def signed(rng, x):
+    """x with each zero entry's sign drawn at random."""
+    return np.where(x == 0.0, np.copysign(0.0, rng.choice([-1.0, 1.0], x.shape)), x)
+
+
+def arguments(M, rng, L, T, gap, stretch, reach):
+    """Inputs for every op, as full arrays: base points m of shape (L, d),
+    a coordinate axis among them; the array compared against them (m, or
+    m[:, None] against (L, T, d)); points p at angles up to 3 from it, with
+    equal pairs (one differing only in the signs of its zeros) and, unless
+    ``gap`` is None, a pair at angle pi - gap; tangents v at p and w at the
+    base with norms up to ``reach``, some of them zero vectors of signed
+    zeros; and raw ambient vectors to project onto the sphere.  Points are
+    scaled by ``stretch``, so they may sit a rounding error off the sphere."""
+    d = M.ambient_dim
+    m = random_point(M, rng, (L,))
+    m[0] = signed(rng, np.eye(d)[rng.integers(d)])
+    m *= stretch
+    base = m if T is None else m[:, None]
+    shape = (L,) if T is None else (L, T)
+    at = np.broadcast_to(base, shape + (d,)).reshape(-1, d)
+    p = M.exp(at, random_tangents(M, rng, at, 3.0))
+    n = len(p)
+    for i in rng.choice(n, size=1 + n // 4, replace=False):
+        p[i] = at[i]
+    p[0] = signed(rng, at[0])  # equal to its base, zeros signed afresh
+    if gap is not None:
+        i = rng.integers(n)
+        e = random_tangents(M, rng, at[i], 1.0)
+        e /= np.linalg.norm(e)
+        p[i] = -at[i] if gap == 0.0 else (
+            math.cos(math.pi - gap) * at[i] + math.sin(math.pi - gap) * e
+        )
+    v = random_tangents(M, rng, p, reach)
+    w = random_tangents(M, rng, at, reach)
+    for x in (v, w):
+        x[rng.choice(n, size=1 + n // 4, replace=False)] = 0.0
+        x[:] = signed(rng, x)
+    raw = rng.normal(size=(n, d))
+    raw[rng.uniform(size=(n, d)) < 0.3] = 0.0  # some rows all zero
+    raw[0] = np.eye(d)[0]
+    raw = signed(rng, raw)
+    full = SimpleNamespace(
+        base=base, **{k: x.reshape(shape + (d,)) for k, x in zip("pvw", (p, v, w))},
+        raw=raw.reshape(shape + (d,)),
+    )
+    first = SimpleNamespace(**{k: x[0] for k, x in vars(full).items()})
+    return full, first
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tag=st.sampled_from(sorted(MANIFOLDS)),
+    L=st.integers(1, 6),
+    T=st.sampled_from([None, 1, 3]),
+    gap=st.sampled_from([None, 0.0, 1e-9, 1e-6, 2e-6, 1e-3]),
+    stretch=st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10]),
+    reach=st.sampled_from([2.0, math.pi - 2e-6, math.pi + 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sphere_kernel_bitwise_equals_reference(tag, L, T, gap, stretch, reach, seed):
+    """exp, log, transport, log_transport, midpoint, dist, check_point and
+    project_point, on whole arrays and on their first entries: the same
+    words, types and errors as the np.linalg.norm formulas, with equal
+    points, zero tangents, signed zeros and pairs near the cut locus."""
+    M = MANIFOLDS[tag]
+    R = RoundSphere(M.ambient_dim)
+    for args in arguments(M, np.random.default_rng(seed), L, T, gap, stretch, reach):
+        for name, op in OPS.items():
+            got = outcome(lambda: op(M, args))
+            assert got == outcome(lambda: op(R, args)), name

@@ -13,7 +13,7 @@ from geomwave.experiments import default_config, geometry_and_fiber
 from geomwave.filterbank import build_bank, decompose_linear, dual_filter_details
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
-from geomwave.sequences import interior_sequence, periodic_sequence
+from geomwave.sequences import HermiteSequence, interior_sequence, periodic_sequence
 from geomwave.signals import get_preset, sample_signal
 from geomwave.transform import (
     ManifoldHermiteSeq,
@@ -196,6 +196,51 @@ def test_interior_window_refused_by_the_pyramid():
         decompose_manifold(window, cubic_provider(), "midpoint", 2)
     with pytest.raises(SchemaError, match="got an interior window"):
         decompose_linear(window, build_bank(cubic_provider()), 2)
+
+
+def _zero_pyramid(c: HermiteSequence, levels: int) -> ManifoldPyramid:
+    """A hand-built pyramid over the coarse sequence c, with all-zero details
+    of the lengths each level doubles to."""
+    details = []
+    for k in range(levels):
+        zeros = np.zeros((len(c) << k, c.dim))
+        details.append(TangentPairSeq(c.manifold, zeros, zeros, zeros, c.level + k))
+    return ManifoldPyramid(c, tuple(details), cubic_provider(), "midpoint")
+
+
+ENTRY_POINTS = {
+    "decompose_manifold": lambda c: decompose_manifold(
+        c, cubic_provider(), "midpoint", 2
+    ),
+    "manifold_subdivide_once": lambda c: manifold_subdivide_once(
+        cubic_provider().mask_at(c.level), c
+    ),
+    "reconstruct_manifold": lambda c: reconstruct_manifold(_zero_pyramid(c, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("M", [*CURVED, Euclidean(2)], ids=lambda M: M.tag)
+def test_empty_sequence_refused(entry, M):
+    """A periodic sequence of no samples is a SchemaError where it enters,
+    not a ZeroDivisionError when the kernel takes an index mod 0."""
+    empty = np.zeros((0, M.ambient_dim))
+    c = ManifoldHermiteSeq(M, empty, empty, level=2)
+    with pytest.raises(SchemaError, match="at least one sample, got none"):
+        ENTRY_POINTS[entry](c)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_interior_window_refused_at_every_entry(entry):
+    """A 6-entry R^2 window at start 3 is refused where it enters, rather
+    than subdivided as if row 5 neighboured row 0."""
+    rng = np.random.default_rng(7)
+    window = interior_sequence(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), 3, 2)
+    with pytest.raises(SchemaError, match="got an interior window"):
+        ENTRY_POINTS[entry](window)
+    if entry == "manifold_subdivide_once":
+        with pytest.raises(SchemaError, match="got an interior window"):
+            proximity_numerator(cubic_provider().mask_at(2), window)
 
 
 def test_euclidean_reduction_matches_linear(rng):
