@@ -15,7 +15,11 @@ The round-sphere kernel calls numpy's ufuncs directly rather than through
 their Python wrappers, which cost more than the arithmetic on the small
 arrays of a pyramid level: ``_norm`` is the arithmetic ``np.linalg.norm``
 itself runs over one axis of a real array, and ``_clip`` is ``np.clip``'s.
-Results are word for word those of the wrapped calls.
+The guards reduce their masks with ``np.logical_or.reduce`` and
+``np.logical_and.reduce``, the ufuncs behind ``.any()`` and ``.all()``.  The
+zero masks of ``exp`` (a zero tangent) and ``log`` (an equal pair, or a zero
+residual) are applied with ``np.where`` only when a zero is present.  Results
+are word for word those of the wrapped calls.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ _ANTIPODAL = (
 def _raise_first(bad: np.ndarray, theta: np.ndarray, message: str):
     """Raise CutLocusError at the first entry of the violation mask ``bad``
     (``message`` is formatted with that entry's angle)."""
-    if not bad.any():
+    if not np.logical_or.reduce(bad, axis=None):
         return
     at = np.unravel_index(int(np.argmax(bad)), bad.shape)
     index = tuple(int(i) for i in at)
@@ -197,6 +201,8 @@ class _RoundSphere(Manifold):
             "tangent norm {:g} reaches the cut locus; data not dense enough",
         )
         zero = theta == 0.0
+        if not np.logical_or.reduce(zero, axis=None):
+            return np.cos(theta) * p + np.sin(theta) / theta * v
         safe = np.where(zero, 1.0, theta)
         return np.where(zero, p, np.cos(theta) * p + np.sin(theta) / safe * v)
 
@@ -204,27 +210,31 @@ class _RoundSphere(Manifold):
         return self._log(np.asarray(p, dtype=float), np.asarray(q, dtype=float))[0]
 
     def transport(self, p, v, q):
-        p, v, q = (np.asarray(x, dtype=float) for x in (p, v, q))
+        p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+        q = np.asarray(q, dtype=float)
         return self._transport(p, v, q, _dot(p, q))
 
     def log_transport(self, m, p, v):
         # one inner product <m, p> serves both maps
-        m, p, v = (np.asarray(x, dtype=float) for x in (m, p, v))
+        m, p = np.asarray(m, dtype=float), np.asarray(p, dtype=float)
+        v = np.asarray(v, dtype=float)
         y, c = self._log(m, p)
         return y, self._transport(p, v, m, c)
 
     def _log(self, p, q):
         """log_p(q), and the inner product c = <p, q> it was built from."""
-        equal = (p == q).all(axis=-1, keepdims=True)
+        equal = np.logical_and.reduce(p == q, axis=-1, keepdims=True)
         c = _dot(p, q)
         inner = _clip(c)
         u = q - inner * p
         s = _norm(u)
         theta = np.arctan2(s, inner)
         far = theta[..., 0] >= self.injectivity_bound()
-        if far.any():  # the antipode mask is built only when it can be hit
+        if np.logical_or.reduce(far, axis=None):  # built only when it can be hit
             _raise_first(~equal[..., 0] & far, theta[..., 0], _ANTIPODAL)
         zero = equal | (s == 0.0)
+        if not np.logical_or.reduce(zero, axis=None):
+            return theta / s * u, c
         return np.where(zero, 0.0, theta / np.where(zero, 1.0, s) * u), c
 
     def _transport(self, p, v, q, c):
@@ -232,7 +242,7 @@ class _RoundSphere(Manifold):
         the minimal geodesic, for v tangent at p."""
         # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
         # so the arccos test runs only on inputs with a pair below that
-        if (c < -0.5).any():
+        if np.logical_or.reduce(c < -0.5, axis=None):
             theta = np.arccos(_clip(c[..., 0]))
             _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
         return v - _dot(q, v) / (1.0 + c) * (p + q)

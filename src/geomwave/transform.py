@@ -140,8 +140,8 @@ def _odd_outputs(
             v[s:e] *= step
     y, z = M.log_transport(m[:, None], p, v)
     del p, v
-    w0 = np.zeros_like(m)
-    w1 = np.zeros_like(m)
+    w0 = np.zeros(m.shape)
+    w1 = np.zeros(m.shape)
     for (mask, _), s, e in zip(blocks, starts, starts[1:]):
         y_b, z_b, w0_b, w1_b = y[s:e], z[s:e], w0[s:e], w1[s:e]
         for t, a00, a01, a10, a11 in mask.odd_taps:
@@ -159,8 +159,9 @@ def _interleave(points, vectors, odd_p, odd_v) -> tuple[np.ndarray, np.ndarray]:
     """Even rows the interpolatory copy D c_i = (p_i, v_i / 2), odd rows the
     given odd outputs: the rows of one subdivision step."""
     d = points.shape[1]
-    P = np.stack((points, odd_p), axis=1).reshape(-1, d)
-    return P, np.stack((0.5 * vectors, odd_v), axis=1).reshape(-1, d)
+    P = np.concatenate((points[:, None], odd_p[:, None]), axis=1)
+    V = np.concatenate(((0.5 * vectors)[:, None], odd_v[:, None]), axis=1)
+    return P.reshape(-1, d), V.reshape(-1, d)
 
 
 def manifold_subdivide_once(
@@ -367,7 +368,7 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
         try:
             odd_p, odd_v = _odd_outputs(M, P, V, [(mask, 1)], pyr.rule)
             drift = M.dist(d.bases, odd_p)
-            bad = drift > _BASE_AUDIT_TOL
+            bad = ~(drift <= _BASE_AUDIT_TOL)  # a NaN drift fails the audit
             if bad.any():
                 i = int(np.argmax(bad))
                 raise BaseMismatchError(

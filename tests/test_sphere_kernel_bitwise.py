@@ -1,12 +1,15 @@
 """The round-sphere kernel, which calls numpy's ufuncs directly, against the
 same formulas written with ``np.linalg.norm``, ``np.clip`` and ``np.all`` in
 ``reference_manifolds``: every result word for word and of the same type,
-and every CutLocusError with the same index and message."""
+and every CutLocusError with the same index and message.  ``exp`` and
+``log`` take one branch when no entry is zero and another, with the zero
+masks, when some entry is; the cases reach both."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,15 +53,16 @@ def signed(rng, x):
     return np.where(x == 0.0, np.copysign(0.0, rng.choice([-1.0, 1.0], x.shape)), x)
 
 
-def arguments(M, rng, L, T, gap, stretch, reach):
+def arguments(M, rng, L, T, gap, stretch, reach, zeros):
     """Inputs for every op, as full arrays: base points m of shape (L, d),
     a coordinate axis among them; the array compared against them (m, or
-    m[:, None] against (L, T, d)); points p at angles up to 3 from it, with
-    equal pairs (one differing only in the signs of its zeros) and, unless
-    ``gap`` is None, a pair at angle pi - gap; tangents v at p and w at the
-    base with norms up to ``reach``, some of them zero vectors of signed
-    zeros; and raw ambient vectors to project onto the sphere.  Points are
-    scaled by ``stretch``, so they may sit a rounding error off the sphere."""
+    m[:, None] against (L, T, d)); points p at angles up to 3 from it, with,
+    if ``zeros``, equal pairs (one differing only in the signs of its zeros)
+    and, unless ``gap`` is None, a pair at angle pi - gap; tangents v at p
+    and w at the base with norms up to ``reach``, if ``zeros`` some of them
+    zero vectors of signed zeros; and raw ambient vectors to project onto
+    the sphere.  Points are scaled by ``stretch``, so they may sit a
+    rounding error off the sphere."""
     d = M.ambient_dim
     m = random_point(M, rng, (L,))
     m[0] = signed(rng, np.eye(d)[rng.integers(d)])
@@ -68,9 +72,10 @@ def arguments(M, rng, L, T, gap, stretch, reach):
     at = np.broadcast_to(base, shape + (d,)).reshape(-1, d)
     p = M.exp(at, random_tangents(M, rng, at, 3.0))
     n = len(p)
-    for i in rng.choice(n, size=1 + n // 4, replace=False):
-        p[i] = at[i]
-    p[0] = signed(rng, at[0])  # equal to its base, zeros signed afresh
+    if zeros:
+        for i in rng.choice(n, size=1 + n // 4, replace=False):
+            p[i] = at[i]
+        p[0] = signed(rng, at[0])  # equal to its base, zeros signed afresh
     if gap is not None:
         i = rng.integers(n)
         e = random_tangents(M, rng, at[i], 1.0)
@@ -81,7 +86,8 @@ def arguments(M, rng, L, T, gap, stretch, reach):
     v = random_tangents(M, rng, p, reach)
     w = random_tangents(M, rng, at, reach)
     for x in (v, w):
-        x[rng.choice(n, size=1 + n // 4, replace=False)] = 0.0
+        if zeros:
+            x[rng.choice(n, size=1 + n // 4, replace=False)] = 0.0
         x[:] = signed(rng, x)
     raw = rng.normal(size=(n, d))
     raw[rng.uniform(size=(n, d)) < 0.3] = 0.0  # some rows all zero
@@ -103,16 +109,67 @@ def arguments(M, rng, L, T, gap, stretch, reach):
     gap=st.sampled_from([None, 0.0, 1e-9, 1e-6, 2e-6, 1e-3]),
     stretch=st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10]),
     reach=st.sampled_from([2.0, math.pi - 2e-6, math.pi + 0.5]),
+    zeros=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sphere_kernel_bitwise_equals_reference(tag, L, T, gap, stretch, reach, seed):
+def test_sphere_kernel_bitwise_equals_reference(
+    tag, L, T, gap, stretch, reach, zeros, seed
+):
     """exp, log, transport, log_transport, midpoint, dist, check_point and
     project_point, on whole arrays and on their first entries: the same
-    words, types and errors as the np.linalg.norm formulas, with equal
-    points, zero tangents, signed zeros and pairs near the cut locus."""
+    words, types and errors as the np.linalg.norm formulas, with or without
+    equal points and zero tangents, with signed zeros and pairs near the
+    cut locus."""
     M = MANIFOLDS[tag]
     R = RoundSphere(M.ambient_dim)
-    for args in arguments(M, np.random.default_rng(seed), L, T, gap, stretch, reach):
+    rng = np.random.default_rng(seed)
+    for args in arguments(M, rng, L, T, gap, stretch, reach, zeros):
         for name, op in OPS.items():
             got = outcome(lambda: op(M, args))
             assert got == outcome(lambda: op(R, args)), name
+
+
+def one_zero_row(M, kind):
+    """(5, d) inputs in which only row 2 is zero: its p is equal to its
+    base (``kind`` "equal") or, with the base a coordinate axis, that axis
+    scaled by 1 - 2^-53, so that log's residual is exactly zero although
+    the points differ ("collinear"); its tangents v and w are zero, and its
+    raw vector too.  Every other p is at an angle in [0.5, 2] from its base,
+    and every other tangent has a norm in [0.5, 2]."""
+    rng, L, row, d = np.random.default_rng(5), 5, 2, M.ambient_dim
+
+    def tangents(at):
+        t = M.project_tangent(at, rng.normal(size=at.shape))
+        size = rng.uniform(0.5, 2.0, size=(L, 1))
+        return t * (size / np.linalg.norm(t, axis=-1, keepdims=True))
+
+    base = random_point(M, rng, (L,))
+    p = M.exp(base, tangents(base))
+    if kind == "equal":
+        p[row] = base[row]
+    else:
+        base[row] = np.eye(d)[0]
+        p[row] = (1.0 - 2.0**-53) * base[row]
+    v, w, raw = tangents(p), tangents(base), rng.normal(size=(L, d))
+    for x in (v, w, raw):
+        x[row] = 0.0
+    return SimpleNamespace(base=base, p=p, v=v, w=w, raw=raw)
+
+
+@pytest.mark.parametrize("kind", ["equal", "collinear"])
+@pytest.mark.parametrize("tag", sorted(MANIFOLDS))
+def test_one_zero_row_bitwise_equals_reference(tag, kind):
+    """With exactly one zero row among L, exp and log apply their zero masks
+    to that row alone; every op gives the reference's words, types and
+    errors."""
+    M = MANIFOLDS[tag]
+    R = RoundSphere(M.ambient_dim)
+    args = one_zero_row(M, kind)
+    zero_rows = [
+        np.flatnonzero(np.all(x == 0.0, axis=-1))
+        for x in (args.v, args.w, R.log(args.base, args.p))
+    ]
+    assert all(list(rows) == [2] for rows in zero_rows)
+    for name, op in OPS.items():
+        got = outcome(lambda: op(M, args))
+        assert got == outcome(lambda: op(R, args)), name

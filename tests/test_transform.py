@@ -457,6 +457,30 @@ def test_base_mismatch_names_first_index():
     assert f"level {d0.level}, index 3 " in str(exc.value)
 
 
+@pytest.mark.parametrize("where, index", [("coarse points", 0), ("detail base 3", 3)])
+def test_base_audit_refuses_nan(where, index):
+    """A NaN drift fails the base audit: NaN coarse points predict NaN odd
+    points, and a NaN stored base is NaN away from its prediction.  Either
+    is a BaseMismatchError naming the coarsest level, not a reconstruction
+    to NaN."""
+    cN = sample_signal(get_preset("sphere2", "wobble"), 4)
+    pyr = decompose_manifold(cN, cubic_provider(), "midpoint", 2)
+    points, d0 = pyr.coarse.points.copy(), pyr.details[0]
+    bases = d0.bases.copy()
+    if where == "coarse points":
+        points[:] = np.nan
+    else:
+        bases[index] = np.nan
+    corrupted = dataclasses.replace(
+        pyr,
+        coarse=ManifoldHermiteSeq(cN.manifold, points, pyr.coarse.vectors, 2),
+        details=(dataclasses.replace(d0, bases=bases),) + pyr.details[1:],
+    )
+    with pytest.raises(BaseMismatchError) as exc:
+        reconstruct_manifold(corrupted)
+    assert str(exc.value).startswith(f"detail base at level 2, index {index} is nan ")
+
+
 def test_detail_of_wrong_width_or_level_refused(monkeypatch):
     """A sphere2 detail whose bases have width 4, and one tagged level 7
     where level 4 is rebuilt, are ValueErrors naming level 4, raised before
