@@ -3,10 +3,10 @@
 All numeric payloads are serialized as JSON numbers with full double
 precision (Python's repr round-trips doubles exactly), so write-then-read is
 bitwise lossless.  Readers validate the schema with path-addressed error
-messages, check entry lists as whole arrays and reject manifold-invariant
-violations (non-unit sphere points, vectors not tangent at their entry's
-point) naming the first offending entry;
-read values are never renormalized.
+messages, and check each entry list as whole arrays with the sample
+contract of ``Manifold.first_fault`` (finite values, points on M, vectors
+tangent at their entry's point) that ``decompose_manifold`` applies, naming
+the first offending entry; read values are never renormalized.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _integer(obj: dict, key: str, path: str) -> int:
 
 def _check_entry(M: Manifold, entry, keys: tuple, path: str):
     """Each key a list of d finite numbers (not bools); the first on M, and
-    every later one tangent at the first."""
+    every later one tangent at the first (``Manifold.first_fault``)."""
     d = M.ambient_dim
     for k in keys:
         raw = _require(entry, k, path)
@@ -75,20 +75,16 @@ def _check_entry(M: Manifold, entry, keys: tuple, path: str):
                 _fail(f"{path}.{k}[{i}]", "expected a number")
             if not math.isfinite(x):
                 _fail(f"{path}.{k}[{i}]", "non-finite value")
-    p = np.array(entry[keys[0]], dtype=float)
-    fault = M.point_fault(p)
+    fault = M.first_fault(*(np.array([entry[k]], dtype=float) for k in keys))
     if fault:
-        _fail(f"{path}.{keys[0]}", f"point {fault}")
-    for k in keys[1:]:
-        fault = M.tangent_fault(p, np.array(entry[k], dtype=float))
-        if fault:
-            _fail(f"{path}.{k}", f"entry {fault}")
+        _, a, reason = fault
+        _fail(f"{path}.{keys[a]}", f"{'entry' if a else 'point'} {reason}")
 
 
 def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
-    """One (L, d) array per key, checked whole as _check_entry checks one
-    entry; the first flagged entry, or every entry in order when the arrays
-    cannot be built, is then re-checked by _check_entry to name the fault."""
+    """One (L, d) array per key, checked whole by ``Manifold.first_fault``;
+    the first faulty entry, or every entry in order when the arrays cannot
+    be built, is then re-checked by _check_entry to name the fault."""
     if not isinstance(raw, list) or not raw:
         _fail(path, "expected a non-empty list")
     try:
@@ -101,11 +97,8 @@ def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
         built = False
     suspects = range(len(raw))
     if built:
-        ok = np.isfinite(arrays).all(axis=(0, 2))
-        ok &= M.check_point(arrays[0])
-        for a in arrays[1:]:
-            ok &= M.check_tangent(arrays[0], a)
-        suspects = np.flatnonzero(~ok)
+        fault = M.first_fault(*arrays)
+        suspects = [fault[0]] if fault else []
     for i in suspects:
         _check_entry(M, raw[i], keys, f"{path}[{i}]")
     return arrays

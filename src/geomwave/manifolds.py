@@ -94,17 +94,25 @@ class Manifold:
     def check_tangent(self, p: np.ndarray, v: np.ndarray) -> bool:
         return True
 
-    def point_fault(self, p: np.ndarray) -> str | None:
-        """Why the single point p is not on M, or None if it is."""
-        if self.check_point(p):
+    def first_fault(self, p, *tangents) -> tuple[int, int, str] | None:
+        """The first row of the (L, d) arrays p, *tangents that is not a
+        sample of M, as (row, array, reason), or None.  A row's fault is the
+        first of: a non-finite value in array k, its point (array 0) off M,
+        its vector in array k > 0 not tangent at its point.  Whole arrays are
+        tested first; per-row masks only name the fault."""
+        finite = [np.isfinite(a) for a in (p, *tangents)]
+        on_M = [self.check_point(p), *(self.check_tangent(p, v) for v in tangents)]
+        if all(np.all(ok) for ok in finite + on_M):
             return None
-        return f"is not on {self.tag} (|p| = {np.linalg.norm(p):.6g})"
-
-    def tangent_fault(self, p: np.ndarray, v: np.ndarray) -> str | None:
-        """Why v is not tangent at the single point p, or None if it is."""
-        if self.check_tangent(p, v):
-            return None
-        return f"has a non-tangent vector (|<p, v>| = {abs(p @ v):.3g})"
+        tests = np.broadcast_arrays(*(f.all(axis=1) for f in finite), *on_M)
+        i = int(np.argmin(np.logical_and.reduce(tests)))
+        k = [t[i] for t in tests].index(False) - len(finite)
+        if k < 0:
+            return i, k + len(finite), "is not finite"
+        if k == 0:
+            return i, 0, f"is not on {self.tag} (|p| = {np.linalg.norm(p[i]):.6g})"
+        dot = abs(p[i] @ tangents[k - 1][i])
+        return i, k, f"has a non-tangent vector (|<p, v>| = {dot:.3g})"
 
 
 class Euclidean(Manifold):

@@ -173,9 +173,11 @@ def manifold_subdivide_once(
     Even outputs are the interpolatory copy D c_i.  Each odd output 2i+1 is
     based at the midpoint of (p_i, p_{i+1}) or at p_i (``rule``).  All odd
     outputs and all odd mask taps go through one array ``log_transport``,
-    then one exp and one transport.  A rule not in RULES, an interior window
-    and an empty sequence are SchemaErrors."""
+    then one exp and one transport.  A rule not in RULES, an interior window,
+    an empty sequence and a sample that is not finite, not on M, or whose
+    vector is not tangent at its point (the first named) are SchemaErrors."""
     _refuse_entry(c, rule)
+    _refuse_rows(c.manifold, "sample", c.points, c.vectors)
     M = c.manifold
     odd = _odd_outputs(M, c.points, c.vectors, [(mask, 1)], rule)
     return ManifoldHermiteSeq(M, *_interleave(c.points, c.vectors, *odd), c.level + 1)
@@ -244,17 +246,6 @@ def _stacked_details(
     ]
 
 
-def _level_details(
-    cN: HermiteSequence, n: int, masks: dict, rule: str
-) -> TangentPairSeq:
-    """The details of level n alone, a cut-locus failure named by level."""
-    try:
-        (d,) = _stacked_details(cN, [n], masks, rule)
-    except CutLocusError as err:
-        raise _density_error(err, n) from err
-    return d
-
-
 def _refuse_entry(c: HermiteSequence, rule: str):
     """The SchemaErrors every entry point shares: a rule not in RULES; an
     interior window, whose ends the periodic kernel would wrap together; and
@@ -270,34 +261,19 @@ def _refuse_entry(c: HermiteSequence, rule: str):
         )
 
 
-def _refuse_samples(cN: HermiteSequence):
-    """SchemaError naming the first sample that is not finite, not on M, or
-    whose vector is not tangent at its point; on SO(3), the first cyclically
-    consecutive pair of quaternions with a negative inner product."""
-    M, P, V = cN.manifold, cN.points, cN.vectors
-    on_M = M.check_point(P) & M.check_tangent(P, V)
-    # whole-array tests first: the per-row mask only names a failing sample
-    if not (np.all(on_M) and np.isfinite(P).all() and np.isfinite(V).all()):
-        finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
-        ok = finite & on_M
-        i = int(np.argmin(ok))
-        if not finite[i]:
-            raise SchemaError(f"sample {i} is not finite")
-        raise SchemaError(
-            f"sample {i} {M.point_fault(P[i]) or M.tangent_fault(P[i], V[i])}"
-        )
-    if isinstance(M, SO3Quat):
-        # q and -q are one rotation, but the pyramid averages on S^3, where a
-        # sign flip between neighbours is a near-antipodal pair: refuse it
-        # here rather than fail later as a density error
-        inner = np.einsum("ij,ij->i", P, np.roll(P, -1, axis=0))
-        if (inner < 0).any():
-            i = int(np.argmax(inner < 0))
-            raise SchemaError(
-                f"samples {i} and {(i + 1) % len(P)} have quaternion inner "
-                f"product {inner[i]:.3g} < 0: q and -q are the same rotation, "
-                "and the samples must have <q_i, q_(i+1 mod L)> >= 0"
-            )
+def _refuse_rows(M: Manifold, what: str, *arrays: np.ndarray):
+    """SchemaError naming, as ``what`` and its index, the first row of the
+    arrays that is not a sample of M (``Manifold.first_fault``), and why."""
+    fault = M.first_fault(*arrays)
+    if fault:
+        raise SchemaError(f"{what} {fault[0]} {fault[2]}")
+
+
+def _refuse_details(M: Manifold, details):
+    """_refuse_rows for each detail, coarsest level first: a failed
+    reconstruction names a faulty detail rather than the NaN it makes."""
+    for d in details:
+        _refuse_rows(M, f"detail at level {d.level}, index", d.bases, d.u0, d.u1)
 
 
 def decompose_manifold(
@@ -305,14 +281,23 @@ def decompose_manifold(
 ) -> ManifoldPyramid:
     """Manifold prediction-correction decomposition of a closed curve.
 
-    Refuses, with a SchemaError, a rule not in RULES; an interior window; an
-    empty sequence; a sample that is not finite, not on M, or whose vector
-    is not tangent at its point, naming the first one; on SO(3), a
-    cyclically consecutive pair of quaternions with a negative inner
-    product, naming the first; and a level count that is negative or whose
-    2^levels does not divide the length."""
+    Refuses, with a SchemaError, what manifold_subdivide_once refuses; on
+    SO(3), a cyclically consecutive pair of quaternions with a negative
+    inner product, naming the first; and a level count that is negative or
+    whose 2^levels does not divide the length."""
     _refuse_entry(cN, rule)
-    _refuse_samples(cN)
+    _refuse_rows(cN.manifold, "sample", cN.points, cN.vectors)
+    if isinstance(cN.manifold, SO3Quat):
+        # q and -q are one rotation, but on S^3 a sign flip between neighbours
+        # is a near-antipodal pair: refused here, not later as a density error
+        inner = np.einsum("ij,ij->i", cN.points, np.roll(cN.points, -1, axis=0))
+        if (inner < 0).any():
+            i = int(np.argmax(inner < 0))
+            raise SchemaError(
+                f"samples {i} and {(i + 1) % len(cN)} have quaternion inner "
+                f"product {inner[i]:.3g} < 0: q and -q are the same rotation, "
+                "and the samples must have <q_i, q_(i+1 mod L)> >= 0"
+            )
     if levels < 0 or len(cN) % (1 << levels) != 0:
         raise SchemaError(
             f"cannot decompose {len(cN)} samples over {levels} levels: "
@@ -332,8 +317,13 @@ def decompose_manifold(
         coarser = _stacked_details(cN, finest_first[1:], masks, rule)
     except CutLocusError:
         coarser = None
-    alone = finest_first if coarser is None else finest_first[:1]
-    details = [_level_details(cN, n, masks, rule) for n in alone] + (coarser or [])
+    details = []
+    for n in finest_first if coarser is None else finest_first[:1]:
+        try:  # one level alone: a cut-locus failure is named by its level
+            details += _stacked_details(cN, [n], masks, rule)
+        except CutLocusError as err:
+            raise _density_error(err, n) from err
+    details += coarser or []
     step = 1 << levels
     coarse = ManifoldHermiteSeq(
         cN.manifold, cN.points[::step].copy(), step * cN.vectors[::step], N - levels
@@ -344,8 +334,10 @@ def decompose_manifold(
 def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
     """Invert decompose_manifold with the pyramid's own predictor and rule.
     Per level: predict the odd rows, audit the stored detail bases, add the
-    details with oplus, interleave.  A rule not in RULES, and a coarse
-    sequence that is an interior window or empty, are SchemaErrors."""
+    details with oplus, interleave.  A rule not in RULES, a coarse sequence
+    that is an interior window or empty, and, when the audit fails or the
+    result is not finite, a detail that is not a sample of M (a non-finite
+    u0, say; the coarsest level and first index named) are SchemaErrors."""
     _refuse_entry(pyr.coarse, pyr.rule)
     M, N0 = pyr.coarse.manifold, pyr.coarse.level
     # copies, so that even a 0-level result shares no array with the pyramid
@@ -370,6 +362,7 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
             drift = M.dist(d.bases, odd_p)
             bad = ~(drift <= _BASE_AUDIT_TOL)  # a NaN drift fails the audit
             if bad.any():
+                _refuse_details(M, pyr.details[: n - N0])
                 i = int(np.argmax(bad))
                 raise BaseMismatchError(
                     f"detail base at level {n}, index {i} is {drift[i]:g} "
@@ -381,6 +374,8 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
             raise _density_error(err, n) from err
         P, V = _interleave(P, V, odd_p, odd_v)
         del odd_p, odd_v, drift, bad  # freed before the next level's kernel
+    if not (np.isfinite(P).all() and np.isfinite(V).all()):
+        _refuse_details(M, pyr.details)
     return ManifoldHermiteSeq(M, P, V, level=N0 + pyr.levels)
 
 
@@ -401,8 +396,8 @@ def proximity_denominator(c: HermiteSequence) -> float:
 def proximity_numerator(
     mask: Mask, c: HermiteSequence, rule: str = "midpoint"
 ) -> float:
+    nonlinear = manifold_subdivide_once(mask, c, rule)  # refuses bad samples first
     linear = apply_subdivision(mask, c)
-    nonlinear = manifold_subdivide_once(mask, c, rule)
     return float(
         max(
             np.abs(linear.points - nonlinear.points).max(),

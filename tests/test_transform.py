@@ -94,11 +94,10 @@ def test_locality(rng):
     mask = cubic_provider().mask_at(0)
     base = manifold_subdivide_once(mask, c)
     k = 5
-    P2 = c.points.copy()
+    P2, V2 = c.points.copy(), c.vectors.copy()
     P2[k] = M.exp(c.points[k], random_tangent(M, rng, c.points[k], scale=1e-3))
-    moved = manifold_subdivide_once(
-        mask, ManifoldHermiteSeq(M, P2, c.vectors.copy())
-    )
+    V2[k] = M.transport(c.points[k], c.vectors[k], P2[k])  # tangent at P2[k]
+    moved = manifold_subdivide_once(mask, ManifoldHermiteSeq(M, P2, V2))
     diff = np.abs(moved.points - base.points).max(axis=1)
     affected = set(np.nonzero(diff > 1e-12)[0])
     # entry k feeds outputs j with j - 2k in [-1, 1]
@@ -297,6 +296,28 @@ def _non_tangent_vectors(P, V):
     return decompose_manifold(c, cubic_provider(), "midpoint", 2)
 
 
+def _step(M, P, V):
+    """One manifold subdivision step of the level-4 samples (P, V) on M."""
+    c = ManifoldHermiteSeq(M, P, V, level=4)
+    return manifold_subdivide_once(cubic_provider().mask_at(4), c)
+
+
+def _nan_points_through_proximity(P, V):
+    P[[9, 5], 1] = np.nan
+    c = ManifoldHermiteSeq(Sphere2(), P, V, level=4)
+    return proximity_numerator(cubic_provider().mask_at(4), c)
+
+
+def _off_sphere_points_subdivided(P, V):
+    P[[9, 5]] *= 2.0
+    return _step(Sphere2(), P, V)
+
+
+def _non_tangent_vectors_subdivided(P, V):
+    V[[9, 5]] += 0.5 * P[[9, 5]]
+    return _step(Sphere2(), P, V)
+
+
 @pytest.mark.parametrize(
     "decompose,message",
     [
@@ -304,13 +325,19 @@ def _non_tangent_vectors(P, V):
         (_inf_vectors_through_linear, "sample 5 is not finite"),
         (_off_sphere_points, "sample 5 is not on sphere2 (|p| = 2)"),
         (_non_tangent_vectors, "sample 5 has a non-tangent vector (|<p, v>| = 0.5)"),
+        (_nan_points_through_proximity, "sample 5 is not finite"),
+        (_off_sphere_points_subdivided, "sample 5 is not on sphere2 (|p| = 2)"),
+        (_non_tangent_vectors_subdivided,
+         "sample 5 has a non-tangent vector (|<p, v>| = 0.5)"),
     ],
-    ids=["nan-point-sphere2", "inf-vector-linear", "off-sphere", "non-tangent"],
+    ids=["nan-point-sphere2", "inf-vector-linear", "off-sphere", "non-tangent",
+         "nan-point-proximity", "off-sphere-step", "non-tangent-step"],
 )
 def test_non_finite_sample_rejected(decompose, message):
     """Samples that are not finite, off the manifold or with non-tangent
-    vectors are refused where they enter the pyramid, naming the first bad
-    sample, instead of decomposing into NaN or wrong details."""
+    vectors are refused where they enter the pyramid, one subdivision step
+    or the proximity numerator, naming the first bad sample, instead of
+    computing NaN or wrong outputs."""
     c = sample_signal(get_preset("sphere2", "wobble"), 4)
     with pytest.raises(SchemaError) as exc:
         decompose(c.points.copy(), c.vectors.copy())
@@ -341,6 +368,27 @@ def _off_so3_before_sign_flip(P, V):
     return decompose_manifold(c, cubic_provider(), "midpoint", 2)
 
 
+def _mixed_faults_subdivided(P, V):
+    P[9, 1] = np.nan
+    P[5] *= 2.0
+    return _step(Sphere2(), P, V)
+
+
+def _non_finite_and_off_sphere_through_proximity(P, V):
+    P[3] *= 2.0
+    P[3, 0] = np.inf
+    V[7] += 0.5 * P[7]
+    c = ManifoldHermiteSeq(Sphere2(), P, V, level=4)
+    return proximity_numerator(cubic_provider().mask_at(4), c)
+
+
+def _off_so3_among_sign_flips_subdivided(P, V):
+    P[1::2] *= -1.0  # valid for one subdivision step on S^3
+    V[1::2] *= -1.0
+    P[6] *= 2.0
+    return _step(SO3Quat(), P, V)
+
+
 @pytest.mark.parametrize(
     "tag,preset,decompose,message",
     [
@@ -348,13 +396,23 @@ def _off_so3_before_sign_flip(P, V):
         ("sphere2", "wobble", _non_finite_and_off_sphere, "sample 3 is not finite"),
         ("so3-quat", "quatcurve", _off_so3_before_sign_flip,
          "sample 6 is not on so3-quat (|p| = 2)"),
+        ("sphere2", "wobble", _mixed_faults_subdivided,
+         "sample 5 is not on sphere2 (|p| = 2)"),
+        ("sphere2", "wobble", _non_finite_and_off_sphere_through_proximity,
+         "sample 3 is not finite"),
+        ("so3-quat", "quatcurve", _off_so3_among_sign_flips_subdivided,
+         "sample 6 is not on so3-quat (|p| = 2)"),
     ],
-    ids=["first-sample-named", "non-finite-first", "off-M-before-sign"],
+    ids=["first-sample-named", "non-finite-first", "off-M-before-sign",
+         "first-sample-named-step", "non-finite-first-proximity",
+         "off-M-among-sign-flips-step"],
 )
 def test_sample_faults_named_in_order(tag, preset, decompose, message):
     """Among several faulty samples the first is named; a sample both
     non-finite and off M is named as not finite; a sample off M is named
-    before a quaternion sign flip."""
+    before a quaternion sign flip, which one subdivision step accepts.  The
+    same holds for the pyramid, one subdivision step and the proximity
+    numerator."""
     c = sample_signal(get_preset(tag, preset), 4)
     with pytest.raises(SchemaError) as exc:
         decompose(c.points.copy(), c.vectors.copy())
@@ -479,6 +537,25 @@ def test_base_audit_refuses_nan(where, index):
     with pytest.raises(BaseMismatchError) as exc:
         reconstruct_manifold(corrupted)
     assert str(exc.value).startswith(f"detail base at level 2, index {index} is nan ")
+
+
+@pytest.mark.parametrize("slot", ["u0", "u1"])
+@pytest.mark.parametrize("k, level", [(1, 3), (0, 2)], ids=["finest", "coarser"])
+def test_non_finite_detail_named_at_its_level(k, level, slot):
+    """A NaN in u0 or u1 of entry 3 of a detail is a SchemaError naming that
+    detail's level and index: at the finest level, not a reconstruction to
+    NaN; at a coarser level, not a base mismatch one level finer."""
+    cN = sample_signal(get_preset("sphere2", "wobble"), 4)
+    pyr = decompose_manifold(cN, cubic_provider(), "midpoint", 2)
+    d = pyr.details[k]
+    u = getattr(d, slot).copy()
+    u[3] = np.nan
+    details = list(pyr.details)
+    details[k] = dataclasses.replace(d, **{slot: u})
+    with pytest.raises(SchemaError) as exc:
+        reconstruct_manifold(dataclasses.replace(pyr, details=tuple(details)))
+    assert type(exc.value) is SchemaError
+    assert str(exc.value) == f"detail at level {level}, index 3 is not finite"
 
 
 def test_detail_of_wrong_width_or_level_refused(monkeypatch):
