@@ -6,7 +6,9 @@ bitwise lossless.  Readers validate the schema with path-addressed error
 messages, and check each entry list as whole arrays with the sample
 contract of ``Manifold.first_fault`` (finite values, points on M, vectors
 tangent at their entry's point) that ``decompose_manifold`` applies, naming
-the first offending entry; read values are never renormalized.
+the first offending entry; read values are never renormalized.  Writers
+refuse the same rows, before opening the file, so every file the package
+writes is one its readers take.
 """
 
 from __future__ import annotations
@@ -62,23 +64,37 @@ def _integer(obj: dict, key: str, path: str) -> int:
     return value
 
 
-def _check_entry(M: Manifold, entry, keys: tuple, path: str):
-    """Each key a list of d finite numbers (not bools); the first on M, and
-    every later one tangent at the first (``Manifold.first_fault``)."""
+def _refuse_fault(M: Manifold, columns: dict, path: str, first: int = 0):
+    """Refuse the first row of the (L, d) columns (point first) that
+    ``Manifold.first_fault`` refuses, naming it as path[first + row].key."""
+    fault = M.first_fault(*columns.values())
+    if fault:
+        i, a, reason = fault
+        key = list(columns)[a]
+        _fail(f"{path}[{first + i}].{key}", f"{'entry' if a else 'point'} {reason}")
+
+
+def _check_entry(M: Manifold, entry, keys: tuple, path: str, index: int):
+    """Entry ``index`` of the list at ``path``: each key a list of d finite
+    numbers (not bools); the first on M, and every later one tangent at the
+    first (``Manifold.first_fault``)."""
     d = M.ambient_dim
+    here = f"{path}[{index}]"
     for k in keys:
-        raw = _require(entry, k, path)
+        raw = _require(entry, k, here)
         if not isinstance(raw, list) or len(raw) != d:
-            _fail(f"{path}.{k}", f"expected a list of {d} numbers")
+            _fail(f"{here}.{k}", f"expected a list of {d} numbers")
         for i, x in enumerate(raw):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
-                _fail(f"{path}.{k}[{i}]", "expected a number")
-            if not math.isfinite(x):
-                _fail(f"{path}.{k}[{i}]", "non-finite value")
-    fault = M.first_fault(*(np.array([entry[k]], dtype=float) for k in keys))
-    if fault:
-        _, a, reason = fault
-        _fail(f"{path}.{keys[a]}", f"{'entry' if a else 'point'} {reason}")
+                _fail(f"{here}.{k}[{i}]", "expected a number")
+            try:
+                finite = math.isfinite(x)
+            except OverflowError:
+                _fail(f"{here}.{k}[{i}]", "integer too large for a float")
+            if not finite:
+                _fail(f"{here}.{k}[{i}]", "non-finite value")
+    row = {k: np.array([entry[k]], dtype=float) for k in keys}
+    _refuse_fault(M, row, path, first=index)
 
 
 def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
@@ -100,7 +116,7 @@ def _read_entries(M: Manifold, raw, keys: tuple, path: str) -> list:
         fault = M.first_fault(*arrays)
         suspects = [fault[0]] if fault else []
     for i in suspects:
-        _check_entry(M, raw[i], keys, f"{path}[{i}]")
+        _check_entry(M, raw[i], keys, path, i)
     return arrays
 
 
@@ -135,9 +151,9 @@ def _load(path: str) -> tuple[dict, Manifold]:
 
 def _write_entries(fh, value, depth: int):
     """Write value as json.dump(indent=1) does at indent depth - 1.  A dict
-    of (L, d) float columns, whose keys hold no "nan" or "inf", is a list of
-    entries filled row by row into a %r template (repr is json's float
-    spelling), 512 per write; a list is a list of such dicts."""
+    of (L, d) finite float columns is a list of entries filled row by row
+    into a %r template (repr is json's finite float spelling), 512 per
+    write; a list is a list of such dicts."""
     pad = "\n" + " " * depth
     fh.write("[")
     items = value
@@ -154,7 +170,6 @@ def _write_entries(fh, value, depth: int):
         for i in range(0, len(items), 512):
             chunk = items[i : i + 512]
             text = ",".join([entry] * len(chunk)) % tuple(chunk.ravel().tolist())
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
             fh.write(("," if i else "") + text)
     fh.write(pad[:-1] + "]" if len(items) else "]")
 
@@ -174,13 +189,16 @@ def _dump(path: str, header: dict, lists: dict):
 
 
 def write_samples(seq: HermiteSequence, path: str):
-    """Write a periodic HermiteSequence.  An interior window, which no reader
-    takes, is a SchemaError; nothing is written."""
+    """Write a periodic HermiteSequence.  An interior window, or a row that
+    ``Manifold.first_fault`` refuses, which no reader takes, is a SchemaError
+    (naming the row as ``read_samples`` would); nothing is written."""
     if not seq.periodic:
         _fail(path, "only periodic samples can be written, got an interior window")
+    data = {"p": seq.points, "v": seq.vectors}
+    _refuse_fault(seq.manifold, data, f"{path}.data")
     tag = seq.manifold.tag
     header = {"manifold": tag, "level": int(seq.level), "boundary": "periodic"}
-    _dump(path, header, {"data": {"p": seq.points, "v": seq.vectors}})
+    _dump(path, header, {"data": data})
 
 
 def read_samples(path: str) -> HermiteSequence:
@@ -216,14 +234,21 @@ def provider_from_meta(meta: dict, path: str) -> MaskProvider:
 
 
 def write_pyramid(pyr: ManifoldPyramid, path: str):
+    """Write a pyramid.  A coarse or detail row that ``Manifold.first_fault``
+    refuses is a SchemaError naming it as ``read_pyramid`` would; nothing is
+    written."""
+    M = pyr.coarse.manifold
+    coarse = {"p": pyr.coarse.points, "v": pyr.coarse.vectors}
+    details = [{"base": d.bases, "u0": d.u0, "u1": d.u1} for d in pyr.details]
+    _refuse_fault(M, coarse, f"{path}.coarse")
+    for n, columns in enumerate(details):
+        _refuse_fault(M, columns, f"{path}.details[{n}]")
     header = {
-        "manifold": pyr.coarse.manifold.tag,
+        "manifold": M.tag,
         "predictor": {"kind": pyr.provider.kind, "lambda": pyr.provider.lam},
         "rule": pyr.rule,
         "coarse_level": int(pyr.coarse.level),
     }
-    details = [{"base": d.bases, "u0": d.u0, "u1": d.u1} for d in pyr.details]
-    coarse = {"p": pyr.coarse.points, "v": pyr.coarse.vectors}
     _dump(path, header, {"coarse": coarse, "details": details})
 
 

@@ -1,12 +1,15 @@
-"""One SHA-256 digest over the raw 64-bit words of a fixed sweep of pyramid
-outputs, for checking that a change leaves every output bitwise the same.
+"""Two SHA-256 digests, for checking that a change leaves every output
+bitwise the same: the first over the raw 64-bit words of a fixed sweep of
+pyramid outputs, the second over ``verify_suite`` reports.
 
 Run it from the root of a source checkout, once on each tree, and compare
-the printed digests:
+the printed digests line by line (to compare with an older tree, copy this
+script into it):
 
     python3 tests/bitwise_digest.py
 
-It imports the library from the ``src/`` next to this file.  The sweep is:
+It imports the library from the ``src/`` next to this file.  The pyramid
+sweep is:
 
 - 240 ``decompose_manifold`` configurations: sphere2 ``wobble``, so3-quat
   ``quatcurve`` and euclidean:3 ``trigblend``; 2^6, 2^9, 2^12 and 2^14
@@ -21,6 +24,10 @@ It imports the library from the ``src/`` next to this file.  The sweep is:
 - ``decompose_linear`` and ``reconstruct_linear`` of ``trigblend`` at 2^14
   samples over 8 levels, with the cubic and the exp(1) bank.
 
+The reports are those of ``verify_suite`` for seeds 0-3 and for seed 0 with
+``perturb_mask = 1e-3``: each check's name, passed flag, threshold, the raw
+word of its residual (or None) and its note.
+
 pytest does not collect this file: its name does not start with ``test_``.
 """
 
@@ -33,6 +40,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from geomwave.errors import DensityError  # noqa: E402
+from geomwave.experiments import verify_suite  # noqa: E402
 from geomwave.filterbank import (  # noqa: E402
     build_bank,
     decompose_linear,
@@ -123,5 +131,16 @@ def digest() -> str:
     return h.hexdigest()
 
 
+def verify_digest() -> str:
+    h = hashlib.sha256()
+    for config in [{"seed": s} for s in range(4)] + [{"perturb_mask": 1e-3}]:
+        feed(h, config)
+        for c in verify_suite(config).checks:
+            residual = None if c.residual is None else np.array([c.residual])
+            feed(h, c.name, c.passed, c.threshold, residual, c.note)
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print(digest())
+    print(verify_digest())

@@ -4,21 +4,56 @@ X^#(-z) Y(-z) of a general Laurent-polynomial class.  The differential tests
 require ``geomwave.filterbank.biorthogonality_residuals``, which checks the
 probes of one length in one stacked pass, and
 ``symbol_biorthogonality_residuals``, which doubles the even part of one
-product, to give the same residuals."""
+product, to give the same residuals.  The registered check
+``biorthogonality`` is the per-level loop, which certifies every level's
+filters; ``geomwave.experiments.biorthogonality``, which certifies each
+distinct filter set once, must give the same results."""
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from geomwave.filterbank import LevelFilters
+from geomwave import filterbank
+from geomwave.experiments import CheckResult
+from geomwave.filterbank import LevelFilters, build_bank
 from geomwave.sequences import (
     HermiteSequence,
     Mask,
     apply_decomposition,
     apply_subdivision,
+    periodic_sequence,
     seq_sub,
     sup_norm,
 )
+
+
+def biorthogonality(subject, cfg: dict) -> list[CheckResult]:
+    """Operator and symbol form of the biorthogonality of one bank, with the
+    library's residuals, at every level of (provider, levels) in turn; the
+    probes and the ``perturb_mask`` deltas are drawn as the library draws
+    them."""
+    provider, levels = subject
+    rng = np.random.default_rng(int(cfg["seed"]))
+    probes = [
+        periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
+        for _ in range(int(cfg["probes"]))
+    ]
+    perturb = float(cfg["perturb_mask"])
+    bank = build_bank(provider)
+    worst_op = worst_sym = 0.0
+    for level in levels:
+        filt = bank.filters_at(level)
+        if perturb > 0.0:
+            delta = perturb * rng.standard_normal((2, 2))
+            filt = replace(filt, Bt=filt.Bt.perturbed(0, delta))
+        worst_op = max(worst_op, *filterbank.biorthogonality_residuals(filt, probes))
+        worst_sym = max(worst_sym, *filterbank.symbol_biorthogonality_residuals(filt))
+    note = "fault injection active" if perturb > 0.0 else ""
+    return [
+        CheckResult("", bool(w <= 1e-13), float(w), 1e-13, note)
+        for w in (worst_op, worst_sym)
+    ]
 
 
 def biorthogonality_residuals(

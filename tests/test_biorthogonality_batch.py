@@ -1,8 +1,10 @@
 """Differential tests against ``reference_filterbank``, compared with ``==``:
 ``geomwave.filterbank.biorthogonality_residuals``, which stacks the probes of
 one length by columns and checks them in one pass, against the per-probe
-loop, and ``symbol_biorthogonality_residuals``, which doubles the even part of
-one product, against the two products of the Laurent-polynomial class."""
+loop; ``symbol_biorthogonality_residuals``, which doubles the even part of
+one product, against the two products of the Laurent-polynomial class; and
+``geomwave.experiments.biorthogonality``, which certifies each distinct
+filter set once, against the per-level loop."""
 
 from dataclasses import replace
 
@@ -97,11 +99,14 @@ def test_symbol_residuals_match_laurent_reference(filters):
     assert got == reference_filterbank.symbol_biorthogonality_residuals(filters)
 
 
-@pytest.mark.parametrize(
+VERIFY_CONFIGS = pytest.mark.parametrize(
     "config",
     [{"seed": s} for s in range(4)] + [{"seed": 0, "perturb_mask": 1e-3}],
     ids=["seed0", "seed1", "seed2", "seed3", "perturbed"],
 )
+
+
+@VERIFY_CONFIGS
 def test_verify_suite_residuals_match_per_probe_loop(config, monkeypatch):
     batched = experiments.verify_suite(config).checks
     monkeypatch.setattr(
@@ -110,6 +115,59 @@ def test_verify_suite_residuals_match_per_probe_loop(config, monkeypatch):
         reference_filterbank.biorthogonality_residuals,
     )
     assert batched == experiments.verify_suite(config).checks
+
+
+@VERIFY_CONFIGS
+def test_verify_suite_matches_per_level_loop(config, monkeypatch):
+    distinct = experiments.verify_suite(config).checks
+    registry = tuple(
+        (names, reference_filterbank.biorthogonality, subject)
+        if check is experiments.biorthogonality
+        else (names, check, subject)
+        for names, check, subject in experiments.REGISTRY
+    )
+    assert sum(r != s for r, s in zip(registry, experiments.REGISTRY)) == 2
+    monkeypatch.setattr(experiments, "REGISTRY", registry)
+    assert distinct == experiments.verify_suite(config).checks
+
+
+# the banks of acceptance criteria 2 and 3
+CRITERION_BANKS = [cubic_provider()] + [exponential_provider(x) for x in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("probes", [1, 100])
+@pytest.mark.parametrize(
+    "provider", CRITERION_BANKS, ids=["cubic", "exp(0.5)", "exp(1.0)", "exp(2.0)"]
+)
+def test_biorthogonality_matches_per_level_loop(provider, probes):
+    cfg = dict(experiments.default_config(), seed=20240817, probes=probes)
+    subject = (provider, range(6))
+    want = reference_filterbank.biorthogonality(subject, cfg)
+    assert experiments.biorthogonality(subject, cfg) == want
+
+
+@pytest.mark.parametrize(
+    "provider,perturb,sets",
+    [(cubic_provider(), 0.0, 1), (exponential_provider(1.0), 0.0, 4),
+     (cubic_provider(), 1e-3, 4)],
+    ids=["cubic", "exp(1.0)", "cubic-perturbed"],
+)
+def test_each_distinct_filter_set_is_certified_once(
+    monkeypatch, provider, perturb, sets
+):
+    """The stationary cubic bank has one filter set at levels 0..3; exp(1.0)
+    has one per level, and a perturbed run one per level's delta."""
+    calls = []
+    for name in ("biorthogonality_residuals", "symbol_biorthogonality_residuals"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(
+            experiments, name, lambda *a, f=real: calls.append(f.__name__) or f(*a)
+        )
+    cfg = dict(experiments.default_config(), perturb_mask=perturb)
+    results = experiments.biorthogonality((provider, range(4)), cfg)
+    assert [r.passed for r in results] == [perturb == 0.0] * 2
+    assert calls.count("biorthogonality_residuals") == sets
+    assert calls.count("symbol_biorthogonality_residuals") == sets
 
 
 def test_interior_window_probe_refused(rng):

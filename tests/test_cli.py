@@ -160,6 +160,22 @@ def test_decompose_schema_error_exit_2(tmp_path):
                "--out", str(tmp_path / "p.json")) == 2
 
 
+def test_integer_too_large_for_a_float_exit_2(tmp_path, capsys):
+    """A sample value that JSON holds as an integer beyond the float range
+    is a schema error naming its place: exit 2 with one ``error:`` line."""
+    s = str(tmp_path / "s.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    obj = load(s)
+    obj["data"][3]["p"][1] = 10**400
+    save(obj, s)
+    capsys.readouterr()
+    assert run("decompose", "--in", s, "--levels", "1",
+               "--out", str(tmp_path / "p.json")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {s}.data[3].p[1]: integer too large for a float\n"
+
+
 def test_bad_tags_and_files_exit_2(tmp_path, capsys):
     """A manifold tag that does not parse or is not the preset's own, an input
     that is a directory or not UTF-8, and an output that cannot be created

@@ -1,6 +1,6 @@
 """``Manifold.first_fault``, the one test of whether rows (p, v, ...) are
-samples of M, against a plain per-row loop; and the file reader and the
-pyramid, which both ask it, naming the same faulty row."""
+samples of M, against a plain per-row loop; and the file writer, the file
+reader and the pyramid, which all ask it, naming the same faulty row."""
 
 import math
 import os
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_writer
 from geomwave.errors import SchemaError
 from geomwave.io import read_samples, write_samples
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
@@ -107,22 +108,29 @@ def refusal(call):
 @settings(max_examples=150, deadline=None)
 @given(case=faulty_samples(tangents=1))
 def test_reader_and_pyramid_name_the_same_row(case):
-    """A samples file is refused at the row at which decompose_manifold
-    refuses the same samples, the row the per-row loop names; samples
-    without a fault are read back and decomposed."""
+    """A samples file (written by the reference writer) is refused at the
+    row at which decompose_manifold refuses the same samples, the row the
+    per-row loop names, and write_samples refuses that row and writes
+    nothing; samples without a fault are written, read back and
+    decomposed."""
     M, (P, V) = case
     seq = ManifoldHermiteSeq(M, P, V, level=0)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "samples.json")
-        write_samples(seq, path)
+        reference_writer.write_samples(seq, path)
         read = refusal(lambda: read_samples(path))
+        written = os.path.join(tmp, "written.json")
+        write = refusal(lambda: write_samples(seq, written))
+        assert os.path.exists(written) == (write is None)
     pyramid = refusal(lambda: decompose_manifold(seq, cubic_provider(), "midpoint", 0))
     want = loop_fault(M, [P, V])
     if want is None:
-        assert read is None
+        assert read is None and write is None
         assert pyramid is None or pyramid.startswith("samples ")  # a sign flip
     else:
         assert re.match(rf"{re.escape(path)}\.data\[{want[0]}\]", read), read
+        assert write.startswith(f"{written}.data[{want[0]}]."), write
+        assert write.endswith(want[2]), write
         assert pyramid == f"sample {want[0]} {want[2]}"
 
 

@@ -419,6 +419,12 @@ def _nan(e, pt, vec):
     return "[5].{vec}[0]: non-finite value"
 
 
+def _huge_int(e, pt, vec):
+    e[9][pt][1] = float("nan")
+    e[5][vec][1] = -(10**400)
+    return "[5].{vec}[1]: integer too large for a float"
+
+
 def _short(e, pt, vec):
     e[9][pt][0] = float("nan")
     e[5][vec] = e[5][vec][:2]
@@ -451,7 +457,8 @@ def _non_tangent(e, pt, vec):
 
 
 _READER_FAULTS = [
-    _string, _bool, _nan, _short, _missing, _off_sphere, _two_in_one, _non_tangent
+    _string, _bool, _nan, _huge_int, _short, _missing, _off_sphere, _two_in_one,
+    _non_tangent,
 ]
 
 # container -> (where it sits in the file, point key, checked vector key)
@@ -495,7 +502,8 @@ def test_reader_rejects_wrong_dimension_throughout(tmp_path):
     assert str(exc.value) == f"{path}.data[0].p: expected a list of 3 numbers"
 
 
-# The on-disk format, pinned byte for byte on literal decimal data.
+# The on-disk format, pinned byte for byte on literal decimal data whose rows
+# are samples of S^2 (the writers refuse any other row).
 
 _SAMPLES_TEXT = """\
 {
@@ -523,9 +531,9 @@ _SAMPLES_TEXT = """\
     0.8
    ],
    "v": [
-    0.3333333333333333,
     1e+20,
-    -4.0
+    0.3333333333333333,
+    -0.25
    ]
   }
  ]
@@ -562,9 +570,9 @@ _PYRAMID_TEXT = """\
     0.8
    ],
    "v": [
-    0.3333333333333333,
     1e+20,
-    -4.0
+    0.3333333333333333,
+    -0.25
    ]
   }
  ],
@@ -577,14 +585,14 @@ _PYRAMID_TEXT = """\
      0.8
     ],
     "u0": [
+     1.0,
      1e-300,
-     0.0,
      -0.75
     ],
     "u1": [
      0.125,
      -3.0,
-     0.0
+     -0.09375
     ]
    },
    {
@@ -613,11 +621,11 @@ _PYRAMID_TEXT = """\
 def test_file_format_is_pinned(tmp_path):
     M = Sphere2()
     P = np.array([[1.0, 0.0, -0.0], [0.0, 0.6, 0.8]])
-    V = np.array([[0.0, 0.1, -2.5e-17], [1.0 / 3.0, 1e20, -4.0]])
+    V = np.array([[0.0, 0.1, -2.5e-17], [1e20, 1.0 / 3.0, -0.25]])
     coarse = ManifoldHermiteSeq(M, P, V, level=1)
     bases = np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
-    u0 = np.array([[1e-300, 0.0, -0.75], [0.2, 0.0, 7.0]])
-    u1 = np.array([[0.125, -3.0, 0.0], [0.0, 0.0, 1.5]])
+    u0 = np.array([[1.0, 1e-300, -0.75], [0.2, 0.0, 7.0]])
+    u1 = np.array([[0.125, -3.0, -0.09375], [0.0, 0.0, 1.5]])
     detail = TangentPairSeq(M, bases, u0, u1, level=1)
     pyr = ManifoldPyramid(coarse, (detail,), exponential_provider(2.5), "leftpoint")
     samples, pyramid = str(tmp_path / "s.json"), str(tmp_path / "p.json")
