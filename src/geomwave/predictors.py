@@ -152,7 +152,7 @@ class MaskProvider:
             else:
                 try:
                     mask = exponential_hermite_mask(self.lam, level)
-                except ValueError as err:
+                except (ValueError, OverflowError) as err:  # a level past float range
                     raise SchemaError(
                         f"exp predictor lambda={self.lam:g} at level {level}: {err}"
                     ) from None

@@ -7,16 +7,31 @@ point-vector pairs live in a fiber of TM + TM: the ``ominus`` of two pairs is
 a pair of tangent vectors at the reference point, and ``oplus`` adds such a
 correction back.  Wavelet details are exactly these fiber elements, based at
 the predicted odd points.
+
+The stencil is local: odd output 2i+1 reads only the coarse rows its mask's
+odd taps name, i and i + 1 for the two-tap masks shipped here.  So the
+pyramid computes a level's odd outputs in windows of at most _WINDOW_ROWS
+rows, with exactly the arithmetic of one call over the level, and its
+temporaries stay the size of a window.  A level that fits in one window
+makes the one call; a failed level of several windows is rerun as one
+window, so that its error is the one a single call names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import BaseMismatchError, CutLocusError, DensityError, SchemaError
+from .errors import (
+    BaseMismatchError,
+    CutLocusError,
+    DensityError,
+    GeomwaveError,
+    SchemaError,
+)
 from .manifolds import Manifold, SO3Quat
 from .predictors import MaskProvider
 from .sequences import HermiteSequence, Mask, apply_subdivision
@@ -41,6 +56,12 @@ RULES = ("midpoint", "leftpoint")
 # Stored detail bases are recomputed during reconstruction; disagreement
 # beyond this geodesic distance means the pyramid is corrupted.
 _BASE_AUDIT_TOL = 1e-9
+
+# The most odd outputs one kernel call computes (see _per_window).  Chosen
+# by a sweep of 2^11 ... 2^15 on R^3 at 2^16 samples: below 2^13 the
+# per-call overhead costs time, and at 2^15 the temporaries raise the peak
+# RSS to the one-call level (BENCH_windowed_levels.json).
+_WINDOW_ROWS = 1 << 13
 
 
 def ManifoldHermiteSeq(
@@ -80,20 +101,58 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _wrapped(a: np.ndarray, blocks, shifts) -> np.ndarray:
-    """Row i + shift of each block's rows ``a[::step]``, wrapped within the
-    block: an (outputs, shifts, d) view of a tap-major buffer, so that each
-    shift's rows are contiguous."""
-    parts = [a[::step] for _, step in blocks]
-    out = np.empty((len(shifts), sum(map(len, parts)), a.shape[1]))
+def _windows(whole: list) -> list[list]:
+    """The pieces of ``whole`` cut into windows of at most _WINDOW_ROWS
+    outputs, in order.  A window is a list of pieces ``(mask, step, first,
+    stop)``, the outputs first..stop-1 of one block; a block split at a
+    window's end goes on in the next window, and small blocks share one."""
+    windows, window, room = [], [], _WINDOW_ROWS
+    for mask, step, first, n in whole:
+        while first < n:
+            stop = min(n, first + room)
+            window.append((mask, step, first, stop))
+            room -= stop - first
+            first = stop
+            if room == 0:
+                windows.append(window)
+                window, room = [], _WINDOW_ROWS
+    return windows + [window] if window else windows
+
+
+def _per_window(run, blocks, length: int) -> list:
+    """``run(window)`` for each window of the odd outputs of the periodic
+    blocks ``(mask, step)`` of an array of ``length`` rows, in order: one
+    window of every output when they number at most _WINDOW_ROWS.  One call
+    over the whole pass meets its errors stage by stage (every midpoint,
+    then every log, ...), so a pass of several windows that fails is run
+    again as one window, and fails as that call does."""
+    whole = [(mask, step, 0, length // step) for mask, step in blocks]
+    if sum([n for _, _, _, n in whole]) <= _WINDOW_ROWS:
+        return [run(whole)]
+    try:
+        return [run(window) for window in _windows(whole)]
+    except GeomwaveError:
+        run(whole)
+        raise
+
+
+def _wrapped(a: np.ndarray, window, shifts) -> np.ndarray:
+    """Rows i + shift, for the outputs i of each piece of ``window``, of the
+    piece's block ``a[::step]``, wrapped within the block: an (outputs,
+    shifts, d) view of a tap-major buffer, so that each shift's rows are
+    contiguous.  Each piece's rows are one or two slices of its block."""
+    rows = sum([stop - first for _, _, first, stop in window])
+    out = np.empty((len(shifts), rows, a.shape[1]))
     s = 0
-    for x in parts:
-        n = len(x)
+    for _, step, first, stop in window:
+        x = a[::step]
+        n, r = len(x), stop - first
         for o, shift in zip(out, shifts):
-            j = shift % n
-            o[s : s + n - j] = x[j:]
-            o[s + n - j : s + n] = x[:j]
-        s += n
+            j = (first + shift) % n
+            k = min(r, n - j)  # rows before the wrap
+            o[s : s + k] = x[j : j + k]
+            o[s + k : s + r] = x[: r - k]
+        s += r
     return out.transpose(1, 0, 2)
 
 
@@ -101,48 +160,53 @@ def _odd_outputs(
     M: Manifold,
     points: np.ndarray,
     vectors: np.ndarray,
-    blocks: list[tuple[Mask, int]],
+    window: list[tuple[Mask, int, int, int]],
     rule: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Odd outputs of one subdivision step for a stack of periodic blocks.
+    """Odd outputs of one subdivision step for a window of periodic blocks.
 
-    Block ``(mask, step)`` subdivides every step-th row of ``points`` and
-    ``vectors`` with its vectors scaled by step (the data D^-k c of the
-    coarser grid, for step = 2^k; scaling by a power of 2 is exact).  Row i
-    of a block yields its odd output 2i+1; the outputs of the blocks are
-    stacked in order.  One midpoint, one gather, one ``log_transport``, one
-    exp and one transport serve every block; each block's taps are summed
-    over its own rows with its mask's coefficients.  The gather copies
-    rolled slices of each block into tap-major buffers, so every tap's rows
-    are contiguous through ``log_transport`` and the tap sum."""
-    for mask, _ in blocks:
+    Piece ``(mask, step, first, stop)`` subdivides every step-th row of
+    ``points`` and ``vectors`` with its vectors scaled by step (the data
+    D^-k c of the coarser grid, for step = 2^k; scaling by a power of 2 is
+    exact), and yields the odd outputs 2i+1 for i in first..stop-1; the
+    outputs of the pieces are stacked in order.  Output 2i+1 reads only the
+    rows i + (1 - t) // 2 of the mask's odd taps t, so a window gives
+    bitwise the rows that the whole block gives, with errors indexed from
+    the window's first output.  One midpoint, one gather, one
+    ``log_transport``, one exp and one transport serve every piece; each
+    piece's taps are summed over its own rows with its mask's coefficients.
+    The gather copies rolled slices of each block into tap-major buffers, so
+    every tap's rows are contiguous through ``log_transport`` and the tap
+    sum."""
+    for mask, _, _, _ in window:
         if not mask.interpolatory:
             raise ValueError("manifold subdivision requires an interpolatory mask")
-    starts = [0, *accumulate(len(points) // step for _, step in blocks)]
+    starts = [0, *accumulate([stop - first for _, _, first, stop in window])]
     # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; the tap axis
-    # holds every block's taps in ascending t
-    ts = sorted({tap[0] for mask, _ in blocks for tap in mask.odd_taps})
-    if len(blocks) == 1:  # a view, not a copy: leftpoint bases cost nothing
-        here = points[:: blocks[0][1]]
+    # holds every piece's taps in ascending t
+    ts = sorted({tap[0] for mask, _, _, _ in window for tap in mask.odd_taps})
+    if len(window) == 1:  # a view, not a copy: leftpoint bases cost nothing
+        _, step, first, stop = window[0]
+        here = points[first * step : stop * step : step]
     else:
-        here = _wrapped(points, blocks, [0])[:, 0]
+        here = _wrapped(points, window, [0])[:, 0]
     if rule == "leftpoint":
         m = here
     else:
-        m = M.midpoint(here, _wrapped(points, blocks, [1])[:, 0])
+        m = M.midpoint(here, _wrapped(points, window, [1])[:, 0])
     # logical axes are (output, tap, coordinate), so errors name the output
     # first; the memory is tap-major, and log_transport keeps that layout
     shifts = [(1 - t) // 2 for t in ts]
-    p, v = _wrapped(points, blocks, shifts), _wrapped(vectors, blocks, shifts)
+    p, v = _wrapped(points, window, shifts), _wrapped(vectors, window, shifts)
     del here
-    for (_, step), s, e in zip(blocks, starts, starts[1:]):
+    for (_, step, _, _), s, e in zip(window, starts, starts[1:]):
         if step > 1:
             v[s:e] *= step
     y, z = M.log_transport(m[:, None], p, v)
     del p, v
     w0 = np.zeros(m.shape)
     w1 = np.zeros(m.shape)
-    for (mask, _), s, e in zip(blocks, starts, starts[1:]):
+    for (mask, _, _, _), s, e in zip(window, starts, starts[1:]):
         y_b, z_b, w0_b, w1_b = y[s:e], z[s:e], w0[s:e], w1[s:e]
         for t, a00, a01, a10, a11 in mask.odd_taps:
             k = ts.index(t)
@@ -155,13 +219,15 @@ def _odd_outputs(
     return P, M.transport(m, w1, P)
 
 
-def _interleave(points, vectors, odd_p, odd_v) -> tuple[np.ndarray, np.ndarray]:
-    """Even rows the interpolatory copy D c_i = (p_i, v_i / 2), odd rows the
-    given odd outputs: the rows of one subdivision step."""
-    d = points.shape[1]
-    P = np.concatenate((points[:, None], odd_p[:, None]), axis=1)
-    V = np.concatenate(((0.5 * vectors)[:, None], odd_v[:, None]), axis=1)
-    return P.reshape(-1, d), V.reshape(-1, d)
+def _refined(points, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of one subdivision step's rows, with the even rows the
+    interpolatory copy D c_i = (p_i, v_i / 2); the odd rows are left for
+    the caller to write."""
+    P = np.empty((2 * len(points), points.shape[1]))
+    V = np.empty_like(P)
+    P[::2] = points
+    V[::2] = 0.5 * vectors
+    return P, V
 
 
 def manifold_subdivide_once(
@@ -179,8 +245,10 @@ def manifold_subdivide_once(
     _refuse_entry(c, rule)
     _refuse_rows(c.manifold, "sample", c.points, c.vectors)
     M = c.manifold
-    odd = _odd_outputs(M, c.points, c.vectors, [(mask, 1)], rule)
-    return ManifoldHermiteSeq(M, *_interleave(c.points, c.vectors, *odd), c.level + 1)
+    odd = _odd_outputs(M, c.points, c.vectors, [(mask, 1, 0, len(c))], rule)
+    P, V = _refined(c.points, c.vectors)
+    P[1::2], V[1::2] = odd
+    return ManifoldHermiteSeq(M, P, V, c.level + 1)
 
 
 def oplus(
@@ -224,17 +292,18 @@ def _density_error(err: CutLocusError, level: int) -> DensityError:
 def _stacked_details(
     cN: HermiteSequence, levels: list[int], masks: dict, rule: str
 ) -> list[TangentPairSeq]:
-    """The details of ``levels``, finest first, from one odd-output kernel
-    call and one ominus over all of them stacked.  The coarse data of level
-    n is every 2^k-th sample of cN, with k = N - n, its vector scaled by 2^k
-    (c^[n]_i = D^-1 c^[n+1]_{2i}), and the odd rows of c^[n+1] start at
-    sample 2^(k-1)."""
+    """The details of ``levels``, finest first, from the odd-output kernel
+    run a window at a time over all of them stacked, then one ominus.  The
+    coarse data of level n is every 2^k-th sample of cN, with k = N - n, its
+    vector scaled by 2^k (c^[n]_i = D^-1 c^[n+1]_{2i}), and the odd rows of
+    c^[n+1] start at sample 2^(k-1)."""
     if not levels:
         return []
     M, P, V = cN.manifold, cN.points, cN.vectors
     steps = [1 << (cN.level - n) for n in levels]
     blocks = [(masks[n], step) for n, step in zip(levels, steps)]
-    odd_p, odd_v = _odd_outputs(M, P, V, blocks, rule)
+    run = partial(_odd_outputs, M, P, V, rule=rule)
+    odd_p, odd_v = map(_stack, zip(*_per_window(run, blocks, len(P))))
     halves = [step // 2 for step in steps]
     fine_p = _stack([P[h :: 2 * h] for h in halves])
     fine_v = _stack([h * V[h :: 2 * h] if h > 1 else V[1::2] for h in halves])
@@ -357,23 +426,34 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
                 )
         if d.level != n:
             raise ValueError(f"detail tagged level {d.level} at level {n}")
-        try:
-            odd_p, odd_v = _odd_outputs(M, P, V, [(mask, 1)], pyr.rule)
-            drift = M.dist(d.bases, odd_p)
+        P2 = V2 = None
+
+        def add_details(window):
+            nonlocal P2, V2
+            [(_, _, first, stop)] = window
+            odd_p, odd_v = _odd_outputs(M, P, V, window, pyr.rule)
+            bases = d.bases[first:stop]
+            drift = M.dist(bases, odd_p)
             bad = ~(drift <= _BASE_AUDIT_TOL)  # a NaN drift fails the audit
             if bad.any():
                 _refuse_details(M, pyr.details[: n - N0])
-                i = int(np.argmax(bad))
+                i = first + int(np.argmax(bad))
                 raise BaseMismatchError(
-                    f"detail base at level {n}, index {i} is {drift[i]:g} "
+                    f"detail base at level {n}, index {i} is {drift[i - first]:g} "
                     "away from the recomputed prediction (corrupted pyramid "
                     "or wrong predictor/rule)"
                 )
-            odd_p, odd_v = oplus(M, (odd_p, odd_v), d.bases, d.u0, d.u1)
+            odd = oplus(M, (odd_p, odd_v), bases, d.u0[first:stop], d.u1[first:stop])
+            del odd_p, odd_v, drift, bad
+            if P2 is None:  # after the first window's temporaries are freed
+                P2, V2 = _refined(P, V)
+            P2[2 * first + 1 : 2 * stop : 2], V2[2 * first + 1 : 2 * stop : 2] = odd
+
+        try:
+            _per_window(add_details, [(mask, 1)], len(P))
         except CutLocusError as err:
             raise _density_error(err, n) from err
-        P, V = _interleave(P, V, odd_p, odd_v)
-        del odd_p, odd_v, drift, bad  # freed before the next level's kernel
+        P, V = P2, V2
     if not (np.isfinite(P).all() and np.isfinite(V).all()):
         _refuse_details(M, pyr.details)
     return ManifoldHermiteSeq(M, P, V, level=N0 + pyr.levels)

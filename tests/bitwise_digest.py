@@ -1,6 +1,7 @@
-"""Two SHA-256 digests, for checking that a change leaves every output
+"""Three SHA-256 digests, for checking that a change leaves every output
 bitwise the same: the first over the raw 64-bit words of a fixed sweep of
-pyramid outputs, the second over ``verify_suite`` reports.
+pyramid outputs, the second over ``verify_suite`` reports, the third over
+pyramids large enough that a level runs in several kernel windows.
 
 Run it from the root of a source checkout, once on each tree, and compare
 the printed digests line by line (to compare with an older tree, copy this
@@ -27,6 +28,12 @@ sweep is:
 The reports are those of ``verify_suite`` for seeds 0-3 and for seed 0 with
 ``perturb_mask = 1e-3``: each check's name, passed flag, threshold, the raw
 word of its residual (or None) and its note.
+
+The large pyramids are ``decompose_linear`` and ``reconstruct_linear`` of
+``trigblend`` at 2^16 samples over 8 levels, with the cubic and the exp(1)
+bank, and ``decompose_manifold`` and ``reconstruct_manifold`` of sphere2
+``wobble`` and so3-quat ``quatcurve`` at 2^15 samples over 8 levels, with
+the cubic and the exp(1) predictor and both base point rules.
 
 pytest does not collect this file: its name does not start with ``test_``.
 """
@@ -131,6 +138,25 @@ def digest() -> str:
     return h.hexdigest()
 
 
+def windowed_digest() -> str:
+    h = hashlib.sha256()
+    cN = sample_signal(get_preset("euclidean:3", "trigblend"), 16)
+    for pname, make in PROVIDERS:
+        bank = build_bank(make())
+        pyr = decompose_linear(cN, bank, 8)
+        c = reconstruct_linear(pyr, bank)
+        feed(h, "linear", pname)
+        feed_pyramid(h, pyr)
+        feed(h, c.level, c.points, c.vectors)
+    for tag, name in CURVES[:2]:
+        cN = sample_signal(get_preset(tag, name), 15)
+        for pname, make in PROVIDERS:
+            for rule in RULES:
+                feed(h, tag, pname, rule)
+                feed_decomposition(h, cN, make(), rule, 8)
+    return h.hexdigest()
+
+
 def verify_digest() -> str:
     h = hashlib.sha256()
     for config in [{"seed": s} for s in range(4)] + [{"perturb_mask": 1e-3}]:
@@ -144,3 +170,4 @@ def verify_digest() -> str:
 if __name__ == "__main__":
     print(digest())
     print(verify_digest())
+    print(windowed_digest())

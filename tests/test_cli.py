@@ -176,6 +176,35 @@ def test_integer_too_large_for_a_float_exit_2(tmp_path, capsys):
     assert err == f"error: {s}.data[3].p[1]: integer too large for a float\n"
 
 
+def test_exp_level_too_large_for_a_float_exit_2(tmp_path, capsys):
+    """A level that JSON holds as an integer beyond the float range, with the
+    exp predictor, is a schema error naming lambda and the level: decompose
+    of samples with that level and reconstruct of a pyramid with that coarse
+    level exit 2 with one ``error:`` line."""
+    s = str(tmp_path / "s.json")
+    p = str(tmp_path / "p.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    assert run("decompose", "--in", s, "--levels", "1", "--predictor", "exp",
+               "--out", p) == 0
+    huge = 10**400
+    for path, key in ((s, "level"), (p, "coarse_level")):
+        obj = load(path)
+        obj[key] = huge
+        save(obj, path)
+    why = "int too large to convert to float"
+    cases = [
+        (("decompose", "--in", s, "--levels", "1", "--predictor", "exp",
+          "--lambda", "1.0"), f"exp predictor lambda=1 at level {huge - 1}: {why}"),
+        (("reconstruct", "--in", p), f"exp predictor lambda=1 at level {huge}: {why}"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+
+
 def test_bad_tags_and_files_exit_2(tmp_path, capsys):
     """A manifold tag that does not parse or is not the preset's own, an input
     that is a directory or not UTF-8, and an output that cannot be created

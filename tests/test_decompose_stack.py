@@ -1,7 +1,8 @@
 """The two-pass decomposition and the array-loop reconstruction against the
 level-by-level reference: bitwise equal outputs, the same errors, no higher
-memory peak, and the refusal of an unknown base point rule; and no public
-function of the pyramid writing into the arrays it is given."""
+memory peak, also when a level runs in several kernel windows, and the
+refusal of an unknown base point rule; and no public function of the
+pyramid writing into the arrays it is given."""
 
 import dataclasses
 import math
@@ -12,7 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomwave.errors import BaseMismatchError, CutLocusError, DensityError, SchemaError
+from geomwave import transform
+from geomwave.errors import (
+    BaseMismatchError,
+    CutLocusError,
+    DensityError,
+    GeomwaveError,
+    SchemaError,
+)
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
 from geomwave.sequences import HermiteSequence, Mask, diag_d
@@ -381,6 +389,159 @@ def test_reconstruct_peak_memory_no_higher_than_level_loop(rule):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1], peaks
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_peak_memory_at_2_16_no_higher_than_level_loop(rule):
+    """At 2^16 samples over 8 levels on R^3, where the finer levels run in
+    several kernel windows, the tracemalloc peaks of decompose and of
+    reconstruct are no higher than the level-by-level reference's."""
+    rng = np.random.default_rng(7)
+    cN = ManifoldHermiteSeq(
+        Euclidean(3), rng.normal(size=(1 << 16, 3)), rng.normal(size=(1 << 16, 3)),
+        level=16,
+    )
+    provider = cubic_provider()
+    pyr = decompose_manifold(cN, provider, rule, 8)
+    pairs = [
+        ((decompose_manifold, reference_transform.decompose), (cN, provider, rule, 8)),
+        ((reconstruct_manifold, reference_transform.reconstruct), (pyr,)),
+    ]
+    for functions, args in pairs:
+        peaks = []
+        for f in functions:
+            f(*args)  # caches warm
+            tracemalloc.start()
+            try:
+                f(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], (functions[0].__name__, peaks)
+
+
+def kernel_windows(monkeypatch):
+    """Record the pieces (step, first, stop) of every odd-output kernel
+    call from here on."""
+    windows = []
+    odd_outputs = transform._odd_outputs
+
+    def counted(M, points, vectors, window, rule):
+        windows.append([piece[1:] for piece in window])
+        return odd_outputs(M, points, vectors, window, rule)
+
+    monkeypatch.setattr(transform, "_odd_outputs", counted)
+    return windows
+
+
+@pytest.mark.parametrize("rows", [8, 24])
+@pytest.mark.parametrize("kind", [("cubic", None), ("exp", 1.0)], ids=["cubic", "exp1"])
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("tag", ["euclidean:3", "sphere2", "so3-quat"])
+def test_windows_bitwise_equal_level_loop(tag, rule, kind, rows, monkeypatch):
+    """With kernel windows of 8 or 24 outputs, a pyramid of 2^7 samples over
+    5 levels and its reconstruction are the level-by-level reference's word
+    for word.  The finest level's 64 outputs run in 8 or 3 windows, and the
+    coarser levels' 32 + 16 + 8 + 4 stacked outputs in windows that, of 24,
+    straddle the levels; every window that ends a level wraps around to its
+    first row."""
+    M = MANIFOLDS[tag]
+    P, V = closed_curve(M, np.random.default_rng(11), 1 << 7, 0.3, 0.1)
+    assert not isinstance(M, SO3Quat) or P[-1] @ P[0] >= 0
+    cN = ManifoldHermiteSeq(M, P, V, level=7)
+    provider = provider_of(kind)
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", rows)
+    windows = kernel_windows(monkeypatch)
+    got = outcome(decompose_manifold, cN, provider, rule, 5)
+    if rows == 24:
+        assert windows == [
+            [(4, 0, 24)], [(4, 24, 32), (8, 0, 16)], [(16, 0, 8), (32, 0, 4)],
+            [(2, 0, 24)], [(2, 24, 48)], [(2, 48, 64)],
+        ]
+    else:
+        assert len(windows) == 16 and all(len(w) == 1 for w in windows)
+    assert got[0] is not DensityError
+    assert got == outcome(reference_transform.decompose, cN, provider, rule, 5)
+    pyr = decompose_manifold(cN, provider, rule, 5)
+    got = reconstruction(reconstruct_manifold, pyr)
+    assert got[0] is not DensityError
+    assert got == reconstruction(reference_transform.reconstruct, pyr)
+
+
+def test_one_kernel_call_per_pass_within_a_window(monkeypatch):
+    """Up to _WINDOW_ROWS odd outputs a pass, decompose makes one kernel
+    call for the finest level and one for the coarser levels stacked, and
+    reconstruct one per level; at twice that, the finest level and the
+    stacked levels each take two windows."""
+    rows = transform._WINDOW_ROWS
+    windows = kernel_windows(monkeypatch)
+    for L, calls in ((2 * rows, 1), (4 * rows, 2)):
+        rng = np.random.default_rng(3)
+        cN = ManifoldHermiteSeq(Euclidean(3), rng.normal(size=(L, 3)),
+                                rng.normal(size=(L, 3)), level=L.bit_length() - 1)
+        pyr = decompose_manifold(cN, cubic_provider(), "leftpoint", 8)
+        assert len(windows) == 2 * calls
+        windows.clear()
+        reconstruct_manifold(pyr)
+        assert len(windows) == 7 + calls
+        windows.clear()
+
+
+def named_error(f, *args):
+    """The type, level, index and message of the error f raises, or None."""
+    try:
+        f(*args)
+    except GeomwaveError as err:
+        where = (getattr(err, "level", None), getattr(err, "index", None))
+        return (type(err), *where, str(err))
+    return None
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_errors_in_later_windows_named_as_in_one_window(rule, monkeypatch):
+    """With kernel windows of 8 outputs, an error met in a later window is
+    named as one window over the whole level names it, and as the reference
+    names it: an antipodal sample pair in decompose and in the coarse data
+    of reconstruct (DensityError), a moved detail base (BaseMismatchError),
+    both at once, where the whole level meets the antipode in its kernel
+    before it audits the base of an earlier window, and a NaN u0 (the
+    SchemaError naming the faulty detail)."""
+    M = Sphere2()
+    P, V = closed_curve(M, np.random.default_rng(5), 1 << 8, 0.3, 0.1)
+    P[100] = -P[102]  # neighbours at level 7, output 50 of 128
+    V[100] = M.project_tangent(P[100], V[100])
+    cA = ManifoldHermiteSeq(M, P, V, level=8)
+    c = sample_signal(get_preset("sphere2", "wobble"), 8)
+    pyr = decompose_manifold(c, cubic_provider(), rule, 3)  # 32 coarse samples
+    rng = np.random.default_rng(0)
+    both = faulty(faulty(pyr, "base", 0, 2, 0.1, rng), "antipode", 0, 20, 0, rng)
+    u0 = pyr.details[1].u0.copy()
+    u0[20] = np.nan
+    details = (pyr.details[0], dataclasses.replace(pyr.details[1], u0=u0),
+               pyr.details[2])
+    cases = [
+        (decompose_manifold, reference_transform.decompose,
+         (cA, cubic_provider(), rule, 3)),
+        (reconstruct_manifold, reference_transform.reconstruct,
+         (faulty(pyr, "antipode", 0, 20, 0, rng),)),
+        (reconstruct_manifold, reference_transform.reconstruct,
+         (faulty(pyr, "base", 0, 20, 0.1, rng),)),
+        (reconstruct_manifold, reference_transform.reconstruct, (both,)),
+        (reconstruct_manifold, None, (dataclasses.replace(pyr, details=details),)),
+    ]
+    one_window = [named_error(f, *args) for f, _, args in cases]
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
+    windowed = [named_error(f, *args) for f, _, args in cases]
+    assert windowed == one_window
+    assert [e[:3] for e in windowed] == [
+        (DensityError, 7, 50), (DensityError, 5, 20), (BaseMismatchError, None, None),
+        (DensityError, 5, 20), (SchemaError, None, None),
+    ]
+    assert "index 20 " in windowed[2][3] and "index 2 " not in windowed[3][3]
+    assert windowed[4][3] == "detail at level 6, index 20 is not finite"
+    for (_, reference, args), error in zip(cases, windowed):
+        if reference is not None:
+            assert named_error(reference, *args) == error
 
 
 def test_round_trip_builds_two_sequences(monkeypatch):
