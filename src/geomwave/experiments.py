@@ -93,6 +93,11 @@ class DecayReport:
     exact_annihilation: bool = False
 
 
+def _slope(xs, ys) -> float:
+    """The least-squares slope of ys against xs, as every exponent fit takes it."""
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
 def _fit_report(
     spec: SignalSpec,
     provider: MaskProvider,
@@ -110,14 +115,12 @@ def _fit_report(
         )
     log2n = [math.log2(x) if x > 0 else -math.inf for x in norms_t]
     ratios = tuple(b - a for a, b in zip(log2n, log2n[1:]))
-    xs = np.array(levels_t[-_FIT_LEVELS:], dtype=float)
-    ys = np.array(log2n[-_FIT_LEVELS:], dtype=float)
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    fit = levels_t[-_FIT_LEVELS:]
+    slope = _slope(fit, log2n[-_FIT_LEVELS:])
     c_est = max(x * 4.0**n for n, x in zip(levels_t, norms_t))
     return DecayReport(
         spec.name, spec.manifold.tag, provider.kind, rule,
-        levels_t, norms_t, ratios, slope,
-        (int(xs[0]), int(xs[-1])), c_est,
+        levels_t, norms_t, ratios, slope, (fit[0], fit[-1]), c_est,
     )
 
 
@@ -420,7 +423,7 @@ def proximity(subject, cfg: dict) -> list[CheckResult]:
     nums = [proximity_numerator(mask, c, "midpoint") for c in samples]
     ratios = [num / proximity_denominator(c) for num, c in zip(nums, samples)]
     growth = max(ratios) / ratios[0]
-    slope = float(np.polyfit([-n for n in levels], np.log2(nums), 1)[0])
+    slope = _slope([-n for n in levels], np.log2(nums))
     span = f"levels {levels[0]}..{levels[-1]}"
     return [
         _at_most(growth, 10.0, f"max over {span} / coarsest"),

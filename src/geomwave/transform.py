@@ -10,11 +10,11 @@ the predicted odd points.
 
 The stencil is local: odd output 2i+1 reads only the coarse rows its mask's
 odd taps name, i and i + 1 for the two-tap masks shipped here.  So the
-pyramid computes a level's odd outputs in windows of at most _WINDOW_ROWS
-rows, with exactly the arithmetic of one call over the level, and its
-temporaries stay the size of a window.  A level that fits in one window
-makes the one call; a failed level of several windows is rerun as one
-window, so that its error is the one a single call names.
+pyramid computes odd outputs in windows of at most _WINDOW_ROWS rows, with
+the arithmetic of one call over a level and temporaries the size of a
+window.  Decomposition predicts every level in one pass of windows;
+reconstruction reruns a failed level of several windows as one call, so
+that its error is the one a single call names.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ RULES = ("midpoint", "leftpoint")
 # beyond this geodesic distance means the pyramid is corrupted.
 _BASE_AUDIT_TOL = 1e-9
 
-# The most odd outputs one kernel call computes (see _per_window).  Chosen
+# The most odd outputs one kernel call computes (see _windows).  Chosen
 # by a sweep of 2^11 ... 2^15 on R^3 at 2^16 samples: below 2^13 the
 # per-call overhead costs time, and at 2^15 the temporaries raise the peak
 # RSS to the one-call level (BENCH_windowed_levels.json).
@@ -119,20 +119,20 @@ def _windows(whole: list) -> list[list]:
     return windows + [window] if window else windows
 
 
-def _per_window(run, blocks, length: int) -> list:
-    """``run(window)`` for each window of the odd outputs of the periodic
-    blocks ``(mask, step)`` of an array of ``length`` rows, in order: one
-    window of every output when they number at most _WINDOW_ROWS.  One call
-    over the whole pass meets its errors stage by stage (every midpoint,
-    then every log, ...), so a pass of several windows that fails is run
-    again as one window, and fails as that call does."""
-    whole = [(mask, step, 0, length // step) for mask, step in blocks]
-    if sum([n for _, _, _, n in whole]) <= _WINDOW_ROWS:
-        return [run(whole)]
+def _per_window(run, mask: Mask, length: int):
+    """``run(window)`` for each window of the odd outputs of one periodic
+    level of ``length`` rows with ``mask``, in order: one window of every
+    output when they number at most _WINDOW_ROWS.  One call over the level
+    meets its errors stage by stage (every midpoint, then every log, ...),
+    so a level of several windows that fails is run again as one window,
+    and fails as that call does."""
+    whole = [(mask, 1, 0, length)]
     try:
-        return [run(window) for window in _windows(whole)]
+        for window in _windows(whole):
+            run(window)
     except GeomwaveError:
-        run(whole)
+        if length > _WINDOW_ROWS:
+            run(whole)
         raise
 
 
@@ -289,32 +289,6 @@ def _density_error(err: CutLocusError, level: int) -> DensityError:
     return DensityError(err.args[0], level=level, index=index)
 
 
-def _stacked_details(
-    cN: HermiteSequence, levels: list[int], masks: dict, rule: str
-) -> list[TangentPairSeq]:
-    """The details of ``levels``, finest first, from the odd-output kernel
-    run a window at a time over all of them stacked, then one ominus.  The
-    coarse data of level n is every 2^k-th sample of cN, with k = N - n, its
-    vector scaled by 2^k (c^[n]_i = D^-1 c^[n+1]_{2i}), and the odd rows of
-    c^[n+1] start at sample 2^(k-1)."""
-    if not levels:
-        return []
-    M, P, V = cN.manifold, cN.points, cN.vectors
-    steps = [1 << (cN.level - n) for n in levels]
-    blocks = [(masks[n], step) for n, step in zip(levels, steps)]
-    run = partial(_odd_outputs, M, P, V, rule=rule)
-    odd_p, odd_v = map(_stack, zip(*_per_window(run, blocks, len(P))))
-    halves = [step // 2 for step in steps]
-    fine_p = _stack([P[h :: 2 * h] for h in halves])
-    fine_v = _stack([h * V[h :: 2 * h] if h > 1 else V[1::2] for h in halves])
-    bases, u0, u1 = ominus(M, (fine_p, fine_v), (odd_p, odd_v))
-    starts = [0, *accumulate(len(P) // step for step in steps)]
-    return [
-        TangentPairSeq(M, bases[s:e], u0[s:e], u1[s:e], level=n)
-        for n, s, e in zip(levels, starts, starts[1:])
-    ]
-
-
 def _refuse_entry(c: HermiteSequence, rule: str):
     """The SchemaErrors every entry point shares: a rule not in RULES; an
     interior window, whose ends the periodic kernel would wrap together; and
@@ -372,31 +346,32 @@ def decompose_manifold(
             f"cannot decompose {len(cN)} samples over {levels} levels: "
             "need levels >= 0 and a length divisible by 2^levels"
         )
+    N, M, P, V = cN.level, cN.manifold, cN.points, cN.vectors
     # coarsest mask first: a predictor that cannot be built fails before work
-    N = cN.level
     masks = {n: provider.mask_at(n) for n in range(N - levels, N)}
     finest_first = list(reversed(masks))
-    # two passes: every coarser level stacked (fewer rows in all than the
-    # finest level), then the finest level alone.  The finest pass runs
-    # second because it needs less memory (its base points are a view of
-    # the samples) while the other pass's details are held.  A failure of
-    # the stacked pass reruns the levels one at a time, finest first, so the
-    # error named is the one a level-by-level pyramid meets first.
+    # the coarse data of level n is every 2^k-th sample, k = N - n, with its
+    # vector scaled by 2^k (c^[n]_i = D^-1 c^[n+1]_{2i}), so every level's
+    # prediction is one block of one kernel pass over the samples
+    whole = [(masks[n], 1 << (N - n), 0, len(P) >> (N - n)) for n in finest_first]
+    run = partial(_odd_outputs, M, P, V, rule=rule)
     try:
-        coarser = _stacked_details(cN, finest_first[1:], masks, rule)
+        odd = [_stack(arrays) for arrays in zip(*map(run, _windows(whole)))]
     except CutLocusError:
-        coarser = None
+        odd = None  # each level below predicts alone, as the level loop does
+    starts = [0, *accumulate(stop for _, _, _, stop in whole)]
     details = []
-    for n in finest_first if coarser is None else finest_first[:1]:
-        try:  # one level alone: a cut-locus failure is named by its level
-            details += _stacked_details(cN, [n], masks, rule)
+    for n, piece, s, e in zip(finest_first, whole, starts, starts[1:]):
+        h = piece[1] // 2  # the odd rows of c^[n+1] start at sample 2^(k-1)
+        fine = (P[h :: 2 * h], h * V[h :: 2 * h] if h > 1 else V[1::2])
+        try:  # finest first: the error named is the level loop's first
+            pred = run([piece]) if odd is None else (odd[0][s:e], odd[1][s:e])
+            bases, u0, u1 = ominus(M, fine, pred)
         except CutLocusError as err:
             raise _density_error(err, n) from err
-    details += coarser or []
+        details.append(TangentPairSeq(M, bases, u0, u1, level=n))
     step = 1 << levels
-    coarse = ManifoldHermiteSeq(
-        cN.manifold, cN.points[::step].copy(), step * cN.vectors[::step], N - levels
-    )
+    coarse = ManifoldHermiteSeq(M, P[::step].copy(), step * V[::step], N - levels)
     return ManifoldPyramid(coarse, tuple(reversed(details)), provider, rule)
 
 
@@ -450,7 +425,7 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
             P2[2 * first + 1 : 2 * stop : 2], V2[2 * first + 1 : 2 * stop : 2] = odd
 
         try:
-            _per_window(add_details, [(mask, 1)], len(P))
+            _per_window(add_details, mask, len(P))
         except CutLocusError as err:
             raise _density_error(err, n) from err
         P, V = P2, V2

@@ -3,13 +3,14 @@ bitwise the same: the first over the raw 64-bit words of a fixed sweep of
 pyramid outputs, the second over ``verify_suite`` reports, the third over
 pyramids large enough that a level runs in several kernel windows.
 
-Run it from the root of a source checkout, once on each tree, and compare
-the printed digests line by line (to compare with an older tree, copy this
-script into it):
+Run it from the root of a source checkout:
 
-    python3 tests/bitwise_digest.py
+    python3 tests/bitwise_digest.py [--against TREE]
 
-It imports the library from the ``src/`` next to this file.  The pyramid
+It imports the library from the ``src/`` next to this file.  With
+``--against TREE`` it also runs itself in a subprocess that imports the
+library from ``TREE/src``, prints each of its digests followed by
+``equal`` or ``differs``, and exits 1 if any line differs.  The pyramid
 sweep is:
 
 - 240 ``decompose_manifold`` configurations: sphere2 ``wobble``, so3-quat
@@ -38,7 +39,9 @@ the cubic and the exp(1) predictor and both base point rules.
 pytest does not collect this file: its name does not start with ``test_``.
 """
 
+import argparse
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -167,7 +170,40 @@ def verify_digest() -> str:
     return h.hexdigest()
 
 
+# Imports the library from the directory argv[1] before it runs the script
+# argv[2] as __main__, so that the script's own src/ is not the one used.
+_RUN_ON = """import runpy, sys
+src, script = sys.argv[1:]
+del sys.argv[1:]
+sys.path.insert(0, src)
+import geomwave
+runpy.run_path(script, run_name="__main__")
+"""
+
+
 if __name__ == "__main__":
-    print(digest())
-    print(verify_digest())
-    print(windowed_digest())
+    parser = argparse.ArgumentParser(description="Digests of the library's outputs.")
+    parser.add_argument(
+        "--against", metavar="TREE",
+        help="also run on TREE/src and compare line by line; exit 1 on a difference",
+    )
+    against = parser.parse_args().against
+    if against is None:
+        print(digest())
+        print(verify_digest())
+        print(windowed_digest())
+        sys.exit()
+    src = Path(against, "src")
+    if not (src / "geomwave").is_dir():
+        parser.error(f"no geomwave package in {src}")
+    other = subprocess.Popen(  # runs while this tree's digests are computed
+        [sys.executable, "-c", _RUN_ON, str(src), str(Path(__file__).resolve())],
+        stdout=subprocess.PIPE, text=True,
+    )
+    mine = [digest(), verify_digest(), windowed_digest()]
+    theirs = other.communicate()[0].split()
+    if other.returncode != 0:
+        sys.exit(f"the digests of {against} failed (exit {other.returncode})")
+    for line, their in zip(mine, theirs):
+        print(line, "equal" if line == their else f"differs ({their})")
+    sys.exit(int(mine != theirs))

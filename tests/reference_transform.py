@@ -3,8 +3,8 @@ data it was given, runs one full subdivision step on the halved data and
 takes ominus against the odd rows; each reconstruction level runs one full
 subdivision step, audits the detail bases and writes oplus into its odd
 rows.  The differential tests require ``geomwave.transform``'s
-``decompose_manifold``, which computes the finest level and then every
-coarser level stacked, and ``reconstruct_manifold``, which interleaves plain
+``decompose_manifold``, which predicts every level in one windowed kernel
+pass over the input, and ``reconstruct_manifold``, which interleaves plain
 arrays, to give bitwise the same outputs and the same errors."""
 
 import numpy as np

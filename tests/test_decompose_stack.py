@@ -1,8 +1,8 @@
-"""The two-pass decomposition and the array-loop reconstruction against the
+"""The one-pass decomposition and the array-loop reconstruction against the
 level-by-level reference: bitwise equal outputs, the same errors, no higher
-memory peak, also when a level runs in several kernel windows, and the
-refusal of an unknown base point rule; and no public function of the
-pyramid writing into the arrays it is given."""
+memory peak, also when a level runs in several kernel windows or a window
+spans levels, and the refusal of an unknown base point rule; and no public
+function of the pyramid writing into the arrays it is given."""
 
 import dataclasses
 import math
@@ -348,6 +348,27 @@ def test_finer_ominus_failure_named_before_coarser_subdivision(rule):
 
 
 @pytest.mark.parametrize("rule", RULES)
+def test_kernel_failure_replayed_one_level_at_a_time(rule, monkeypatch):
+    """On the equator at level 5 with 3 levels, samples 8 apart are
+    antipodal, so the level-2 subdivision fails.  With kernel windows of 8
+    outputs, the pass fails in its last window and each level then runs
+    alone, finest first, as one kernel call over the level: the error is
+    the level loop's, level 2 at index 0."""
+    theta = np.arange(32) * math.pi / 8
+    P = np.stack([np.cos(theta), np.sin(theta), np.zeros(32)], axis=1)
+    cN = ManifoldHermiteSeq(Sphere2(), P, np.zeros_like(P), level=5)
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
+    windows = kernel_windows(monkeypatch)
+    got = outcome(decompose_manifold, cN, cubic_provider(), rule, 3)
+    assert got == outcome(reference_transform.decompose, cN, cubic_provider(), rule, 3)
+    assert got[:3] == (DensityError, 2, 0)
+    assert windows == [
+        [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)], [(8, 0, 4)],  # the pass
+        [(2, 0, 16)], [(4, 0, 8)], [(8, 0, 4)],  # one call per level
+    ]
+
+
+@pytest.mark.parametrize("rule", RULES)
 def test_peak_memory_no_higher_than_level_loop(rule):
     """The tracemalloc peak of decompose on R^3 at 2^14 samples over 8
     levels is no higher than the level-by-level reference's."""
@@ -441,10 +462,9 @@ def kernel_windows(monkeypatch):
 def test_windows_bitwise_equal_level_loop(tag, rule, kind, rows, monkeypatch):
     """With kernel windows of 8 or 24 outputs, a pyramid of 2^7 samples over
     5 levels and its reconstruction are the level-by-level reference's word
-    for word.  The finest level's 64 outputs run in 8 or 3 windows, and the
-    coarser levels' 32 + 16 + 8 + 4 stacked outputs in windows that, of 24,
-    straddle the levels; every window that ends a level wraps around to its
-    first row."""
+    for word.  The levels' 64 + 32 + 16 + 8 + 4 outputs run in one pass of
+    windows, finest first, that, of 24, straddle the levels; every window
+    that ends a level wraps around to its first row."""
     M = MANIFOLDS[tag]
     P, V = closed_curve(M, np.random.default_rng(11), 1 << 7, 0.3, 0.1)
     assert not isinstance(M, SO3Quat) or P[-1] @ P[0] >= 0
@@ -455,8 +475,8 @@ def test_windows_bitwise_equal_level_loop(tag, rule, kind, rows, monkeypatch):
     got = outcome(decompose_manifold, cN, provider, rule, 5)
     if rows == 24:
         assert windows == [
-            [(4, 0, 24)], [(4, 24, 32), (8, 0, 16)], [(16, 0, 8), (32, 0, 4)],
-            [(2, 0, 24)], [(2, 24, 48)], [(2, 48, 64)],
+            [(2, 0, 24)], [(2, 24, 48)], [(2, 48, 64), (4, 0, 8)], [(4, 8, 32)],
+            [(8, 0, 16), (16, 0, 8)], [(32, 0, 4)],
         ]
     else:
         assert len(windows) == 16 and all(len(w) == 1 for w in windows)
@@ -469,21 +489,22 @@ def test_windows_bitwise_equal_level_loop(tag, rule, kind, rows, monkeypatch):
 
 
 def test_one_kernel_call_per_pass_within_a_window(monkeypatch):
-    """Up to _WINDOW_ROWS odd outputs a pass, decompose makes one kernel
-    call for the finest level and one for the coarser levels stacked, and
-    reconstruct one per level; at twice that, the finest level and the
-    stacked levels each take two windows."""
+    """Decompose makes one kernel call per _WINDOW_ROWS odd outputs of all
+    its levels together, rounded up, and reconstruct the same per level: a
+    2^8 pyramid over 4 levels is one decompose call, and over 8 levels at
+    2 and 4 times _WINDOW_ROWS samples the levels share windows."""
     rows = transform._WINDOW_ROWS
     windows = kernel_windows(monkeypatch)
-    for L, calls in ((2 * rows, 1), (4 * rows, 2)):
+    for L, levels, calls in ((1 << 8, 4, 1), (2 * rows, 8, 2), (4 * rows, 8, 4)):
         rng = np.random.default_rng(3)
         cN = ManifoldHermiteSeq(Euclidean(3), rng.normal(size=(L, 3)),
                                 rng.normal(size=(L, 3)), level=L.bit_length() - 1)
-        pyr = decompose_manifold(cN, cubic_provider(), "leftpoint", 8)
-        assert len(windows) == 2 * calls
+        outputs = [L >> k for k in range(1, levels + 1)]
+        pyr = decompose_manifold(cN, cubic_provider(), "leftpoint", levels)
+        assert len(windows) == -(-sum(outputs) // rows) == calls
         windows.clear()
         reconstruct_manifold(pyr)
-        assert len(windows) == 7 + calls
+        assert len(windows) == sum(-(-n // rows) for n in outputs)
         windows.clear()
 
 
