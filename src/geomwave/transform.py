@@ -12,9 +12,9 @@ The stencil is local: odd output 2i+1 reads only the coarse rows its mask's
 odd taps name, i and i + 1 for the two-tap masks shipped here.  So the
 pyramid computes odd outputs in windows of at most _WINDOW_ROWS rows, with
 the arithmetic of one call over a level and temporaries the size of a
-window.  Decomposition predicts every level in one pass of windows;
-reconstruction reruns a failed level of several windows as one call, so
-that its error is the one a single call names.
+window.  Decomposition predicts every level in one pass of windows, and
+reconstruction each level in a pass of its own.  A level that its pass did
+not finish runs alone, as one call, and names the error the level loop names.
 """
 
 from __future__ import annotations
@@ -119,21 +119,18 @@ def _windows(whole: list) -> list[list]:
     return windows + [window] if window else windows
 
 
-def _per_window(run, mask: Mask, length: int):
-    """``run(window)`` for each window of the odd outputs of one periodic
-    level of ``length`` rows with ``mask``, in order: one window of every
-    output when they number at most _WINDOW_ROWS.  One call over the level
-    meets its errors stage by stage (every midpoint, then every log, ...),
-    so a level of several windows that fails is run again as one window,
-    and fails as that call does."""
-    whole = [(mask, 1, 0, length)]
-    try:
-        for window in _windows(whole):
-            run(window)
-    except GeomwaveError:
-        if length > _WINDOW_ROWS:
-            run(whole)
-        raise
+def _pass(run, whole: list) -> list:
+    """``run(window)`` for each window of ``whole`` (see _windows), in order,
+    up to the first that raises a GeomwaveError: the results of the windows
+    before it.  One call meets its errors stage by stage (every midpoint, then
+    every log, ...), so the caller runs a level the pass did not finish alone."""
+    done = []
+    for window in _windows(whole):
+        try:
+            done.append(run(window))
+        except GeomwaveError:
+            break
+    return done
 
 
 def _wrapped(a: np.ndarray, window, shifts) -> np.ndarray:
@@ -355,17 +352,15 @@ def decompose_manifold(
     # prediction is one block of one kernel pass over the samples
     whole = [(masks[n], 1 << (N - n), 0, len(P) >> (N - n)) for n in finest_first]
     run = partial(_odd_outputs, M, P, V, rule=rule)
-    try:
-        odd = [_stack(arrays) for arrays in zip(*map(run, _windows(whole)))]
-    except CutLocusError:
-        odd = None  # each level below predicts alone, as the level loop does
+    odd = [_stack(arrays) for arrays in zip(*_pass(run, whole))]
+    done = len(odd[0]) if odd else 0  # the outputs of the windows that passed
     starts = [0, *accumulate(stop for _, _, _, stop in whole)]
     details = []
     for n, piece, s, e in zip(finest_first, whole, starts, starts[1:]):
         h = piece[1] // 2  # the odd rows of c^[n+1] start at sample 2^(k-1)
         fine = (P[h :: 2 * h], h * V[h :: 2 * h] if h > 1 else V[1::2])
         try:  # finest first: the error named is the level loop's first
-            pred = run([piece]) if odd is None else (odd[0][s:e], odd[1][s:e])
+            pred = (odd[0][s:e], odd[1][s:e]) if e <= done else run([piece])
             bases, u0, u1 = ominus(M, fine, pred)
         except CutLocusError as err:
             raise _density_error(err, n) from err
@@ -423,9 +418,12 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
             if P2 is None:  # after the first window's temporaries are freed
                 P2, V2 = _refined(P, V)
             P2[2 * first + 1 : 2 * stop : 2], V2[2 * first + 1 : 2 * stop : 2] = odd
+            return stop - first
 
+        whole = [(mask, 1, 0, len(P))]
         try:
-            _per_window(add_details, mask, len(P))
+            if sum(_pass(add_details, whole)) < len(P):
+                add_details(whole)
         except CutLocusError as err:
             raise _density_error(err, n) from err
         P, V = P2, V2

@@ -348,12 +348,12 @@ def test_finer_ominus_failure_named_before_coarser_subdivision(rule):
 
 
 @pytest.mark.parametrize("rule", RULES)
-def test_kernel_failure_replayed_one_level_at_a_time(rule, monkeypatch):
+def test_kernel_failure_reruns_only_unfinished_levels(rule, monkeypatch):
     """On the equator at level 5 with 3 levels, samples 8 apart are
     antipodal, so the level-2 subdivision fails.  With kernel windows of 8
-    outputs, the pass fails in its last window and each level then runs
-    alone, finest first, as one kernel call over the level: the error is
-    the level loop's, level 2 at index 0."""
+    outputs, the pass fails in its last window, levels 4 and 3 take their
+    predictions from the windows that passed, and level 2 alone runs again,
+    as one kernel call: the error is the level loop's, level 2 at index 0."""
     theta = np.arange(32) * math.pi / 8
     P = np.stack([np.cos(theta), np.sin(theta), np.zeros(32)], axis=1)
     cN = ManifoldHermiteSeq(Sphere2(), P, np.zeros_like(P), level=5)
@@ -364,8 +364,43 @@ def test_kernel_failure_replayed_one_level_at_a_time(rule, monkeypatch):
     assert got[:3] == (DensityError, 2, 0)
     assert windows == [
         [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)], [(8, 0, 4)],  # the pass
-        [(2, 0, 16)], [(4, 0, 8)], [(8, 0, 4)],  # one call per level
+        [(8, 0, 4)],  # the level it did not finish
     ]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_finer_ominus_failure_named_first_in_windows(rule, monkeypatch):
+    """The two decompositions of
+    test_finer_ominus_failure_named_before_coarser_subdivision, with kernel
+    windows of 8 outputs.  The 3-level pass fails in its last window, at
+    level 2; the ominus of level 3, whose prediction came from a window that
+    passed, fails first, at index 4, so level 2 never runs alone.  The
+    1-level pass of the coarse data is one window that fails, so its level
+    runs again."""
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
+    windows = kernel_windows(monkeypatch)
+    test_finer_ominus_failure_named_before_coarser_subdivision(rule)
+    assert windows == [
+        [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)], [(8, 0, 4)],  # the 3-level pass
+        [(2, 0, 4)], [(2, 0, 4)],  # the coarse data's pass and its level
+    ]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_reconstruct_failure_in_later_window_reruns_the_level_once(rule, monkeypatch):
+    """With kernel windows of 8 outputs, a moved detail base at index 20 of
+    the 32-row level 5 fails the audit in that level's third window; the
+    level then runs once more, as one call over its 32 rows, and names the
+    reference's BaseMismatchError."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 8)
+    pyr = decompose_manifold(c, cubic_provider(), rule, 3)  # 32 coarse samples
+    pyr = faulty(pyr, "base", 0, 20, 0.1, np.random.default_rng(0))
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
+    windows = kernel_windows(monkeypatch)
+    got = named_error(reconstruct_manifold, pyr)
+    assert got[0] is BaseMismatchError and "level 5, index 20 " in got[3]
+    assert windows == [[(1, 0, 8)], [(1, 8, 16)], [(1, 16, 24)], [(1, 0, 32)]]
+    assert got == named_error(reference_transform.reconstruct, pyr)
 
 
 @pytest.mark.parametrize("rule", RULES)
