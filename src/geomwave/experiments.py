@@ -325,7 +325,8 @@ def linear_reconstruction(provider: MaskProvider, cfg: dict) -> list[CheckResult
 def vanishing_moments(subject, cfg: dict) -> list[CheckResult]:
     """The dual wavelet filter Bt annihilates the samples of reproduced
     functions.  Subject: (provider, {filter level: window half-width},
-    (label, f, f') elements of the provider's reproduction space)."""
+    elements), where elements is a tuple of (label, f, f') taken from
+    ``provider.reproduction_space()``."""
     provider, windows, elements = subject
     bank = build_bank(provider)
     worst = max(
@@ -447,9 +448,9 @@ REGISTRY = (
     (("linear perfect reconstruction [cubic]",), linear_reconstruction, _CUBIC),
     (("linear perfect reconstruction [exp(1.0)]",), linear_reconstruction, _EXP),
     (("vanishing moments cubic (degree <= 3)",), vanishing_moments,
-     (_CUBIC, {3: 16}, _CUBIC.reproduction_space().elements)),
+     (_CUBIC, {3: 16}, _CUBIC.reproduction_space())),
     (("vanishing moments exponential",), vanishing_moments,  # e^{lx}, e^{-lx}
-     (_EXP, {3: 16}, _EXP.reproduction_space().elements[2:])),
+     (_EXP, {3: 16}, _EXP.reproduction_space()[2:])),
     (("geometry kernel [sphere2]",
       "fiber algebra [sphere2]"), geometry_and_fiber, Sphere2()),
     (("geometry kernel [so3-quat]",

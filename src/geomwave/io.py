@@ -274,7 +274,7 @@ def read_pyramid(path: str) -> ManifoldPyramid:
         if not isinstance(raw_level, list) or len(raw_level) != length:
             _fail(here, f"expected a list of {length} detail entries")
         B, U0, U1 = _read_entries(M, raw_level, ("base", "u0", "u1"), here)
-        details.append(TangentPairSeq(M, B, U0, U1, level=level + n))
+        details.append(TangentPairSeq(B, U0, U1))
         length *= 2
     return ManifoldPyramid(coarse, tuple(details), provider, rule)
 

@@ -20,7 +20,6 @@ from .sequences import Mask
 
 __all__ = [
     "MaskProvider",
-    "ReproductionSpace",
     "cubic_hermite_mask",
     "exponential_hermite_mask",
     "cubic_provider",
@@ -160,7 +159,7 @@ class MaskProvider:
             self._masks[level] = mask
         return self._masks[level]
 
-    def reproduction_space(self) -> "ReproductionSpace":
+    def reproduction_space(self) -> tuple:
         if self.kind == "cubic":
             return poly_space(3)
         return exponential_space(self.lam)
@@ -183,31 +182,25 @@ def provider_from_config(kind: str, lam: float | None = None) -> MaskProvider:
         raise SchemaError(str(err)) from None
 
 
-@dataclass(frozen=True)
-class ReproductionSpace:
-    """Basis elements with exact derivatives, as array functions of x."""
-
-    name: str
-    elements: tuple  # of (label, f, fprime)
-
-
-def poly_space(degree: int) -> ReproductionSpace:
+def poly_space(degree: int) -> tuple:
+    """The elements (label, f, f') of the polynomials of degree <= degree:
+    basis functions with exact derivatives, as array functions of x."""
     elems = []
     for d in range(degree + 1):
         f = (lambda d: lambda x: libm_pow(x, d))(d)
         df = (lambda d: lambda x: d * libm_pow(x, d - 1))(d) if d else np.zeros_like
         elems.append((f"x^{d}", f, df))
-    return ReproductionSpace(f"poly<= {degree}", tuple(elems))
+    return tuple(elems)
 
 
-def exponential_space(lam: float) -> ReproductionSpace:
-    elems = (
+def exponential_space(lam: float) -> tuple:
+    """The elements (label, f, f') of span{1, x, e^(lam x), e^(-lam x)}."""
+    return (
         ("1", np.ones_like, np.zeros_like),
         ("x", lambda x: x, np.ones_like),
         ("e^{lx}", lambda x: libm_exp(lam * x), lambda x: lam * libm_exp(lam * x)),
         ("e^{-lx}", lambda x: libm_exp(-lam * x), lambda x: -lam * libm_exp(-lam * x)),
     )
-    return ReproductionSpace(f"exp(lambda={lam:g})", elems)
 
 
 def interpolatory_check(mask: Mask) -> bool:

@@ -26,7 +26,7 @@ BLAS dot of one 3-vector, as ``np.linalg.norm`` computes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,6 @@ class SignalSpec:
     curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain: tuple[float, float] = (0.0, 1.0)
     periodic: bool = True
-    params: dict = field(default_factory=dict)
 
 
 def _stack(*columns) -> np.ndarray:
@@ -63,7 +62,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _sphere_from_angles(name: str, angles, params=None) -> SignalSpec:
+def _sphere_from_angles(name: str, angles) -> SignalSpec:
     """The S^2 curve of latitude/longitude angle paths, with
     angles(t) = (phi, phi', psi, psi')."""
 
@@ -78,7 +77,7 @@ def _sphere_from_angles(name: str, angles, params=None) -> SignalSpec:
         )
         return _stack(cp * cs, cp * ss, sp), v
 
-    return SignalSpec(name, Sphere2(), point_velocity, params=params or {})
+    return SignalSpec(name, Sphere2(), point_velocity)
 
 
 def _great_circle() -> SignalSpec:
@@ -97,7 +96,7 @@ def _wobble(a1: float = 0.4, a2: float = 0.2) -> SignalSpec:
         )
         return phi, dphi, 2 * math.pi * t, 2 * math.pi
 
-    return _sphere_from_angles("wobble", angles, {"a1": a1, "a2": a2})
+    return _sphere_from_angles("wobble", angles)
 
 
 def _quat_curve() -> SignalSpec:
@@ -141,9 +140,7 @@ def _poly(degree: int) -> SignalSpec:
         df = sum(k * c * powers[k - 1] for k, c in enumerate(coeffs) if k > 0)
         return _stack(f), _stack(df)
 
-    return SignalSpec(
-        f"poly{degree}", Euclidean(1), curve, (-2.0, 2.0), False, {"degree": degree}
-    )
+    return SignalSpec(f"poly{degree}", Euclidean(1), curve, (-2.0, 2.0), False)
 
 
 def _exp_signal(lam: float = 1.0) -> SignalSpec:
@@ -151,7 +148,7 @@ def _exp_signal(lam: float = 1.0) -> SignalSpec:
         e = libm_exp(lam * t)
         return _stack(e), _stack(lam * e)
 
-    return SignalSpec("exp", Euclidean(1), curve, (-2.0, 2.0), False, {"lambda": lam})
+    return SignalSpec("exp", Euclidean(1), curve, (-2.0, 2.0), False)
 
 
 def _trigblend() -> SignalSpec:

@@ -13,8 +13,9 @@ odd taps name, i and i + 1 for the two-tap masks shipped here.  So the
 pyramid computes odd outputs in windows of at most _WINDOW_ROWS rows, with
 the arithmetic of one call over a level and temporaries the size of a
 window.  Decomposition predicts every level in one pass of windows, and
-reconstruction each level in a pass of its own.  A level that its pass did
-not finish runs alone, as one call, and names the error the level loop names.
+reconstruction each level in a pass of its own, or as one call if it fits
+one window.  A level that its pass did not finish runs alone, as one call,
+and names the error the level loop names.
 """
 
 from __future__ import annotations
@@ -73,13 +74,14 @@ def ManifoldHermiteSeq(
 
 @dataclass(frozen=True)
 class TangentPairSeq:
-    """Sequence of detail coefficients: two tangent vectors per base point."""
+    """Sequence of detail coefficients: two tangent vectors per base point.
+    Its place in a pyramid fixes the rest: the detail at index k of
+    ``details`` is at the coarse level plus k, on the coarse sequence's
+    manifold."""
 
-    manifold: Manifold
     bases: np.ndarray  # (L, ambient_dim)
     u0: np.ndarray
     u1: np.ndarray
-    level: int = 0
 
     def __len__(self):
         return self.bases.shape[0]
@@ -87,6 +89,9 @@ class TangentPairSeq:
 
 @dataclass(frozen=True)
 class ManifoldPyramid:
+    """The coarse sequence and the details of each finer level: details[k]
+    is at level coarse.level + k, on coarse.manifold."""
+
     coarse: HermiteSequence
     details: tuple  # of TangentPairSeq, d^[0] first
     provider: MaskProvider
@@ -309,11 +314,11 @@ def _refuse_rows(M: Manifold, what: str, *arrays: np.ndarray):
         raise SchemaError(f"{what} {fault[0]} {fault[2]}")
 
 
-def _refuse_details(M: Manifold, details):
-    """_refuse_rows for each detail, coarsest level first: a failed
-    reconstruction names a faulty detail rather than the NaN it makes."""
-    for d in details:
-        _refuse_rows(M, f"detail at level {d.level}, index", d.bases, d.u0, d.u1)
+def _refuse_details(M: Manifold, details, level: int):
+    """_refuse_rows for each detail, coarsest first, at ``level`` and up: a
+    failed reconstruction names a faulty detail rather than the NaN it makes."""
+    for n, d in enumerate(details, level):
+        _refuse_rows(M, f"detail at level {n}, index", d.bases, d.u0, d.u1)
 
 
 def decompose_manifold(
@@ -364,7 +369,7 @@ def decompose_manifold(
             bases, u0, u1 = ominus(M, fine, pred)
         except CutLocusError as err:
             raise _density_error(err, n) from err
-        details.append(TangentPairSeq(M, bases, u0, u1, level=n))
+        details.append(TangentPairSeq(bases, u0, u1))
     step = 1 << levels
     coarse = ManifoldHermiteSeq(M, P[::step].copy(), step * V[::step], N - levels)
     return ManifoldPyramid(coarse, tuple(reversed(details)), provider, rule)
@@ -394,8 +399,6 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
                     f"detail {name} shape {shape} != coarse shape {P.shape} "
                     f"at level {n}"
                 )
-        if d.level != n:
-            raise ValueError(f"detail tagged level {d.level} at level {n}")
         P2 = V2 = None
 
         def add_details(window):
@@ -406,7 +409,7 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
             drift = M.dist(bases, odd_p)
             bad = ~(drift <= _BASE_AUDIT_TOL)  # a NaN drift fails the audit
             if bad.any():
-                _refuse_details(M, pyr.details[: n - N0])
+                _refuse_details(M, pyr.details[: n - N0], N0)
                 i = first + int(np.argmax(bad))
                 raise BaseMismatchError(
                     f"detail base at level {n}, index {i} is {drift[i - first]:g} "
@@ -422,13 +425,14 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
 
         whole = [(mask, 1, 0, len(P))]
         try:
-            if sum(_pass(add_details, whole)) < len(P):
+            if len(P) <= _WINDOW_ROWS or sum(_pass(add_details, whole)) < len(P):
+                P2 = V2 = None  # a failed pass's rows go before the one call
                 add_details(whole)
         except CutLocusError as err:
             raise _density_error(err, n) from err
         P, V = P2, V2
     if not (np.isfinite(P).all() and np.isfinite(V).all()):
-        _refuse_details(M, pyr.details)
+        _refuse_details(M, pyr.details, N0)
     return ManifoldHermiteSeq(M, P, V, level=N0 + pyr.levels)
 
 

@@ -89,8 +89,8 @@ def feed(h, *items):
 
 def feed_pyramid(h, pyr):
     feed(h, pyr.coarse.level, pyr.coarse.points, pyr.coarse.vectors)
-    for d in pyr.details:
-        feed(h, d.level, d.bases, d.u0, d.u1)
+    for n, d in enumerate(pyr.details, pyr.coarse.level):
+        feed(h, n, d.bases, d.u0, d.u1)
 
 
 def feed_decomposition(h, cN, provider, rule, levels):

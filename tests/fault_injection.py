@@ -56,11 +56,36 @@ FAULTS = [
     Fault(
         "reconstruct-skips-fallback",
         "geomwave/transform.py",
-        "            if sum(_pass(add_details, whole)) < len(P):\n"
+        "            if len(P) <= _WINDOW_ROWS or sum(_pass(add_details, whole)) < len(P):\n"
+        "                P2 = V2 = None  # a failed pass's rows go before the one call\n"
         "                add_details(whole)\n",
-        "            _pass(add_details, whole)\n",
+        "            if len(P) <= _WINDOW_ROWS:\n"
+        "                add_details(whole)\n"
+        "            else:\n"
+        "                _pass(add_details, whole)\n",
         (STACK + "test_reconstruct_failure_in_later_window_reruns_the_level_once",
          STACK + "test_errors_in_later_windows_named_as_in_one_window"),
+    ),
+    Fault(
+        "reconstruct-one-window-level-through-pass",
+        "geomwave/transform.py",
+        "if len(P) <= _WINDOW_ROWS or sum(_pass(add_details, whole)) < len(P):",
+        "if sum(_pass(add_details, whole)) < len(P):",
+        (STACK + "test_reconstruct_failure_in_one_window_level_runs_once",),
+    ),
+    Fault(
+        "reconstruct-fallback-keeps-failed-rows",
+        "geomwave/transform.py",
+        "                P2 = V2 = None  # a failed pass's rows go before the one call\n",
+        "",
+        (STACK + "test_reconstruct_failure_peak_memory_no_higher_than_level_loop",),
+    ),
+    Fault(
+        "refuse-details-from-level-0",
+        "geomwave/transform.py",
+        "    for n, d in enumerate(details, level):\n",
+        "    for n, d in enumerate(details):\n",
+        ("tests/test_transform.py::test_non_finite_detail_named_at_its_level",),
     ),
     Fault(
         "decompose-fallback-coarsest-first",

@@ -15,7 +15,6 @@ import numpy as np
 from geomwave.errors import SchemaError
 from geomwave.filterbank import LevelFilters
 from geomwave.manifolds import Euclidean, manifold_from_tag
-from geomwave.predictors import ReproductionSpace
 from geomwave.sequences import (
     HermiteSequence,
     apply_decomposition,
@@ -73,7 +72,7 @@ def _wobble(a1: float = 0.4, a2: float = 0.2) -> SignalSpec:
     def df(t):
         return _sphere_from_angles(*angles(t))[1]
 
-    return _spec("wobble", "sphere2", f, df, params={"a1": a1, "a2": a2})
+    return _spec("wobble", "sphere2", f, df)
 
 
 def _quat_curve() -> SignalSpec:
@@ -137,7 +136,6 @@ def _poly(degree: int) -> SignalSpec:
         df,
         domain=(-2.0, 2.0),
         periodic=False,
-        params={"degree": degree},
     )
 
 
@@ -155,7 +153,6 @@ def _exp_signal(lam: float = 1.0) -> SignalSpec:
         df,
         domain=(-2.0, 2.0),
         periodic=False,
-        params={"lambda": lam},
     )
 
 
@@ -245,17 +242,17 @@ def sample_signal(spec: SignalSpec, level: int):
     return interior_sequence(P, V, lo, level=level)
 
 
-def poly_space(degree: int) -> ReproductionSpace:
+def poly_space(degree: int) -> tuple:
     elems = []
     for d in range(degree + 1):
         f = (lambda d: lambda x: x**d)(d)
         df = (lambda d: lambda x: d * x ** (d - 1) if d > 0 else 0.0)(d)
         elems.append((f"x^{d}", f, df))
-    return ReproductionSpace(f"poly<= {degree}", tuple(elems))
+    return tuple(elems)
 
 
-def exponential_space(lam: float) -> ReproductionSpace:
-    elems = (
+def exponential_space(lam: float) -> tuple:
+    return (
         ("1", lambda x: 1.0, lambda x: 0.0),
         ("x", lambda x: x, lambda x: 1.0),
         ("e^{lx}", lambda x: math.exp(lam * x), lambda x: lam * math.exp(lam * x)),
@@ -265,7 +262,6 @@ def exponential_space(lam: float) -> ReproductionSpace:
             lambda x: -lam * math.exp(-lam * x),
         ),
     )
-    return ReproductionSpace(f"exp(lambda={lam:g})", elems)
 
 
 def sample_hermite_interior(

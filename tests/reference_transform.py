@@ -86,7 +86,7 @@ def decompose(
             )
         except CutLocusError as err:
             raise _density_error(err, n) from err
-        details.append(TangentPairSeq(M, bases.copy(), u0, u1, level=n))
+        details.append(TangentPairSeq(bases.copy(), u0, u1))
         del pred, bases
         c = coarse
     return ManifoldPyramid(c, tuple(reversed(details)), provider, rule)

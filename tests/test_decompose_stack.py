@@ -48,8 +48,8 @@ MANIFOLDS = {
 
 def outcome(decompose, cN, provider, rule, levels):
     """Every array of the pyramid as raw 64-bit words (so -0.0 != 0.0),
-    with the level tags; or the DensityError's type, level, index and
-    message."""
+    with the coarse level and the rule; or the DensityError's type, level,
+    index and message."""
     try:
         pyr = decompose(cN, provider, rule, levels)
     except DensityError as err:
@@ -57,7 +57,7 @@ def outcome(decompose, cN, provider, rule, levels):
     arrays = [pyr.coarse.points, pyr.coarse.vectors]
     for d in pyr.details:
         arrays += [d.bases, d.u0, d.u1]
-    return words(arrays), pyr.coarse.level, [d.level for d in pyr.details], pyr.rule
+    return words(arrays), pyr.coarse.level, pyr.rule
 
 
 def words(arrays):
@@ -401,6 +401,45 @@ def test_reconstruct_failure_in_later_window_reruns_the_level_once(rule, monkeyp
     assert got[0] is BaseMismatchError and "level 5, index 20 " in got[3]
     assert windows == [[(1, 0, 8)], [(1, 8, 16)], [(1, 16, 24)], [(1, 0, 32)]]
     assert got == named_error(reference_transform.reconstruct, pyr)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_reconstruct_failure_in_one_window_level_runs_once(rule, monkeypatch):
+    """Every level of a 2^8 pyramid over 4 levels fits one window, so each
+    runs as one kernel call: a moved detail base at index 3 of level 7 fails
+    that level's one call, which is not run again, and names the reference's
+    BaseMismatchError."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 8)
+    pyr = decompose_manifold(c, cubic_provider(), rule, 4)
+    pyr = faulty(pyr, "base", 3, 3, 0.1, np.random.default_rng(0))
+    windows = kernel_windows(monkeypatch)
+    got = named_error(reconstruct_manifold, pyr)
+    assert got[0] is BaseMismatchError and "level 7, index 3 " in got[3]
+    assert windows == [[(1, 0, 16)], [(1, 0, 32)], [(1, 0, 64)], [(1, 0, 128)]]
+    assert got == named_error(reference_transform.reconstruct, pyr)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_reconstruct_failure_peak_memory_no_higher_than_level_loop(rule, monkeypatch):
+    """With kernel windows of 512 outputs, a moved detail base at index
+    2045 of the 2,048-row finest level of a 2^12 `wobble` pyramid fails the
+    level's pass in its last window.  The one call over the level then runs
+    without the rows the pass wrote, so the tracemalloc peak is no higher
+    than the level-by-level reference's."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 12)
+    pyr = decompose_manifold(c, cubic_provider(), rule, 8)
+    pyr = faulty(pyr, "base", 7, 2045, 0.1, np.random.default_rng(0))
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 512)
+    peaks = []
+    for reconstruct in (reconstruct_manifold, reference_transform.reconstruct):
+        assert named_error(reconstruct, pyr)[0] is BaseMismatchError  # caches warm
+        tracemalloc.start()
+        try:
+            named_error(reconstruct, pyr)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 @pytest.mark.parametrize("rule", RULES)

@@ -99,7 +99,7 @@ def test_pyramid_text_matches_reference(
 
     coarse = ManifoldHermiteSeq(M, draw(length), draw(length), level=3)
     details = tuple(
-        TangentPairSeq(M, *(draw(length << n) for _ in range(3)), level=3 + n)
+        TangentPairSeq(*(draw(length << n) for _ in range(3)))
         for n in range(levels)
     )
     provider = cubic_provider() if lam is None else exponential_provider(lam)
@@ -118,7 +118,7 @@ def test_entry_lists_across_write_chunks_match_reference(tmp_path, length):
 
     M = Euclidean(4)
     coarse = ManifoldHermiteSeq(M, draw(length), draw(length), level=2)
-    detail = TangentPairSeq(M, draw(2 * length), draw(2 * length), draw(2 * length), 2)
+    detail = TangentPairSeq(draw(2 * length), draw(2 * length), draw(2 * length))
     pyr = ManifoldPyramid(coarse, (detail,), exponential_provider(1.0), "leftpoint")
     for write, reference, obj in (
         (write_samples, reference_writer.write_samples, coarse),
@@ -139,7 +139,7 @@ def test_non_finite_values_written_as_json_and_refused(tmp_path, bad, spelling):
     P, V = np.zeros((3, 3)), np.ones((3, 3))
     V[1, 2] = bad
     coarse = ManifoldHermiteSeq(M, P, V, level=1)
-    detail = TangentPairSeq(M, np.ones((3, 3)), V, V, level=1)
+    detail = TangentPairSeq(np.ones((3, 3)), V, V)
     pyr = ManifoldPyramid(coarse, (detail,), cubic_provider(), "midpoint")
     new, ref = str(tmp_path / "new.json"), str(tmp_path / "ref.json")
     for write, reference, read, obj, where in (
@@ -175,7 +175,7 @@ def test_writers_refuse_the_rows_the_readers_refuse(tmp_path, M):
 
     P, V = rows(4, 1)
     coarse = ManifoldHermiteSeq(M, P, V, level=2)
-    details = [TangentPairSeq(M, *rows(4 << n, 2), level=2 + n) for n in range(2)]
+    details = [TangentPairSeq(*rows(4 << n, 2)) for n in range(2)]
     off, bent = P.copy(), V.copy()
     off[2] *= 1.5
     bent[3] += 0.25 * P[3]

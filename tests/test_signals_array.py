@@ -101,8 +101,8 @@ def test_array_elements_match_scalar_elements(degree, lam, t):
         (exponential_space(lam), reference_signals.exponential_space(lam)),
     ]
     for space, ref in spaces:
-        assert [e[0] for e in space.elements] == [e[0] for e in ref.elements]
-        for (_, f, df), (_, rf, rdf) in zip(space.elements, ref.elements):
+        assert [e[0] for e in space] == [e[0] for e in ref]
+        for (_, f, df), (_, rf, rdf) in zip(space, ref):
             for got, want in ((f, rf), (df, rdf)):
                 assert got(t).shape == t.shape
                 assert np.array_equal(got(t), scalar_rows(want, t))
@@ -142,9 +142,7 @@ def test_vanishing_moment_residual_matches_per_sample_sampler(lam, level, width)
         if lam is None
         else reference_signals.exponential_space(lam)
     )
-    for (_, f, df), (_, rf, rdf) in zip(
-        provider.reproduction_space().elements, ref.elements
-    ):
+    for (_, f, df), (_, rf, rdf) in zip(provider.reproduction_space(), ref):
         window = (-width, width)
         assert vanishing_moment_residual(
             filters, f, df, level, window
@@ -194,12 +192,12 @@ def reference_registry():
                 if provider.kind == "cubic"
                 else reference_signals.exponential_space(provider.lam)
             )
-            scalar = {e[0]: e for e in space.elements}
+            scalar = {e[0]: e for e in space}
             subject = (provider, windows, tuple(scalar[e[0]] for e in elements))
         elif isinstance(subject, tuple) and isinstance(subject[0], SignalSpec):
             spec, rest = subject[0], subject[1:]
             tag, name = spec.manifold.tag, spec.name
-            subject = (reference_signals.get_preset(tag, name, **spec.params),) + rest
+            subject = (reference_signals.get_preset(tag, name),) + rest
         out.append((names, check, subject))
     return tuple(out)
 

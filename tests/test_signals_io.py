@@ -626,7 +626,7 @@ def test_file_format_is_pinned(tmp_path):
     bases = np.array([[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
     u0 = np.array([[1.0, 1e-300, -0.75], [0.2, 0.0, 7.0]])
     u1 = np.array([[0.125, -3.0, -0.09375], [0.0, 0.0, 1.5]])
-    detail = TangentPairSeq(M, bases, u0, u1, level=1)
+    detail = TangentPairSeq(bases, u0, u1)
     pyr = ManifoldPyramid(coarse, (detail,), exponential_provider(2.5), "leftpoint")
     samples, pyramid = str(tmp_path / "s.json"), str(tmp_path / "p.json")
     write_samples(coarse, samples)

@@ -78,7 +78,7 @@ def _map(f, pyr: ManifoldPyramid) -> ManifoldPyramid:
     return ManifoldPyramid(
         ManifoldHermiteSeq(M, f(c.points), f(c.vectors), level=c.level),
         tuple(
-            TangentPairSeq(M, f(d.bases), f(d.u0), f(d.u1), level=d.level)
+            TangentPairSeq(f(d.bases), f(d.u0), f(d.u1))
             for d in pyr.details
         ),
         pyr.provider,
@@ -102,10 +102,11 @@ def test_cyclic_shift_commutes_bitwise(case, data):
     spyr = decompose_manifold(shifted, provider, rule, levels)
     assert np.array_equal(np.roll(pyr.coarse.points, r, axis=0), spyr.coarse.points)
     assert np.array_equal(np.roll(pyr.coarse.vectors, r, axis=0), spyr.coarse.vectors)
-    for d, sd in zip(pyr.details, spyr.details, strict=True):
-        k = shift >> (cN.level - d.level)
+    pairs = zip(pyr.details, spyr.details, strict=True)
+    for n, (d, sd) in enumerate(pairs, pyr.coarse.level):
+        k = shift >> (cN.level - n)
         for x, y in ((d.bases, sd.bases), (d.u0, sd.u0), (d.u1, sd.u1)):
-            assert np.array_equal(np.roll(x, k, axis=0), y), d.level
+            assert np.array_equal(np.roll(x, k, axis=0), y), n
     rec, srec = reconstruct_manifold(pyr), reconstruct_manifold(spyr)
     assert np.array_equal(np.roll(rec.points, shift, axis=0), srec.points)
     assert np.array_equal(np.roll(rec.vectors, shift, axis=0), srec.vectors)
@@ -154,7 +155,7 @@ def test_time_reversal_commutes_midpoint(case):
             M, _backwards(c.points), -_backwards(c.vectors), level=c.level
         ),
         tuple(  # entry -j-1 mod len of a detail is entry len-1-j
-            TangentPairSeq(M, d.bases[::-1], d.u0[::-1], -d.u1[::-1], level=d.level)
+            TangentPairSeq(d.bases[::-1], d.u0[::-1], -d.u1[::-1])
             for d in pyr.details
         ),
         provider,

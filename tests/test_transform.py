@@ -172,7 +172,6 @@ def test_manifold_roundtrip_exponential_predictor():
 
 
 def test_zero_details_reconstruct_to_iterated_subdivision(rng):
-    M = Sphere2()
     c0 = sample_signal(get_preset("sphere2", "wobble"), 4)
     mask = cubic_provider().mask_at(4)
     pred = manifold_subdivide_once(mask, c0, "midpoint")
@@ -180,7 +179,7 @@ def test_zero_details_reconstruct_to_iterated_subdivision(rng):
     zeros = np.zeros_like(bases)
     pyr = ManifoldPyramid(
         c0,
-        (TangentPairSeq(M, bases, zeros, zeros, level=4),),
+        (TangentPairSeq(bases, zeros, zeros),),
         cubic_provider(),
         "midpoint",
     )
@@ -203,7 +202,7 @@ def _zero_pyramid(c: HermiteSequence, levels: int) -> ManifoldPyramid:
     details = []
     for k in range(levels):
         zeros = np.zeros((len(c) << k, c.dim))
-        details.append(TangentPairSeq(c.manifold, zeros, zeros, zeros, c.level + k))
+        details.append(TangentPairSeq(zeros, zeros, zeros))
     return ManifoldPyramid(c, tuple(details), cubic_provider(), "midpoint")
 
 
@@ -469,7 +468,7 @@ def test_base_audit_aborts_on_corruption():
     bad_base[1] /= np.linalg.norm(bad_base[1])
     corrupted = ManifoldPyramid(
         pyr.coarse,
-        (TangentPairSeq(M, bad_base, d0.u0, d0.u1, d0.level),) + pyr.details[1:],
+        (TangentPairSeq(bad_base, d0.u0, d0.u1),) + pyr.details[1:],
         pyr.provider,
         pyr.rule,
     )
@@ -506,13 +505,13 @@ def test_base_mismatch_names_first_index():
         bases[i] = M.exp(bases[i], M.project_tangent(bases[i], [0.0, 0.0, 1e-4]))
     corrupted = ManifoldPyramid(
         pyr.coarse,
-        (TangentPairSeq(M, bases, d0.u0, d0.u1, d0.level),) + pyr.details[1:],
+        (TangentPairSeq(bases, d0.u0, d0.u1),) + pyr.details[1:],
         pyr.provider,
         pyr.rule,
     )
     with pytest.raises(BaseMismatchError) as exc:
         reconstruct_manifold(corrupted)
-    assert f"level {d0.level}, index 3 " in str(exc.value)
+    assert f"level {pyr.coarse.level}, index 3 " in str(exc.value)
 
 
 @pytest.mark.parametrize("where, index", [("coarse points", 0), ("detail base 3", 3)])
@@ -559,18 +558,18 @@ def test_non_finite_detail_named_at_its_level(k, level, slot):
 
 
 def test_detail_of_wrong_width_or_level_refused(monkeypatch):
-    """A sphere2 detail whose bases have width 4, and one tagged level 7
+    """A sphere2 detail whose bases have width 4, and the level-5 detail put
     where level 4 is rebuilt, are ValueErrors naming level 4, raised before
     any kernel call."""
     cN = sample_signal(get_preset("sphere2", "wobble"), 6)
     pyr = decompose_manifold(cN, cubic_provider(), "midpoint", 2)
     d0 = pyr.details[0]
     wide = dataclasses.replace(d0, bases=np.hstack([d0.bases, d0.bases[:, :1]]))
-    late = dataclasses.replace(d0, level=7)
+    late = pyr.details[1]
     monkeypatch.setattr(transform, "_odd_outputs", None)  # any call fails
     for d, message in (
         (wide, "detail bases shape (16, 4) != coarse shape (16, 3) at level 4"),
-        (late, "detail tagged level 7 at level 4"),
+        (late, "detail length 32 != coarse length 16 at level 4"),
     ):
         bad = dataclasses.replace(pyr, details=(d,) + pyr.details[1:])
         with pytest.raises(ValueError, match=re.escape(message)):
