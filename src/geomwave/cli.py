@@ -102,7 +102,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    from .experiments import decay_experiment
+    from .experiments import _ANNIHILATION_TOL, decay_experiment
 
     try:
         nmin, nmax = (int(x) for x in args.levels.split(":"))
@@ -113,7 +113,8 @@ def _cmd_decay(args) -> int:
     report = decay_experiment(spec, provider, args.rule, nmin, nmax)
     write_decay_csv(report, args.out)
     if report.exact_annihilation:
-        print(f"{args.preset}: exact annihilation (all details <= 1e-12)")
+        tol = f"{_ANNIHILATION_TOL:g}"
+        print(f"{args.preset}: exact annihilation (all details <= {tol})")
     else:
         print(
             f"{args.preset}: fitted slope {report.fitted_slope:.3f} over "

@@ -80,10 +80,6 @@ _FIT_LEVELS = 5
 class DecayReport:
     """Per-level detail sup norms and the fitted decay exponent."""
 
-    preset: str
-    manifold: str
-    predictor: str
-    rule: str
     levels: tuple  # detail levels n, ascending
     sup_norms: tuple  # ||d^[n]||_inf per level
     log2_ratios: tuple  # log2(||d^[n+1]|| / ||d^[n]||), one fewer entry
@@ -98,30 +94,19 @@ def _slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _fit_report(
-    spec: SignalSpec,
-    provider: MaskProvider,
-    rule: str,
-    levels: list[int],
-    norms: list[float],
-) -> DecayReport:
+def _fit_report(levels: list[int], norms: list[float]) -> DecayReport:
     levels_t = tuple(levels)
     norms_t = tuple(float(x) for x in norms)
     if all(x <= _ANNIHILATION_TOL for x in norms_t):
         return DecayReport(
-            spec.name, spec.manifold.tag, provider.kind, rule,
-            levels_t, norms_t, (), None, None, None,
-            exact_annihilation=True,
+            levels_t, norms_t, (), None, None, None, exact_annihilation=True
         )
     log2n = [math.log2(x) if x > 0 else -math.inf for x in norms_t]
     ratios = tuple(b - a for a, b in zip(log2n, log2n[1:]))
     fit = levels_t[-_FIT_LEVELS:]
     slope = _slope(fit, log2n[-_FIT_LEVELS:])
     c_est = max(x * 4.0**n for n, x in zip(levels_t, norms_t))
-    return DecayReport(
-        spec.name, spec.manifold.tag, provider.kind, rule,
-        levels_t, norms_t, ratios, slope, (fit[0], fit[-1]), c_est,
-    )
+    return DecayReport(levels_t, norms_t, ratios, slope, (fit[0], fit[-1]), c_est)
 
 
 def decay_experiment(
@@ -153,7 +138,7 @@ def decay_experiment(
     else:
         pyr = decompose_manifold(cN, provider, rule, nmax - nmin)
         norms = [detail_sup_norm(d) for d in pyr.details]
-    return _fit_report(spec, provider, rule, detail_levels, norms)
+    return _fit_report(detail_levels, norms)
 
 
 # --------------------------------------------------------------------------

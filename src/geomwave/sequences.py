@@ -32,7 +32,6 @@ __all__ = [
     "HermiteSequence",
     "diag_d",
     "periodic_sequence",
-    "interior_sequence",
     "apply_subdivision",
     "apply_decomposition",
     "sup_norm",
@@ -165,10 +164,6 @@ class HermiteSequence:
 
 def periodic_sequence(points, vectors, level: int = 0) -> HermiteSequence:
     return HermiteSequence(points, vectors, periodic=True, level=level)
-
-
-def interior_sequence(points, vectors, start: int, level: int = 0) -> HermiteSequence:
-    return HermiteSequence(points, vectors, periodic=False, start=start, level=level)
 
 
 def _apply_block(blk: np.ndarray, p: np.ndarray, v: np.ndarray):

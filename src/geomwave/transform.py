@@ -13,9 +13,9 @@ odd taps name, i and i + 1 for the two-tap masks shipped here.  So the
 pyramid computes odd outputs in windows of at most _WINDOW_ROWS rows, with
 the arithmetic of one call over a level and temporaries the size of a
 window.  Decomposition predicts every level in one pass of windows, and
-reconstruction each level in a pass of its own, or as one call if it fits
-one window.  A level that its pass did not finish runs alone, as one call,
-and names the error the level loop names.
+reconstruction each level in a pass of its own; a lone level that fits one
+window is one call instead.  A level that its pass did not finish runs
+alone, as one call, and names the error the level loop names.
 """
 
 from __future__ import annotations
@@ -357,7 +357,10 @@ def decompose_manifold(
     # prediction is one block of one kernel pass over the samples
     whole = [(masks[n], 1 << (N - n), 0, len(P) >> (N - n)) for n in finest_first]
     run = partial(_odd_outputs, M, P, V, rule=rule)
-    odd = [_stack(arrays) for arrays in zip(*_pass(run, whole))]
+    # one level in one window: the level loop's call is the pass, as in
+    # reconstruct, so a failing one is not run twice
+    one_call = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS
+    odd = [] if one_call else [_stack(a) for a in zip(*_pass(run, whole))]
     done = len(odd[0]) if odd else 0  # the outputs of the windows that passed
     starts = [0, *accumulate(stop for _, _, _, stop in whole)]
     details = []

@@ -101,6 +101,13 @@ FAULTS = [
         (STACK + "test_finer_ominus_failure_named_first_in_windows",),
     ),
     Fault(
+        "decompose-one-window-level-through-pass",
+        "geomwave/transform.py",
+        "    one_call = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS\n",
+        "    one_call = False\n",
+        (STACK + "test_finer_ominus_failure_named_first_in_windows",),
+    ),
+    Fault(
         "sphere-transport-by-tangent-projection",
         "geomwave/manifolds.py",
         "        return v - _dot(q, v) / (1.0 + c) * (p + q)\n",

@@ -18,7 +18,6 @@ from geomwave.manifolds import Euclidean, manifold_from_tag
 from geomwave.sequences import (
     HermiteSequence,
     apply_decomposition,
-    interior_sequence,
     periodic_sequence,
     sup_norm,
 )
@@ -239,7 +238,7 @@ def sample_signal(spec: SignalSpec, level: int):
     rows = [spec.curve(j * h) for j in idx]
     P = np.array([p for p, _ in rows])
     V = np.array([h * v for _, v in rows])
-    return interior_sequence(P, V, lo, level=level)
+    return HermiteSequence(P, V, periodic=False, start=lo, level=level)
 
 
 def poly_space(degree: int) -> tuple:
@@ -276,7 +275,7 @@ def sample_hermite_interior(
     idx = np.arange(a, b + 1)
     p = np.array([[f(j * h)] for j in idx], dtype=float)
     v = np.array([[h * df(j * h)] for j in idx], dtype=float)
-    return interior_sequence(p, v, a, level=level)
+    return HermiteSequence(p, v, periodic=False, start=a, level=level)
 
 
 def vanishing_moment_residual(

@@ -23,7 +23,7 @@ from geomwave.filterbank import (
     symbol_biorthogonality_residuals,
 )
 from geomwave.predictors import cubic_provider, exponential_provider
-from geomwave.sequences import Mask, interior_sequence, periodic_sequence
+from geomwave.sequences import HermiteSequence, Mask, periodic_sequence
 
 # Signed zeros and ordinary magnitudes: every product and sum stays finite.
 VALUES = st.one_of(
@@ -173,8 +173,8 @@ def test_each_distinct_filter_set_is_certified_once(
 def test_interior_window_probe_refused(rng):
     filt = build_bank(cubic_provider()).filters_at(0)
     good = periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
-    window = interior_sequence(
-        rng.normal(size=(32, 2)), rng.normal(size=(32, 2)), start=-5
+    window = HermiteSequence(
+        rng.normal(size=(32, 2)), rng.normal(size=(32, 2)), periodic=False, start=-5
     )
     with pytest.raises(ValueError, match="must be periodic"):
         biorthogonality_residuals(filt, [good, window])

@@ -320,26 +320,24 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_experiments_and_filterbank_unloaded():
-    """``import geomwave.cli`` loads only what sample, decompose and
-    reconstruct use; the package names stay reachable on first use."""
+    """``import geomwave`` loads no submodule, and ``import geomwave.cli``
+    only what sample, decompose and reconstruct use."""
     src = str(Path(geomwave.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     code = (
-        "import sys, geomwave.cli\n"
+        "import sys, geomwave\n"
+        "print(sorted(m for m in sys.modules if m.startswith('geomwave')))\n"
+        "import geomwave.cli\n"
         "print(sorted(m for m in ('geomwave.experiments', 'geomwave.filterbank')"
         " if m in sys.modules))\n"
-        "import geomwave\n"
-        "print(geomwave.verify_suite.__module__, geomwave.build_bank.__module__)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]", "geomwave.experiments geomwave.filterbank"
-    ]
+    assert proc.stdout.splitlines() == ["['geomwave']", "[]"]
 
 
 def test_bad_lambda_exit_2(tmp_path, capsys):

@@ -375,14 +375,14 @@ def test_finer_ominus_failure_named_first_in_windows(rule, monkeypatch):
     windows of 8 outputs.  The 3-level pass fails in its last window, at
     level 2; the ominus of level 3, whose prediction came from a window that
     passed, fails first, at index 4, so level 2 never runs alone.  The
-    1-level pass of the coarse data is one window that fails, so its level
-    runs again."""
+    1-level decomposition of the coarse data fits one window, so it is one
+    call, which fails and is not run again."""
     monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
     windows = kernel_windows(monkeypatch)
     test_finer_ominus_failure_named_before_coarser_subdivision(rule)
     assert windows == [
         [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)], [(8, 0, 4)],  # the 3-level pass
-        [(2, 0, 4)], [(2, 0, 4)],  # the coarse data's pass and its level
+        [(2, 0, 4)],  # the coarse data's one level
     ]
 
 

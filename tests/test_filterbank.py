@@ -143,9 +143,9 @@ def test_exponential_pyramid_uses_absolute_levels(rng):
     P = np.exp(lam_f * xs)[:, None]
     V = (2.0**-n * lam_f * np.exp(lam_f * xs))[:, None]
     # not periodic data; use one prediction step instead of the pyramid
-    from geomwave.sequences import apply_subdivision, interior_sequence
+    from geomwave.sequences import HermiteSequence, apply_subdivision
 
-    c = interior_sequence(P, V, 0, level=n)
+    c = HermiteSequence(P, V, periodic=False, level=n)
     pred = apply_subdivision(bank2.filters_at(n).A, c)
     exact_x = np.arange(pred.start, pred.start + len(pred)) / 2.0 ** (n + 1)
     errs = np.abs(pred.points[:, 0] - np.exp(lam_f * exact_x))

@@ -16,10 +16,10 @@ from hypothesis.extra import numpy as hnp
 
 import reference_sequences
 from geomwave.sequences import (
+    HermiteSequence,
     Mask,
     apply_decomposition,
     apply_subdivision,
-    interior_sequence,
     periodic_sequence,
 )
 
@@ -130,7 +130,7 @@ def test_interior_operators_match_reference(
     if periodic:
         s = periodic_sequence(points, vectors, level=level)
     else:
-        s = interior_sequence(points, vectors, start, level=level)
+        s = HermiteSequence(points, vectors, periodic=False, start=start, level=level)
     mask = Mask(lo, blocks)
     for new, ref in OPERATORS:
         assert_matches_reference(
@@ -145,8 +145,9 @@ def test_one_tap_mask(start):
     zeros; decomposition of a one-entry window has no output when the
     entry's index minus lo is odd."""
     mask = Mask(2, np.array([[[1.5, -0.5], [0.25, 2.0]]]))
-    pair = interior_sequence([[0.75], [0.5]], [[-1.25], [1.0]], start)
-    one = interior_sequence([[0.75]], [[-1.25]], start)
+    P, V = [[0.75], [0.5]], [[-1.25], [1.0]]
+    pair = HermiteSequence(P, V, periodic=False, start=start)
+    one = HermiteSequence([[0.75]], [[-1.25]], periodic=False, start=start)
     for new, ref in OPERATORS:
         for s in (pair, one):
             assert_matches_reference(new, mask, new(mask, s), reference(ref, mask, s))

@@ -17,7 +17,7 @@ from geomwave.errors import SchemaError
 from geomwave.io import read_pyramid, read_samples, write_pyramid, write_samples
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
-from geomwave.sequences import interior_sequence, periodic_sequence
+from geomwave.sequences import HermiteSequence, periodic_sequence
 from geomwave.transform import (
     RULES,
     ManifoldHermiteSeq,
@@ -72,7 +72,9 @@ def test_interior_samples_refused_before_writing(tmp_path):
     """No reader takes an interior window, so the writer refuses one and
     leaves no file."""
     path = tmp_path / "s.json"
-    seq = interior_sequence(np.zeros((3, 1)), np.ones((3, 1)), start=-1, level=2)
+    seq = HermiteSequence(
+        np.zeros((3, 1)), np.ones((3, 1)), periodic=False, start=-1, level=2
+    )
     with pytest.raises(SchemaError) as exc:
         write_samples(seq, str(path))
     assert str(exc.value) == (

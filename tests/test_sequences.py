@@ -15,7 +15,6 @@ from geomwave.sequences import (
     apply_decomposition,
     apply_subdivision,
     diag_d,
-    interior_sequence,
     periodic_sequence,
     seq_sub,
     single_block_mask,
@@ -166,7 +165,8 @@ def test_delta_sequence_entries():
 
 def test_interior_subdivision_validity(rng):
     mask = random_mask(rng, lo=-1, width=3)
-    s = interior_sequence(rng.normal(size=(5, 1)), rng.normal(size=(5, 1)), start=2)
+    P, V = rng.normal(size=(5, 1)), rng.normal(size=(5, 1))
+    s = HermiteSequence(P, V, periodic=False, start=2)
     out = apply_subdivision(mask, s)
     # the outputs j whose stencil k in [ceil((j-1)/2), (j+1)/2] lies inside
     # [2, 6]: j from 2*2 + 1 - 1 to 2*6 - 1 + 1
@@ -175,12 +175,14 @@ def test_interior_subdivision_validity(rng):
 
 def test_interior_decomposition_validity(rng):
     mask = random_mask(rng, lo=-1, width=3)
-    s = interior_sequence(rng.normal(size=(9, 1)), rng.normal(size=(9, 1)), start=-4)
+    P, V = rng.normal(size=(9, 1)), rng.normal(size=(9, 1))
+    s = HermiteSequence(P, V, periodic=False, start=-4)
     out = apply_decomposition(mask, s)
     # the outputs j with 2j - 1 >= -4 and 2j + 1 <= 4
     assert (out.start, out.start + len(out) - 1) == (-1, 1)
     # a window shorter than the mask has no output
-    short = interior_sequence(np.zeros((2, 1)), np.zeros((2, 1)), start=-4)
+    zeros = np.zeros((2, 1))
+    short = HermiteSequence(zeros, zeros, periodic=False, start=-4)
     assert len(apply_decomposition(mask, short)) == 0
 
 
@@ -189,7 +191,7 @@ def test_interior_matches_periodic_away_from_boundary(rng):
     P = rng.normal(size=(16, 1))
     V = rng.normal(size=(16, 1))
     per = apply_subdivision(mask, periodic_sequence(P, V))
-    inte = apply_subdivision(mask, interior_sequence(P, V, start=0))
+    inte = apply_subdivision(mask, HermiteSequence(P, V, periodic=False))
     assert (inte.start, len(inte)) == (0, 31)
     j = slice(inte.start, inte.start + len(inte))
     assert np.allclose(inte.points, per.points[j], atol=1e-13)
@@ -203,7 +205,7 @@ def test_sup_norm_and_arithmetic(rng):
     assert sup_norm(scaled) == pytest.approx(2.0 * sup_norm(s))
     t = random_periodic(rng)
     assert sup_norm(seq_sub(s, t)) <= sup_norm(s) + sup_norm(t) + 1e-15
-    empty = interior_sequence(np.zeros((0, 2)), np.zeros((0, 2)), start=3)
+    empty = HermiteSequence(np.zeros((0, 2)), np.zeros((0, 2)), periodic=False, start=3)
     with pytest.raises(ValueError, match="sup_norm of an empty sequence"):
         sup_norm(empty)
 

@@ -13,7 +13,7 @@ from geomwave.experiments import default_config, geometry_and_fiber
 from geomwave.filterbank import build_bank, decompose_linear, dual_filter_details
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
-from geomwave.sequences import HermiteSequence, interior_sequence, periodic_sequence
+from geomwave.sequences import HermiteSequence, periodic_sequence
 from geomwave.signals import get_preset, sample_signal
 from geomwave.transform import (
     ManifoldHermiteSeq,
@@ -189,7 +189,9 @@ def test_zero_details_reconstruct_to_iterated_subdivision(rng):
 
 
 def test_interior_window_refused_by_the_pyramid():
-    window = interior_sequence(np.zeros((16, 1)), np.ones((16, 1)), start=-3, level=4)
+    window = HermiteSequence(
+        np.zeros((16, 1)), np.ones((16, 1)), periodic=False, start=-3, level=4
+    )
     with pytest.raises(SchemaError, match="got an interior window"):
         decompose_manifold(window, cubic_provider(), "midpoint", 2)
     with pytest.raises(SchemaError, match="got an interior window"):
@@ -233,7 +235,8 @@ def test_interior_window_refused_at_every_entry(entry):
     """A 6-entry R^2 window at start 3 is refused where it enters, rather
     than subdivided as if row 5 neighboured row 0."""
     rng = np.random.default_rng(7)
-    window = interior_sequence(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), 3, 2)
+    P, V = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    window = HermiteSequence(P, V, periodic=False, start=3, level=2)
     with pytest.raises(SchemaError, match="got an interior window"):
         ENTRY_POINTS[entry](window)
     if entry == "manifold_subdivide_once":
