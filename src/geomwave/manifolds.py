@@ -15,9 +15,10 @@ The round-sphere kernel calls numpy's ufuncs directly rather than through
 their Python wrappers, which cost more than the arithmetic on the small
 arrays of a pyramid level: ``_norm`` is the arithmetic ``np.linalg.norm``
 itself runs over one axis of a real array, and ``_clip`` is ``np.clip``'s.
-The guards reduce their masks with ``np.logical_or.reduce`` and
-``np.logical_and.reduce``, the ufuncs behind ``.any()`` and ``.all()``.  The
-zero masks of ``exp`` (a zero tangent) and ``log`` (an equal pair, or a zero
+Each cut-locus guard is one NaN-ignoring reduction, ``np.fmax.reduce`` of
+the angles or ``np.fmin.reduce`` of the inner products, and builds the mask
+that names the failing entry only when it fires.  The zero masks of ``exp``
+(a zero tangent, by ``np.fmin.reduce``) and ``log`` (an equal pair, or a zero
 residual) are applied with ``np.where`` only when a zero is present.  Results
 are word for word those of the wrapped calls.
 """
@@ -102,7 +103,7 @@ class Manifold:
         tested first; per-row masks only name the fault."""
         finite = [np.isfinite(a) for a in (p, *tangents)]
         on_M = [self.check_point(p), *(self.check_tangent(p, v) for v in tangents)]
-        if all(np.all(ok) for ok in finite + on_M):
+        if all(np.logical_and.reduce(ok, axis=None) for ok in finite + on_M):
             return None
         tests = np.broadcast_arrays(*(f.all(axis=1) for f in finite), *on_M)
         i = int(np.argmin(np.logical_and.reduce(tests)))
@@ -204,13 +205,14 @@ class _RoundSphere(Manifold):
     def exp(self, p, v):
         p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
         theta = _norm(v)
-        _raise_first(
-            theta[..., 0] >= self.injectivity_bound(), theta[..., 0],
-            "tangent norm {:g} reaches the cut locus; data not dense enough",
-        )
-        zero = theta == 0.0
-        if not np.logical_or.reduce(zero, axis=None):
+        if np.fmax.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():
+            _raise_first(
+                theta[..., 0] >= self.injectivity_bound(), theta[..., 0],
+                "tangent norm {:g} reaches the cut locus; data not dense enough",
+            )
+        if np.fmin.reduce(theta, axis=None, initial=np.inf) != 0.0:
             return np.cos(theta) * p + np.sin(theta) / theta * v
+        zero = theta == 0.0
         safe = np.where(zero, 1.0, theta)
         return np.where(zero, p, np.cos(theta) * p + np.sin(theta) / safe * v)
 
@@ -237,8 +239,8 @@ class _RoundSphere(Manifold):
         u = q - inner * p
         s = _norm(u)
         theta = np.arctan2(s, inner)
-        far = theta[..., 0] >= self.injectivity_bound()
-        if np.logical_or.reduce(far, axis=None):  # built only when it can be hit
+        if np.fmax.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():
+            far = theta[..., 0] >= self.injectivity_bound()
             _raise_first(~equal[..., 0] & far, theta[..., 0], _ANTIPODAL)
         zero = equal | (s == 0.0)
         if not np.logical_or.reduce(zero, axis=None):
@@ -250,7 +252,7 @@ class _RoundSphere(Manifold):
         the minimal geodesic, for v tangent at p."""
         # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
         # so the arccos test runs only on inputs with a pair below that
-        if np.logical_or.reduce(c < -0.5, axis=None):
+        if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:
             theta = np.arccos(_clip(c[..., 0]))
             _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
         return v - _dot(q, v) / (1.0 + c) * (p + q)

@@ -12,16 +12,16 @@ The stencil is local: odd output 2i+1 reads only the coarse rows its mask's
 odd taps name, i and i + 1 for the two-tap masks shipped here.  So the
 pyramid computes odd outputs in windows of at most _WINDOW_ROWS rows, with
 the arithmetic of one call over a level and temporaries the size of a
-window.  Decomposition predicts every level in one pass of windows, and
-reconstruction each level in a pass of its own; a lone level that fits one
-window is one call instead.  A level that its pass did not finish runs
+window.  Decomposition runs every level in one pass of windows, each a
+kernel call and one ominus; reconstruction runs each level in a pass of its
+own, each window a kernel call, the base audit and oplus.  A lone level that
+fits one window is one call.  A level that its pass did not finish runs
 alone, as one call, and names the error the level loop names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -102,15 +102,11 @@ class ManifoldPyramid:
         return len(self.details)
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _windows(whole: list) -> list[list]:
-    """The pieces of ``whole`` cut into windows of at most _WINDOW_ROWS
-    outputs, in order.  A window is a list of pieces ``(mask, step, first,
-    stop)``, the outputs first..stop-1 of one block; a block split at a
-    window's end goes on in the next window, and small blocks share one."""
+    """The pieces of ``whole`` cut, in order, into windows of _WINDOW_ROWS
+    outputs and a last one of the rest.  A window is a list of pieces
+    ``(mask, step, first, stop)``, the outputs first..stop-1 of one block; a
+    block split at a window's end goes on in the next, and small ones share."""
     windows, window, room = [], [], _WINDOW_ROWS
     for mask, step, first, n in whole:
         while first < n:
@@ -331,51 +327,63 @@ def decompose_manifold(
     inner product, naming the first; and a level count that is negative or
     whose 2^levels does not divide the length."""
     _refuse_entry(cN, rule)
-    _refuse_rows(cN.manifold, "sample", cN.points, cN.vectors)
-    if isinstance(cN.manifold, SO3Quat):
+    N, M, P, V = cN.level, cN.manifold, cN.points, cN.vectors
+    _refuse_rows(M, "sample", P, V)
+    if isinstance(M, SO3Quat):
         # q and -q are one rotation, but on S^3 a sign flip between neighbours
         # is a near-antipodal pair: refused here, not later as a density error
-        inner = np.einsum("ij,ij->i", cN.points, np.roll(cN.points, -1, axis=0))
+        inner = np.einsum("ij,ij->i", P, np.concatenate((P[1:], P[:1])))
         if (inner < 0).any():
             i = int(np.argmax(inner < 0))
             raise SchemaError(
-                f"samples {i} and {(i + 1) % len(cN)} have quaternion inner "
+                f"samples {i} and {(i + 1) % len(P)} have quaternion inner "
                 f"product {inner[i]:.3g} < 0: q and -q are the same rotation, "
                 "and the samples must have <q_i, q_(i+1 mod L)> >= 0"
             )
-    if levels < 0 or len(cN) % (1 << levels) != 0:
+    if levels < 0 or len(P) % (1 << levels) != 0:
         raise SchemaError(
-            f"cannot decompose {len(cN)} samples over {levels} levels: "
+            f"cannot decompose {len(P)} samples over {levels} levels: "
             "need levels >= 0 and a length divisible by 2^levels"
         )
-    N, M, P, V = cN.level, cN.manifold, cN.points, cN.vectors
     # coarsest mask first: a predictor that cannot be built fails before work
     masks = {n: provider.mask_at(n) for n in range(N - levels, N)}
-    finest_first = list(reversed(masks))
     # the coarse data of level n is every 2^k-th sample, k = N - n, with its
     # vector scaled by 2^k (c^[n]_i = D^-1 c^[n+1]_{2i}), so every level's
     # prediction is one block of one kernel pass over the samples
-    whole = [(masks[n], 1 << (N - n), 0, len(P) >> (N - n)) for n in finest_first]
-    run = partial(_odd_outputs, M, P, V, rule=rule)
-    # one level in one window: the level loop's call is the pass, as in
-    # reconstruct, so a failing one is not run twice
-    one_call = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS
-    odd = [] if one_call else [_stack(a) for a in zip(*_pass(run, whole))]
-    done = len(odd[0]) if odd else 0  # the outputs of the windows that passed
-    starts = [0, *accumulate(stop for _, _, _, stop in whole)]
-    details = []
-    for n, piece, s, e in zip(finest_first, whole, starts, starts[1:]):
-        h = piece[1] // 2  # the odd rows of c^[n+1] start at sample 2^(k-1)
-        fine = (P[h :: 2 * h], h * V[h :: 2 * h] if h > 1 else V[1::2])
-        try:  # finest first: the error named is the level loop's first
-            pred = (odd[0][s:e], odd[1][s:e]) if e <= done else run([piece])
-            bases, u0, u1 = ominus(M, fine, pred)
-        except CutLocusError as err:
-            raise _density_error(err, n) from err
-        details.append(TangentPairSeq(bases, u0, u1))
+    whole = [(masks[n], 1 << (N - n), 0, len(P) >> (N - n)) for n in reversed(masks)]
+    details = {}  # each level's [bases, u0, u1], by the step of its block
+
+    def subtract(window):
+        """One kernel call and one ominus over a window."""
+        pred = _odd_outputs(M, P, V, window, rule)
+        fine = [(P[k // 2 :: k][a:b], V[k // 2 :: k][a:b], k // 2)
+                for _, k, a, b in window]  # odd rows of each piece's finer level
+        fine = [(p, h * v if h > 1 else v) for p, v, h in fine]
+        fine = fine[0] if len(fine) == 1 else [np.concatenate(a) for a in zip(*fine)]
+        rows = ominus(M, fine, pred)
+        starts = [0, *accumulate([stop - first for _, _, first, stop in window])]
+        for (_, step, first, stop), s, e in zip(window, starts, starts[1:]):
+            if stop - first == len(P) // step:  # a whole level keeps views of the rows
+                details[step] = [a[s:e] for a in rows]
+            else:  # a level split across windows is copied into arrays
+                if first == 0:
+                    details[step] = [np.empty(P[::step].shape) for _ in rows]
+                for out, a in zip(details[step], rows):
+                    out[first:stop] = a[s:e]
+
+    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS  # one call, not run twice
+    done = 0 if lone else _WINDOW_ROWS * len(_pass(subtract, whole))  # see _windows
+    for n, piece, end in zip(reversed(masks), whole, accumulate(p[3] for p in whole)):
+        if end > done:  # finest first: the error named is the level loop's first
+            details.pop(piece[1], None)  # a failed pass's rows go before the call
+            try:
+                subtract([piece])
+            except CutLocusError as err:
+                raise _density_error(err, n) from err
     step = 1 << levels
     coarse = ManifoldHermiteSeq(M, P[::step].copy(), step * V[::step], N - levels)
-    return ManifoldPyramid(coarse, tuple(reversed(details)), provider, rule)
+    ordered = (TangentPairSeq(*details[1 << (N - n)]) for n in masks)
+    return ManifoldPyramid(coarse, tuple(ordered), provider, rule)
 
 
 def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:

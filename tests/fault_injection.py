@@ -90,22 +90,41 @@ FAULTS = [
     Fault(
         "decompose-fallback-coarsest-first",
         "geomwave/transform.py",
-        "    details = []\n",
-        "    details = []\n"
-        "    for n, piece, e in reversed(list(zip(finest_first, whole, starts[1:]))):\n"
-        "        if e > done:\n"
-        "            try:\n"
-        "                run([piece])\n"
-        "            except CutLocusError as err:\n"
-        "                raise _density_error(err, n) from err\n",
+        "    for n, piece, end in zip(reversed(masks), whole, accumulate(p[3] for p in whole)):\n",
+        "    for n, piece, end in reversed(\n"
+        "        list(zip(reversed(masks), whole, accumulate(p[3] for p in whole)))\n"
+        "    ):\n",
         (STACK + "test_finer_ominus_failure_named_first_in_windows",),
     ),
     Fault(
         "decompose-one-window-level-through-pass",
         "geomwave/transform.py",
-        "    one_call = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS\n",
-        "    one_call = False\n",
+        "    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS",
+        "    lone = False",
         (STACK + "test_finer_ominus_failure_named_first_in_windows",),
+    ),
+    Fault(
+        "decompose-window-rows-from-level-start",
+        "geomwave/transform.py",
+        "                    out[first:stop] = a[s:e]\n",
+        "                    out[: stop - first] = a[s:e]\n",
+        (STACK + "test_windows_bitwise_equal_level_loop",),
+    ),
+    Fault(
+        "decompose-fallback-skips-started-level",
+        "geomwave/transform.py",
+        "        if end > done:",
+        "        if end - piece[3] >= done:",
+        (STACK + "test_errors_in_later_windows_named_as_in_one_window",),
+    ),
+    Fault(
+        "exp-guard-propagates-nan",
+        "geomwave/manifolds.py",
+        "        if np.fmax.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():\n"
+        "            _raise_first(\n",
+        "        if np.maximum.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():\n"
+        "            _raise_first(\n",
+        ("tests/test_sphere_kernel_bitwise.py::test_nan_row_hides_no_mask_and_no_error",),
     ),
     Fault(
         "sphere-transport-by-tangent-projection",

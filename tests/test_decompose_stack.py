@@ -372,16 +372,18 @@ def test_kernel_failure_reruns_only_unfinished_levels(rule, monkeypatch):
 def test_finer_ominus_failure_named_first_in_windows(rule, monkeypatch):
     """The two decompositions of
     test_finer_ominus_failure_named_before_coarser_subdivision, with kernel
-    windows of 8 outputs.  The 3-level pass fails in its last window, at
-    level 2; the ominus of level 3, whose prediction came from a window that
-    passed, fails first, at index 4, so level 2 never runs alone.  The
+    windows of 8 outputs.  Each window runs its kernel and its ominus, so the
+    3-level pass stops in its third window, at the ominus of level 3, and
+    never reaches level 2's window.  Level 3, which the pass did not finish,
+    runs alone and fails first, at index 4, so level 2 never runs.  The
     1-level decomposition of the coarse data fits one window, so it is one
     call, which fails and is not run again."""
     monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
     windows = kernel_windows(monkeypatch)
     test_finer_ominus_failure_named_before_coarser_subdivision(rule)
     assert windows == [
-        [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)], [(8, 0, 4)],  # the 3-level pass
+        [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)],  # the 3-level pass
+        [(4, 0, 8)],  # level 3 alone
         [(2, 0, 4)],  # the coarse data's one level
     ]
 
@@ -580,6 +582,31 @@ def test_one_kernel_call_per_pass_within_a_window(monkeypatch):
         reconstruct_manifold(pyr)
         assert len(windows) == sum(-(-n // rows) for n in outputs)
         windows.clear()
+
+
+def test_one_ominus_per_kernel_window(monkeypatch):
+    """Each kernel window of decompose takes one ominus over all its rows:
+    a 2^8 pyramid over 4 levels is one kernel call and one ominus, and a
+    2^16 pyramid over 8 levels, whose 65,280 odd outputs fill 8 windows of
+    _WINDOW_ROWS, is one ominus per window, each over that window's rows."""
+    windows = kernel_windows(monkeypatch)
+    rows = []
+
+    def counted(M, a, b):
+        rows.append(len(a[0]))
+        return ominus(M, a, b)
+
+    monkeypatch.setattr(transform, "ominus", counted)
+    for L, levels in ((1 << 8, 4), (1 << 16, 8)):
+        rng = np.random.default_rng(3)
+        cN = ManifoldHermiteSeq(Euclidean(3), rng.normal(size=(L, 3)),
+                                rng.normal(size=(L, 3)), level=L.bit_length() - 1)
+        decompose_manifold(cN, cubic_provider(), "leftpoint", levels)
+        sizes = [sum(stop - first for _, first, stop in w) for w in windows]
+        assert rows == sizes
+        assert len(rows) == (1 if L == 1 << 8 else 8)
+        windows.clear()
+        rows.clear()
 
 
 def named_error(f, *args):
