@@ -15,8 +15,8 @@ the arithmetic of one call over a level and temporaries the size of a
 window.  Decomposition runs every level in one pass of windows, each a
 kernel call and one ominus; reconstruction runs each level in a pass of its
 own, each window a kernel call, the base audit and oplus.  A lone level that
-fits one window is one call.  A level that its pass did not finish runs
-alone, as one call, and names the error the level loop names.
+fits one window is one call.  A failed pass resumes each unfinished level,
+as one call from its first row not done, and names the level loop's error.
 """
 
 from __future__ import annotations
@@ -120,18 +120,31 @@ def _windows(whole: list) -> list[list]:
     return windows + [window] if window else windows
 
 
-def _pass(run, whole: list) -> list:
+def _run(run, whole: list, levels) -> None:
     """``run(window)`` for each window of ``whole`` (see _windows), in order,
-    up to the first that raises a GeomwaveError: the results of the windows
-    before it.  One call meets its errors stage by stage (every midpoint, then
-    every log, ...), so the caller runs a level the pass did not finish alone."""
-    done = []
-    for window in _windows(whole):
+    up to the first that raises a GeomwaveError; then, in order, one call
+    ``run([(mask, step, first, size)])`` for each piece (mask, step, 0, size)
+    not done, from its first row not done, raising a CutLocusError as the
+    DensityError of the piece's level in ``levels``.  A row is computed alike
+    in any window, so the rows done raised nothing at any stage, and the call
+    meets the errors of one call over the piece in the same order, stage by
+    stage (every midpoint, then every log, ...).  A lone piece that fits one
+    window is one call."""
+    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS
+    done = 0  # outputs of the windows that passed: all but the last are full
+    for window in [] if lone else _windows(whole):
         try:
-            done.append(run(window))
+            run(window)
         except GeomwaveError:
             break
-    return done
+        done += _WINDOW_ROWS
+    for n, (mask, step, _, size) in zip(levels, whole):
+        first, done = max(done, 0), done - size  # done counts from the next piece
+        if first < size:
+            try:
+                run([(mask, step, first, size)])
+            except CutLocusError as err:
+                raise _density_error(err, n, first) from err
 
 
 def _wrapped(a: np.ndarray, window, shifts) -> np.ndarray:
@@ -280,10 +293,11 @@ def ominus(
     return p, y, z - v
 
 
-def _density_error(err: CutLocusError, level: int) -> DensityError:
-    """Locate a cut-locus failure at a pyramid level and at the odd output
-    (the leading array index) where it happened."""
+def _density_error(err: CutLocusError, level: int, first: int = 0) -> DensityError:
+    """A cut-locus failure located at a pyramid level and at the odd output
+    ``first`` plus the leading array index of the call that raised it."""
     index = err.index[0] if isinstance(err.index, tuple) else err.index
+    index = None if index is None else first + index
     return DensityError(err.args[0], level=level, index=index)
 
 
@@ -371,15 +385,7 @@ def decompose_manifold(
                 for out, a in zip(details[step], rows):
                     out[first:stop] = a[s:e]
 
-    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS  # one call, not run twice
-    done = 0 if lone else _WINDOW_ROWS * len(_pass(subtract, whole))  # see _windows
-    for n, piece, end in zip(reversed(masks), whole, accumulate(p[3] for p in whole)):
-        if end > done:  # finest first: the error named is the level loop's first
-            details.pop(piece[1], None)  # a failed pass's rows go before the call
-            try:
-                subtract([piece])
-            except CutLocusError as err:
-                raise _density_error(err, n) from err
+    _run(subtract, whole, reversed(masks))  # finest first, as the level loop
     step = 1 << levels
     coarse = ManifoldHermiteSeq(M, P[::step].copy(), step * V[::step], N - levels)
     ordered = (TangentPairSeq(*details[1 << (N - n)]) for n in masks)
@@ -410,10 +416,9 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
                     f"detail {name} shape {shape} != coarse shape {P.shape} "
                     f"at level {n}"
                 )
-        P2 = V2 = None
+        refined = []  # the level's arrays, allocated by the call at its row 0
 
         def add_details(window):
-            nonlocal P2, V2
             [(_, _, first, stop)] = window
             odd_p, odd_v = _odd_outputs(M, P, V, window, pyr.rule)
             bases = d.bases[first:stop]
@@ -429,19 +434,13 @@ def reconstruct_manifold(pyr: ManifoldPyramid) -> HermiteSequence:
                 )
             odd = oplus(M, (odd_p, odd_v), bases, d.u0[first:stop], d.u1[first:stop])
             del odd_p, odd_v, drift, bad
-            if P2 is None:  # after the first window's temporaries are freed
-                P2, V2 = _refined(P, V)
+            if first == 0:  # after the first window's temporaries are freed
+                refined[:] = _refined(P, V)
+            P2, V2 = refined
             P2[2 * first + 1 : 2 * stop : 2], V2[2 * first + 1 : 2 * stop : 2] = odd
-            return stop - first
 
-        whole = [(mask, 1, 0, len(P))]
-        try:
-            if len(P) <= _WINDOW_ROWS or sum(_pass(add_details, whole)) < len(P):
-                P2 = V2 = None  # a failed pass's rows go before the one call
-                add_details(whole)
-        except CutLocusError as err:
-            raise _density_error(err, n) from err
-        P, V = P2, V2
+        _run(add_details, [(mask, 1, 0, len(P))], [n])
+        P, V = refined
     if not (np.isfinite(P).all() and np.isfinite(V).all()):
         _refuse_details(M, pyr.details, N0)
     return ManifoldHermiteSeq(M, P, V, level=N0 + pyr.levels)

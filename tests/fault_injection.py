@@ -46,39 +46,54 @@ class Fault(NamedTuple):
 
 FAULTS = [
     Fault(
-        "pass-reraises",
+        "run-reraises",
         "geomwave/transform.py",
         "        except GeomwaveError:\n            break\n",
         "        except GeomwaveError:\n            raise\n",
         (STACK + "test_kernel_failure_reruns_only_unfinished_levels",
-         STACK + "test_errors_in_later_windows_named_as_in_one_window"),
+         STACK + "test_reconstruct_failure_in_later_window_resumes_the_level"),
     ),
     Fault(
-        "reconstruct-skips-fallback",
+        "run-skips-started-level",
         "geomwave/transform.py",
-        "            if len(P) <= _WINDOW_ROWS or sum(_pass(add_details, whole)) < len(P):\n"
-        "                P2 = V2 = None  # a failed pass's rows go before the one call\n"
-        "                add_details(whole)\n",
-        "            if len(P) <= _WINDOW_ROWS:\n"
-        "                add_details(whole)\n"
-        "            else:\n"
-        "                _pass(add_details, whole)\n",
-        (STACK + "test_reconstruct_failure_in_later_window_reruns_the_level_once",
-         STACK + "test_errors_in_later_windows_named_as_in_one_window"),
+        "        if first < size:\n",
+        "        if first == 0:\n",
+        (STACK + "test_decompose_failure_in_later_window_resumes_the_level",
+         STACK + "test_reconstruct_failure_in_later_window_resumes_the_level"),
     ),
     Fault(
-        "reconstruct-one-window-level-through-pass",
+        "run-resumes-from-level-start",
         "geomwave/transform.py",
-        "if len(P) <= _WINDOW_ROWS or sum(_pass(add_details, whole)) < len(P):",
-        "if sum(_pass(add_details, whole)) < len(P):",
-        (STACK + "test_reconstruct_failure_in_one_window_level_runs_once",),
+        "                run([(mask, step, first, size)])\n",
+        "                run([(mask, step, 0, size)])\n",
+        (STACK + "test_decompose_failure_in_later_window_resumes_the_level",
+         STACK + "test_reconstruct_failure_in_later_window_resumes_the_level"),
     ),
     Fault(
-        "reconstruct-fallback-keeps-failed-rows",
+        "run-one-window-level-through-pass",
         "geomwave/transform.py",
-        "                P2 = V2 = None  # a failed pass's rows go before the one call\n",
-        "",
-        (STACK + "test_reconstruct_failure_peak_memory_no_higher_than_level_loop",),
+        "    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS\n",
+        "    lone = False\n",
+        (STACK + "test_finer_ominus_failure_named_first_in_windows",
+         STACK + "test_reconstruct_failure_in_one_window_level_runs_once"),
+    ),
+    Fault(
+        "run-unfinished-coarsest-first",
+        "geomwave/transform.py",
+        "    for n, (mask, step, _, size) in zip(levels, whole):\n"
+        "        first, done = max(done, 0), done - size",
+        "    ends = [done - sum(p[3] for p in whole[:k]) for k in range(len(whole))]\n"
+        "    for n, (mask, step, _, size), done in reversed(list(zip(levels, whole, ends))):\n"
+        "        first = max(done, 0)",
+        (STACK + "test_finer_ominus_failure_named_first_in_windows",),
+    ),
+    Fault(
+        "density-index-from-resumed-call",
+        "geomwave/transform.py",
+        "    index = None if index is None else first + index\n",
+        "    index = index and first + index\n",
+        (STACK + "test_decompose_failure_in_later_window_resumes_the_level",
+         STACK + "test_reconstruct_failure_at_resumed_first_row_indexed_from_level"),
     ),
     Fault(
         "refuse-details-from-level-0",
@@ -88,34 +103,11 @@ FAULTS = [
         ("tests/test_transform.py::test_non_finite_detail_named_at_its_level",),
     ),
     Fault(
-        "decompose-fallback-coarsest-first",
-        "geomwave/transform.py",
-        "    for n, piece, end in zip(reversed(masks), whole, accumulate(p[3] for p in whole)):\n",
-        "    for n, piece, end in reversed(\n"
-        "        list(zip(reversed(masks), whole, accumulate(p[3] for p in whole)))\n"
-        "    ):\n",
-        (STACK + "test_finer_ominus_failure_named_first_in_windows",),
-    ),
-    Fault(
-        "decompose-one-window-level-through-pass",
-        "geomwave/transform.py",
-        "    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS",
-        "    lone = False",
-        (STACK + "test_finer_ominus_failure_named_first_in_windows",),
-    ),
-    Fault(
         "decompose-window-rows-from-level-start",
         "geomwave/transform.py",
         "                    out[first:stop] = a[s:e]\n",
         "                    out[: stop - first] = a[s:e]\n",
         (STACK + "test_windows_bitwise_equal_level_loop",),
-    ),
-    Fault(
-        "decompose-fallback-skips-started-level",
-        "geomwave/transform.py",
-        "        if end > done:",
-        "        if end - piece[3] >= done:",
-        (STACK + "test_errors_in_later_windows_named_as_in_one_window",),
     ),
     Fault(
         "exp-guard-propagates-nan",

@@ -389,11 +389,11 @@ def test_finer_ominus_failure_named_first_in_windows(rule, monkeypatch):
 
 
 @pytest.mark.parametrize("rule", RULES)
-def test_reconstruct_failure_in_later_window_reruns_the_level_once(rule, monkeypatch):
+def test_reconstruct_failure_in_later_window_resumes_the_level(rule, monkeypatch):
     """With kernel windows of 8 outputs, a moved detail base at index 20 of
     the 32-row level 5 fails the audit in that level's third window; the
-    level then runs once more, as one call over its 32 rows, and names the
-    reference's BaseMismatchError."""
+    level then resumes at that window's first row, as one call over rows 16
+    to 32, and names the reference's BaseMismatchError."""
     c = sample_signal(get_preset("sphere2", "wobble"), 8)
     pyr = decompose_manifold(c, cubic_provider(), rule, 3)  # 32 coarse samples
     pyr = faulty(pyr, "base", 0, 20, 0.1, np.random.default_rng(0))
@@ -401,7 +401,68 @@ def test_reconstruct_failure_in_later_window_reruns_the_level_once(rule, monkeyp
     windows = kernel_windows(monkeypatch)
     got = named_error(reconstruct_manifold, pyr)
     assert got[0] is BaseMismatchError and "level 5, index 20 " in got[3]
-    assert windows == [[(1, 0, 8)], [(1, 8, 16)], [(1, 16, 24)], [(1, 0, 32)]]
+    assert windows == [[(1, 0, 8)], [(1, 8, 16)], [(1, 16, 24)], [(1, 16, 32)]]
+    assert got == named_error(reference_transform.reconstruct, pyr)
+
+
+def equator_with_antipode(k):
+    """64 samples of the equator at level 6, with zero vectors and sample
+    2k + 1 moved to its antipode, which is the antipode of its prediction:
+    the ominus of output k of level 5 fails, and nothing else does."""
+    theta = np.arange(64) * math.pi / 32
+    theta[2 * k + 1] += math.pi
+    P = np.stack([np.cos(theta), np.sin(theta), np.zeros(64)], axis=1)
+    return ManifoldHermiteSeq(Sphere2(), P, np.zeros_like(P), level=6)
+
+
+@pytest.mark.parametrize(
+    "k,calls,rows",
+    [(20, [[(2, 0, 8)], [(2, 8, 16)], [(2, 16, 24)], [(2, 16, 32)]], [8, 8, 8, 16]),
+     (8, [[(2, 0, 8)], [(2, 8, 16)], [(2, 8, 32)]], [8, 8, 24])],
+)
+@pytest.mark.parametrize("rule", RULES)
+def test_decompose_failure_in_later_window_resumes_the_level(
+    rule, k, calls, rows, monkeypatch
+):
+    """With kernel windows of 8 outputs, the 32-output level 5 of
+    equator_with_antipode(k) runs in 4 windows until the ominus of output k
+    fails: output 20, inside the third window, or output 8, the second
+    window's first row.  The level resumes at the failing window's first
+    row, as one call over the rest of the level, so the ominus of the
+    windows that passed does not run again (the failing window's and the
+    resumed call's both fail).  The error is the reference's, level 5 at
+    index k, counted from the level's first row also where the resumed call
+    fails at its own row 0."""
+    cN = equator_with_antipode(k)
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
+    windows = kernel_windows(monkeypatch)
+    ominus_calls = ominus_rows(monkeypatch)
+    got = named_error(decompose_manifold, cN, cubic_provider(), rule, 1)
+    assert got[:3] == (DensityError, 5, k)
+    assert windows == calls
+    assert ominus_calls == rows
+    reference = reference_transform.decompose
+    assert got == named_error(reference, cN, cubic_provider(), rule, 1)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_reconstruct_failure_at_resumed_first_row_indexed_from_level(rule, monkeypatch):
+    """With kernel windows of 8 outputs, coarse sample 17 of a 32-sample
+    `wobble` pyramid moved to the antipode of sample 16 fails the kernel at
+    output 16 of level 5, the first row of its third window; the level
+    resumes there, and the error its call meets at its own row 0 names
+    index 16, as the reference does."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 8)
+    pyr = decompose_manifold(c, cubic_provider(), rule, 3)  # 32 coarse samples
+    M, P, V = pyr.coarse.manifold, pyr.coarse.points.copy(), pyr.coarse.vectors.copy()
+    P[17] = -P[16]
+    V[17] = M.project_tangent(P[17], V[17])
+    pyr = dataclasses.replace(pyr, coarse=ManifoldHermiteSeq(M, P, V, 5))
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
+    windows = kernel_windows(monkeypatch)
+    got = named_error(reconstruct_manifold, pyr)
+    assert windows == [[(1, 0, 8)], [(1, 8, 16)], [(1, 16, 24)], [(1, 16, 32)]]
+    assert got[:3] == (DensityError, 5, 16)
     assert got == named_error(reference_transform.reconstruct, pyr)
 
 
@@ -425,9 +486,9 @@ def test_reconstruct_failure_in_one_window_level_runs_once(rule, monkeypatch):
 def test_reconstruct_failure_peak_memory_no_higher_than_level_loop(rule, monkeypatch):
     """With kernel windows of 512 outputs, a moved detail base at index
     2045 of the 2,048-row finest level of a 2^12 `wobble` pyramid fails the
-    level's pass in its last window.  The one call over the level then runs
-    without the rows the pass wrote, so the tracemalloc peak is no higher
-    than the level-by-level reference's."""
+    level's pass in its last window.  The level then resumes at that
+    window's first row, keeping the rows the pass wrote, and the tracemalloc
+    peak is no higher than the level-by-level reference's."""
     c = sample_signal(get_preset("sphere2", "wobble"), 12)
     pyr = decompose_manifold(c, cubic_provider(), rule, 8)
     pyr = faulty(pyr, "base", 7, 2045, 0.1, np.random.default_rng(0))
@@ -531,6 +592,18 @@ def kernel_windows(monkeypatch):
     return windows
 
 
+def ominus_rows(monkeypatch):
+    """Record the row count of every ominus call of transform from here on."""
+    rows = []
+
+    def counted(M, a, b):
+        rows.append(len(a[0]))
+        return ominus(M, a, b)
+
+    monkeypatch.setattr(transform, "ominus", counted)
+    return rows
+
+
 @pytest.mark.parametrize("rows", [8, 24])
 @pytest.mark.parametrize("kind", [("cubic", None), ("exp", 1.0)], ids=["cubic", "exp1"])
 @pytest.mark.parametrize("rule", RULES)
@@ -590,13 +663,7 @@ def test_one_ominus_per_kernel_window(monkeypatch):
     2^16 pyramid over 8 levels, whose 65,280 odd outputs fill 8 windows of
     _WINDOW_ROWS, is one ominus per window, each over that window's rows."""
     windows = kernel_windows(monkeypatch)
-    rows = []
-
-    def counted(M, a, b):
-        rows.append(len(a[0]))
-        return ominus(M, a, b)
-
-    monkeypatch.setattr(transform, "ominus", counted)
+    rows = ominus_rows(monkeypatch)
     for L, levels in ((1 << 8, 4), (1 << 16, 8)):
         rng = np.random.default_rng(3)
         cN = ManifoldHermiteSeq(Euclidean(3), rng.normal(size=(L, 3)),
