@@ -10,7 +10,7 @@ C = max_n ||d^[n]|| 4^n is reported, never asserted.
 (biorthogonality in operator and symbol form, perfect reconstruction linear
 and manifold, vanishing moments, geometry and fiber-algebra identities,
 Euclidean reduction, proximity).  Each check is a function of its subject
-(a bank, a manifold or a preset, with the sizes that go with it) and of the
+(a predictor, a manifold or a preset, with the sizes that go with it) and of the
 verify config, so the acceptance tests run the same checks at their own
 sizes.  ``verify_suite`` runs the registry at the default sizes and returns
 a structured pass/fail report; failures are report entries, not exceptions.
@@ -28,9 +28,9 @@ import numpy as np
 from .errors import DensityError, GeomwaveError, SchemaError
 from .filterbank import (
     biorthogonality_residuals,
-    build_bank,
     decompose_linear,
     dual_filter_details,
+    filters_at,
     reconstruct_linear,
     symbol_biorthogonality_residuals,
     vanishing_moment_residual,
@@ -130,7 +130,7 @@ def decay_experiment(
     provider.mask_at(nmin)  # the coarsest mask fails before sampling
     cN = sample_signal(spec, nmax)
     if not cN.periodic:
-        details = dual_filter_details(cN, build_bank(provider), nmax - nmin)
+        details = dual_filter_details(cN, provider, nmax - nmin)
         for n, d in zip(detail_levels, details):
             if len(d) == 0:
                 raise SchemaError(f"no valid interior details at level {n}")
@@ -267,12 +267,13 @@ def _worst(*residuals) -> float:
 
 def biorthogonality(subject, cfg: dict) -> list[CheckResult]:
     """Operator form (on ``probes`` random periodic probes) and symbol form
-    of the biorthogonality of one bank.  Subject: (provider, filter levels).
-    ``perturb_mask`` > 0 perturbs each dual wavelet filter Bt at random.
+    of the biorthogonality of one predictor's filters.  Subject: (provider,
+    filter levels).  ``perturb_mask`` > 0 perturbs each dual wavelet filter
+    Bt at random.
 
-    Levels with equal filters are certified once: a stationary bank (cubic)
-    has one filter set at every level.  A perturbed run draws its own delta
-    per level, so it still checks every level."""
+    Levels with equal filters are certified once: a stationary predictor
+    (cubic) has one filter set at every level.  A perturbed run draws its own
+    delta per level, so it still checks every level."""
     provider, levels = subject
     rng = np.random.default_rng(int(cfg["seed"]))
     probes = [
@@ -280,10 +281,9 @@ def biorthogonality(subject, cfg: dict) -> list[CheckResult]:
         for _ in range(int(cfg["probes"]))
     ]
     perturb = float(cfg["perturb_mask"])
-    bank = build_bank(provider)
     distinct = {}
     for level in levels:
-        filt = bank.filters_at(level)
+        filt = filters_at(provider, level)
         if perturb > 0.0:
             delta = perturb * rng.standard_normal((2, 2))
             filt = replace(filt, Bt=filt.Bt.perturbed(0, delta))
@@ -302,8 +302,7 @@ def linear_reconstruction(provider: MaskProvider, cfg: dict) -> list[CheckResult
     through ``levels`` levels of the linear pyramid."""
     levels = int(cfg["levels"])
     data = _random_data(cfg, 16 << levels, levels)
-    bank = build_bank(provider)
-    rec = reconstruct_linear(decompose_linear(data, bank, levels), bank)
+    rec = reconstruct_linear(decompose_linear(data, provider, levels), provider)
     return [_at_most(sup_norm(seq_sub(rec, data)), 1e-12)]
 
 
@@ -313,9 +312,8 @@ def vanishing_moments(subject, cfg: dict) -> list[CheckResult]:
     elements), where elements is a tuple of (label, f, f') taken from
     ``provider.reproduction_space()``."""
     provider, windows, elements = subject
-    bank = build_bank(provider)
     worst = max(
-        vanishing_moment_residual(bank.filters_at(n), f, df, n, (-w, w))
+        vanishing_moment_residual(filters_at(provider, n), f, df, n, (-w, w))
         for n, w in windows.items()
         for _, f, df in elements
     )
@@ -388,7 +386,7 @@ def euclidean_reduction(levels: int, cfg: dict) -> list[CheckResult]:
     with either base point rule gives the details of the dual wavelet filter
     Bt.  Subject: the number of levels."""
     data = _random_data(cfg, 8 << levels, levels)
-    ref = dual_filter_details(data, build_bank(cubic_provider()), levels)
+    ref = dual_filter_details(data, cubic_provider(), levels)
     worst = 0.0
     for rule in RULES:
         pyr = decompose_manifold(data, cubic_provider(), rule, levels)

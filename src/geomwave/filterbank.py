@@ -1,6 +1,7 @@
 """Biorthogonal prediction-correction filter banks for linear Hermite data.
 
-Per level the bank holds four filters {A, B, At, Bt}: the predictor A, the
+Each level has four filters {A, B, At, Bt}, a fixed function of the
+predictor's mask A at that level (``filters_at``): the predictor A, the
 detail-placement filter B with symbol z*I, the dual filter At with constant
 symbol D^-1, and the dual wavelet filter Bt with blocks
 Bt_k = (-1)^(1-k) D^-1 A_{1-k}^T.  Decomposition keeps the even subsamples
@@ -40,7 +41,7 @@ from .transform import ManifoldPyramid, decompose_manifold, reconstruct_manifold
 
 __all__ = [
     "LevelFilters",
-    "PredictionCorrectionBank",
+    "filters_at",
     "build_bank",
     "decompose_linear",
     "reconstruct_linear",
@@ -61,7 +62,9 @@ class LevelFilters:
     Bt: Mask  # dual wavelet filter
 
 
-def _derived_filters(A: Mask) -> LevelFilters:
+def filters_at(provider: MaskProvider, level: int) -> LevelFilters:
+    """The four filters of ``level``, derived from the predictor's mask there."""
+    A = provider.mask_at(level)
     B = single_block_mask(1, np.eye(2))
     At = single_block_mask(0, diag_d(-1))
     Dinv = diag_d(-1)
@@ -73,41 +76,29 @@ def _derived_filters(A: Mask) -> LevelFilters:
     return LevelFilters(A, B, At, Bt)
 
 
-class PredictionCorrectionBank:
-    """Per-level biorthogonal filters derived from an interpolatory predictor."""
-
-    def __init__(self, provider: MaskProvider):
-        self.provider = provider
-        self._cache: dict[int, LevelFilters] = {}
-
-    def filters_at(self, level: int) -> LevelFilters:
-        if level not in self._cache:
-            self._cache[level] = _derived_filters(self.provider.mask_at(level))
-        return self._cache[level]
-
-
-def build_bank(provider: MaskProvider) -> PredictionCorrectionBank:
-    return PredictionCorrectionBank(provider)
+def build_bank(provider: MaskProvider) -> MaskProvider:
+    """The predictor itself, which is all a filter bank is.  Kept only because
+    ``perfbench/workloads.py`` calls it; ROADMAP item 4's benchmark change
+    deletes it."""
+    return provider
 
 
 def decompose_linear(
-    cN: HermiteSequence, bank: PredictionCorrectionBank, levels: int
+    cN: HermiteSequence, provider: MaskProvider, levels: int
 ) -> ManifoldPyramid:
     """Prediction-correction decomposition of periodic Hermite data: the
     manifold pyramid on flat R^m.  Interpolatory masks reproduce constants,
     so on flat data every base point gives the same prediction; the left
     point skips computing the midpoint.  An interior window is a
     SchemaError."""
-    return decompose_manifold(cN, bank.provider, "leftpoint", levels)
+    return decompose_manifold(cN, provider, "leftpoint", levels)
 
 
-def reconstruct_linear(
-    pyr: ManifoldPyramid, bank: PredictionCorrectionBank
-) -> HermiteSequence:
-    """Invert decompose_linear.  The pyramid records its predictor; a bank
-    with another one is a SchemaError naming both."""
-    if bank.provider != pyr.provider:
-        raise SchemaError(f"bank {bank.provider} is not the pyramid's {pyr.provider}")
+def reconstruct_linear(pyr: ManifoldPyramid, provider: MaskProvider) -> HermiteSequence:
+    """Invert decompose_linear.  The pyramid records its predictor; another
+    one is a SchemaError naming both."""
+    if provider != pyr.provider:
+        raise SchemaError(f"bank {provider} is not the pyramid's {pyr.provider}")
     return reconstruct_manifold(pyr)
 
 
@@ -195,17 +186,17 @@ def vanishing_moment_residual(
 
 
 def dual_filter_details(
-    cN: HermiteSequence, bank: PredictionCorrectionBank, levels: int
+    cN: HermiteSequence, provider: MaskProvider, levels: int
 ) -> tuple[HermiteSequence, ...]:
     """Details d^[n] = D_{Bt^T} c^[n+1] of the linear Hermite wavelet, with
     c^[n] = D_{At^T} c^[n+1] (the even subsample, times D^-1), d^[0] first.
 
-    Only the analysis filters of the bank enter, so this shares no code with
+    Only the analysis filters At and Bt enter, so this shares no code with
     the pyramid engine and checks it independently."""
     c = cN
     details = []
     for _ in range(levels):
-        filters = bank.filters_at(c.level - 1)
+        filters = filters_at(provider, c.level - 1)
         details.append(_dual_decomp(filters.Bt, c))
         c = _dual_decomp(filters.At, c)
     return tuple(reversed(details))

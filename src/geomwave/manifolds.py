@@ -283,6 +283,8 @@ class SO3Quat(_RoundSphere):
 
 def manifold_from_tag(tag: str) -> Manifold:
     """Parse a manifold tag: "euclidean:<m>", "sphere2", or "so3-quat"."""
+    if not isinstance(tag, str):
+        raise ValueError(f"expected a manifold tag string, got {tag!r}")
     if tag == "sphere2":
         return Sphere2()
     if tag == "so3-quat":

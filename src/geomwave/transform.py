@@ -14,9 +14,10 @@ pyramid computes odd outputs in windows of at most _WINDOW_ROWS rows, with
 the arithmetic of one call over a level and temporaries the size of a
 window.  Decomposition runs every level in one pass of windows, each a
 kernel call and one ominus; reconstruction runs each level in a pass of its
-own, each window a kernel call, the base audit and oplus.  A lone level that
-fits one window is one call.  A failed pass resumes each unfinished level,
-as one call from its first row not done, and names the level loop's error.
+own, each window a kernel call, the base audit and oplus.  A failed pass
+resumes each unfinished level, as one call from its first row not done, and
+names the level loop's error; a failed window that is already that call is
+not run again, so a level that fits one window is one call.
 """
 
 from __future__ import annotations
@@ -128,20 +129,23 @@ def _run(run, whole: list, levels) -> None:
     DensityError of the piece's level in ``levels``.  A row is computed alike
     in any window, so the rows done raised nothing at any stage, and the call
     meets the errors of one call over the piece in the same order, stage by
-    stage (every midpoint, then every log, ...).  A lone piece that fits one
-    window is one call."""
-    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS
+    stage (every midpoint, then every log, ...).  A failed window that is
+    that call, one piece to the end of its block, is not run again: its error
+    is the call's."""
     done = 0  # outputs of the windows that passed: all but the last are full
-    for window in [] if lone else _windows(whole):
+    for window in _windows(whole):
         try:
             run(window)
-        except GeomwaveError:
+        except GeomwaveError as err:
+            error = err
             break
         done += _WINDOW_ROWS
     for n, (mask, step, _, size) in zip(levels, whole):
         first, done = max(done, 0), done - size  # done counts from the next piece
         if first < size:
             try:
+                if [piece[1:] for piece in window] == [(step, first, size)]:
+                    raise error
                 run([(mask, step, first, size)])
             except CutLocusError as err:
                 raise _density_error(err, n, first) from err

@@ -48,8 +48,8 @@ FAULTS = [
     Fault(
         "run-reraises",
         "geomwave/transform.py",
-        "        except GeomwaveError:\n            break\n",
-        "        except GeomwaveError:\n            raise\n",
+        "        except GeomwaveError as err:\n            error = err\n",
+        "        except GeomwaveError as err:\n            raise\n",
         (STACK + "test_kernel_failure_reruns_only_unfinished_levels",
          STACK + "test_reconstruct_failure_in_later_window_resumes_the_level"),
     ),
@@ -70,12 +70,13 @@ FAULTS = [
          STACK + "test_reconstruct_failure_in_later_window_resumes_the_level"),
     ),
     Fault(
-        "run-one-window-level-through-pass",
+        "run-reruns-failed-window",
         "geomwave/transform.py",
-        "    lone = len(whole) == 1 and whole[0][3] <= _WINDOW_ROWS\n",
-        "    lone = False\n",
-        (STACK + "test_finer_ominus_failure_named_first_in_windows",
-         STACK + "test_reconstruct_failure_in_one_window_level_runs_once"),
+        "                if [piece[1:] for piece in window] == [(step, first, size)]:\n",
+        "                if False:\n",
+        (STACK + "test_reconstruct_failure_in_one_window_level_runs_once",
+         STACK + "test_reconstruct_failure_in_last_window_runs_once",
+         STACK + "test_decompose_failure_in_later_window_resumes_the_level"),
     ),
     Fault(
         "run-unfinished-coarsest-first",
@@ -108,6 +109,22 @@ FAULTS = [
         "                    out[first:stop] = a[s:e]\n",
         "                    out[: stop - first] = a[s:e]\n",
         (STACK + "test_windows_bitwise_equal_level_loop",),
+    ),
+    Fault(
+        "filters-at-bt-sign",
+        "geomwave/filterbank.py",
+        "        blocks.append((-1.0) ** (1 - k) * Dinv @ A.block(1 - k).T)\n",
+        "        blocks.append((-1.0) ** k * Dinv @ A.block(1 - k).T)\n",
+        ("tests/test_filterbank.py::test_derived_filter_structure",
+         "tests/test_filterbank.py::test_biorthogonality_both_forms_clean"),
+    ),
+    Fault(
+        "filters-at-next-level-mask",
+        "geomwave/filterbank.py",
+        "    A = provider.mask_at(level)\n",
+        "    A = provider.mask_at(level + 1)\n",
+        ("tests/test_filterbank.py::test_exponential_pyramid_uses_absolute_levels",
+         "tests/test_filterbank.py::test_bank_builds_only_the_levels_a_pyramid_uses"),
     ),
     Fault(
         "exp-guard-propagates-nan",

@@ -16,7 +16,7 @@ import numpy as np
 
 from geomwave import filterbank
 from geomwave.experiments import CheckResult
-from geomwave.filterbank import LevelFilters, build_bank
+from geomwave.filterbank import LevelFilters, filters_at
 from geomwave.sequences import (
     HermiteSequence,
     Mask,
@@ -40,10 +40,9 @@ def biorthogonality(subject, cfg: dict) -> list[CheckResult]:
         for _ in range(int(cfg["probes"]))
     ]
     perturb = float(cfg["perturb_mask"])
-    bank = build_bank(provider)
     worst_op = worst_sym = 0.0
     for level in levels:
-        filt = bank.filters_at(level)
+        filt = filters_at(provider, level)
         if perturb > 0.0:
             delta = perturb * rng.standard_normal((2, 2))
             filt = replace(filt, Bt=filt.Bt.perturbed(0, delta))

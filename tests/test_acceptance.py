@@ -32,8 +32,8 @@ from geomwave.experiments import (
 )
 from geomwave.filterbank import (
     biorthogonality_residuals,
-    build_bank,
     dual_filter_details,
+    filters_at,
     symbol_biorthogonality_residuals,
 )
 from geomwave.io import write_samples
@@ -95,7 +95,7 @@ def test_criterion_03_biorthogonality_symbol_form(criterion):
         periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
         for _ in range(3)
     ]
-    filters = [build_bank(p).filters_at(0) for p in BANKS]
+    filters = [filters_at(p, 0) for p in BANKS]
     agree = 0
     trials = 1000
     for t in range(trials):
@@ -196,13 +196,12 @@ def test_criterion_09_coefficient_decay(criterion):
     # The guaranteed rate 2^{-2n} is an upper bound. On C^4 presets the cubic
     # predictor is fourth-order accurate, so the manifold slope is compared
     # with the linear Hermite wavelet slope on the same ambient samples.
-    lin_bank = build_bank(cubic_provider())
     details = []
     ok = True
     for tag, preset in (("sphere2", "wobble"), ("so3-quat", "quatcurve")):
         spec = get_preset(tag, preset)
         rep = decay_experiment(spec, cubic_provider(), "midpoint", 3, 8)
-        lin = dual_filter_details(sample_signal(spec, 8), lin_bank, 5)
+        lin = dual_filter_details(sample_signal(spec, 8), cubic_provider(), 5)
         lin_slope = _slope([d.level for d in lin], np.log2([sup_norm(d) for d in lin]))
         slope_ok = rep.fitted_slope <= -1.7
         linear_ok = abs(rep.fitted_slope - lin_slope) <= 0.3

@@ -19,7 +19,7 @@ from geomwave import experiments
 from geomwave.filterbank import (
     LevelFilters,
     biorthogonality_residuals,
-    build_bank,
+    filters_at,
     symbol_biorthogonality_residuals,
 )
 from geomwave.predictors import cubic_provider, exponential_provider
@@ -32,10 +32,10 @@ VALUES = st.one_of(
 )
 
 
-def random_filters(bank, level, perturb_seed):
-    """The bank's filters at ``level``; with a seed, one random block of one
-    random filter is perturbed by 1e-3."""
-    filt = bank.filters_at(level)
+def random_filters(provider, level, perturb_seed):
+    """The predictor's filters at ``level``; with a seed, one random block of
+    one random filter is perturbed by 1e-3."""
+    filt = filters_at(provider, level)
     if perturb_seed is None:
         return filt
     rng = np.random.default_rng(perturb_seed)
@@ -62,7 +62,7 @@ def test_batched_residuals_match_per_probe_loop(
     seed, halves, dims, lam, level, perturb_seed
 ):
     provider = cubic_provider() if lam is None else exponential_provider(lam)
-    filt = random_filters(build_bank(provider), level, perturb_seed)
+    filt = random_filters(provider, level, perturb_seed)
     rng = np.random.default_rng(seed)
     probes = [
         periodic_sequence(rng.normal(size=(2 * h, m)), rng.normal(size=(2 * h, m)))
@@ -89,7 +89,7 @@ def symbol_filters(draw):
     provider = cubic_provider() if lam is None else exponential_provider(lam)
     level = draw(st.integers(-2, 5))
     seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
-    return random_filters(build_bank(provider), level, seed)
+    return random_filters(provider, level, seed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,7 +171,7 @@ def test_each_distinct_filter_set_is_certified_once(
 
 
 def test_interior_window_probe_refused(rng):
-    filt = build_bank(cubic_provider()).filters_at(0)
+    filt = filters_at(cubic_provider(), 0)
     good = periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
     window = HermiteSequence(
         rng.normal(size=(32, 2)), rng.normal(size=(32, 2)), periodic=False, start=-5

@@ -397,6 +397,29 @@ def test_boolean_level_fields_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_non_string_manifold_tag_exit_2(tmp_path, capsys):
+    """A samples or pyramid file whose ``"manifold"`` is not a string is a
+    schema error naming the field, not a traceback."""
+    s = str(tmp_path / "s.json")
+    p = str(tmp_path / "p.json")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    assert run("decompose", "--in", s, "--levels", "2", "--out", p) == 0
+    for path, argv in (
+        (s, ("decompose", "--in", s, "--levels", "2")),
+        (p, ("reconstruct", "--in", p)),
+    ):
+        for value in (3, None):
+            obj = load(path)
+            obj["manifold"] = value
+            save(obj, path)
+            capsys.readouterr()
+            out = tmp_path / "out.json"
+            assert run(*argv, "--out", str(out)) == 2, (path, value)
+            assert f"error: {path}.manifold: " in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_sample_of_interior_preset_exit_2(tmp_path, capsys):
     """An interior preset has no file format any reader takes: sample exits
     2 with one error line and writes nothing."""

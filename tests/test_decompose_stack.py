@@ -352,8 +352,10 @@ def test_kernel_failure_reruns_only_unfinished_levels(rule, monkeypatch):
     """On the equator at level 5 with 3 levels, samples 8 apart are
     antipodal, so the level-2 subdivision fails.  With kernel windows of 8
     outputs, the pass fails in its last window, levels 4 and 3 take their
-    predictions from the windows that passed, and level 2 alone runs again,
-    as one kernel call: the error is the level loop's, level 2 at index 0."""
+    predictions from the windows that passed, and level 2 is left.  The
+    failed window is level 2's whole block, the one call level 2 would run
+    alone, so it is not run again: the error is the level loop's, level 2 at
+    index 0."""
     theta = np.arange(32) * math.pi / 8
     P = np.stack([np.cos(theta), np.sin(theta), np.zeros(32)], axis=1)
     cN = ManifoldHermiteSeq(Sphere2(), P, np.zeros_like(P), level=5)
@@ -362,10 +364,7 @@ def test_kernel_failure_reruns_only_unfinished_levels(rule, monkeypatch):
     got = outcome(decompose_manifold, cN, cubic_provider(), rule, 3)
     assert got == outcome(reference_transform.decompose, cN, cubic_provider(), rule, 3)
     assert got[:3] == (DensityError, 2, 0)
-    assert windows == [
-        [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)], [(8, 0, 4)],  # the pass
-        [(8, 0, 4)],  # the level it did not finish
-    ]
+    assert windows == [[(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)], [(8, 0, 4)]]
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -374,16 +373,16 @@ def test_finer_ominus_failure_named_first_in_windows(rule, monkeypatch):
     test_finer_ominus_failure_named_before_coarser_subdivision, with kernel
     windows of 8 outputs.  Each window runs its kernel and its ominus, so the
     3-level pass stops in its third window, at the ominus of level 3, and
-    never reaches level 2's window.  Level 3, which the pass did not finish,
-    runs alone and fails first, at index 4, so level 2 never runs.  The
-    1-level decomposition of the coarse data fits one window, so it is one
-    call, which fails and is not run again."""
+    never reaches level 2's window.  That window is level 3's whole block,
+    the call level 3 would run alone, so it is not run again: level 3 fails
+    first, at index 4, and level 2 never runs.  The 1-level decomposition of
+    the coarse data fits one window, so it is one call, which fails and is
+    not run again."""
     monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
     windows = kernel_windows(monkeypatch)
     test_finer_ominus_failure_named_before_coarser_subdivision(rule)
     assert windows == [
         [(2, 0, 8)], [(2, 8, 16)], [(4, 0, 8)],  # the 3-level pass
-        [(4, 0, 8)],  # level 3 alone
         [(2, 0, 4)],  # the coarse data's one level
     ]
 
@@ -418,7 +417,8 @@ def equator_with_antipode(k):
 @pytest.mark.parametrize(
     "k,calls,rows",
     [(20, [[(2, 0, 8)], [(2, 8, 16)], [(2, 16, 24)], [(2, 16, 32)]], [8, 8, 8, 16]),
-     (8, [[(2, 0, 8)], [(2, 8, 16)], [(2, 8, 32)]], [8, 8, 24])],
+     (8, [[(2, 0, 8)], [(2, 8, 16)], [(2, 8, 32)]], [8, 8, 24]),
+     (28, [[(2, 0, 8)], [(2, 8, 16)], [(2, 16, 24)], [(2, 24, 32)]], [8, 8, 8, 8])],
 )
 @pytest.mark.parametrize("rule", RULES)
 def test_decompose_failure_in_later_window_resumes_the_level(
@@ -426,13 +426,14 @@ def test_decompose_failure_in_later_window_resumes_the_level(
 ):
     """With kernel windows of 8 outputs, the 32-output level 5 of
     equator_with_antipode(k) runs in 4 windows until the ominus of output k
-    fails: output 20, inside the third window, or output 8, the second
-    window's first row.  The level resumes at the failing window's first
-    row, as one call over the rest of the level, so the ominus of the
-    windows that passed does not run again (the failing window's and the
-    resumed call's both fail).  The error is the reference's, level 5 at
-    index k, counted from the level's first row also where the resumed call
-    fails at its own row 0."""
+    fails: output 20, inside the third window, output 8, the second
+    window's first row, or output 28, inside the last window.  The level
+    resumes at the failing window's first row, as one call over the rest of
+    the level, so the ominus of the windows that passed does not run again
+    (the failing window's and the resumed call's both fail).  The last
+    window already is that call, so it is not run again.  The error is the
+    reference's, level 5 at index k, counted from the level's first row also
+    where the resumed call fails at its own row 0."""
     cN = equator_with_antipode(k)
     monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
     windows = kernel_windows(monkeypatch)
@@ -443,6 +444,24 @@ def test_decompose_failure_in_later_window_resumes_the_level(
     assert ominus_calls == rows
     reference = reference_transform.decompose
     assert got == named_error(reference, cN, cubic_provider(), rule, 1)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_reconstruct_failure_in_last_window_runs_once(rule, monkeypatch):
+    """With kernel windows of 8 outputs, a moved detail base at index 28 of
+    the 32-row level 5 fails the audit in that level's last window, which
+    runs from the level's first row not done to its end: it is the call the
+    level would resume with, so it is not run again.  Four kernel calls, and
+    the reference's BaseMismatchError."""
+    c = sample_signal(get_preset("sphere2", "wobble"), 8)
+    pyr = decompose_manifold(c, cubic_provider(), rule, 3)  # 32 coarse samples
+    pyr = faulty(pyr, "base", 0, 28, 0.1, np.random.default_rng(0))
+    monkeypatch.setattr(transform, "_WINDOW_ROWS", 8)
+    windows = kernel_windows(monkeypatch)
+    got = named_error(reconstruct_manifold, pyr)
+    assert got[0] is BaseMismatchError and "level 5, index 28 " in got[3]
+    assert windows == [[(1, 0, 8)], [(1, 8, 16)], [(1, 16, 24)], [(1, 24, 32)]]
+    assert got == named_error(reference_transform.reconstruct, pyr)
 
 
 @pytest.mark.parametrize("rule", RULES)

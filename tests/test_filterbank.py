@@ -11,8 +11,8 @@ from geomwave.errors import SchemaError
 from geomwave.experiments import biorthogonality, default_config, vanishing_moments
 from geomwave.filterbank import (
     biorthogonality_residuals,
-    build_bank,
     decompose_linear,
+    filters_at,
     reconstruct_linear,
     symbol_biorthogonality_residuals,
     vanishing_moment_residual,
@@ -35,7 +35,7 @@ def random_probes(rng, count=10, length=32, m=2):
 
 
 def test_derived_filter_structure():
-    filt = build_bank(cubic_provider()).filters_at(0)
+    filt = filters_at(cubic_provider(), 0)
     # B has symbol z * I, At has constant symbol D^-1
     assert filt.B.lo == filt.B.hi == 1
     assert np.array_equal(filt.B.block(1), np.eye(2))
@@ -80,7 +80,7 @@ def test_biorthogonality_both_forms_clean():
 
 def test_perturbed_filter_breaks_both_forms(rng):
     probes = random_probes(rng)
-    filt = build_bank(cubic_provider()).filters_at(0)
+    filt = filters_at(cubic_provider(), 0)
     delta = 1e-3 * rng.standard_normal((2, 2))
     for name in ("A", "B", "At", "Bt"):
         mask = getattr(filt, name)
@@ -102,41 +102,39 @@ def test_linear_roundtrip_property(seed, levels, m):
     data = periodic_sequence(
         rng.normal(size=(length, m)), rng.normal(size=(length, m)), level=levels
     )
-    bank = build_bank(cubic_provider())
-    rec = reconstruct_linear(decompose_linear(data, bank, levels), bank)
+    provider = cubic_provider()
+    rec = reconstruct_linear(decompose_linear(data, provider, levels), provider)
     assert sup_norm(seq_sub(rec, data)) <= 1e-12
     assert rec.level == data.level
 
 
 def test_pyramid_shapes(rng):
     data = periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)), level=3)
-    pyr = decompose_linear(data, build_bank(cubic_provider()), 3)
+    pyr = decompose_linear(data, cubic_provider(), 3)
     assert pyr.levels == 3
     assert len(pyr.coarse) == 4
     assert [len(d) for d in pyr.details] == [4, 8, 16]
 
 
 def test_decompose_validates_input(rng):
-    bank = build_bank(cubic_provider())
     data = periodic_sequence(rng.normal(size=(12, 1)), rng.normal(size=(12, 1)))
     with pytest.raises(SchemaError, match="cannot decompose 12 samples over 3 levels"):
-        decompose_linear(data, bank, 3)  # 12 not divisible by 8
+        decompose_linear(data, cubic_provider(), 3)  # 12 not divisible by 8
 
 
 def test_exponential_pyramid_uses_absolute_levels(rng):
-    """Level-dependent banks must index masks by the grid the data lives on:
+    """Level-dependent predictors must index masks by the grid the data lives on:
     decomposing level-4 data must use masks at levels 3, 2, 1."""
     lam = 2.0
-    bank = build_bank(exponential_provider(lam))
+    provider = exponential_provider(lam)
     data = periodic_sequence(
         rng.normal(size=(32, 1)), rng.normal(size=(32, 1)), level=4
     )
-    pyr = decompose_linear(data, bank, 3)
-    rec = reconstruct_linear(pyr, bank)
+    pyr = decompose_linear(data, provider, 3)
+    rec = reconstruct_linear(pyr, provider)
     assert sup_norm(seq_sub(rec, data)) <= 1e-12
     # an exponential sample sequence is annihilated only with correct levels
     lam_f = 1.0
-    bank2 = build_bank(exponential_provider(lam_f))
     n = 4
     L = 16
     xs = np.arange(L) / 2.0**n
@@ -146,20 +144,20 @@ def test_exponential_pyramid_uses_absolute_levels(rng):
     from geomwave.sequences import HermiteSequence, apply_subdivision
 
     c = HermiteSequence(P, V, periodic=False, level=n)
-    pred = apply_subdivision(bank2.filters_at(n).A, c)
+    pred = apply_subdivision(filters_at(exponential_provider(lam_f), n).A, c)
     exact_x = np.arange(pred.start, pred.start + len(pred)) / 2.0 ** (n + 1)
     errs = np.abs(pred.points[:, 0] - np.exp(lam_f * exact_x))
     assert errs.max() <= 1e-12
 
 
 def test_reconstruct_linear_refuses_another_predictor(rng):
-    """A pyramid reconstructs with its own predictor: a bank built from
-    another one is a SchemaError naming both, not a base-audit mismatch."""
+    """A pyramid reconstructs with its own predictor: another one is a
+    SchemaError naming both, not a base-audit mismatch."""
     data = periodic_sequence(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
-    pyr = decompose_linear(data, build_bank(cubic_provider()), 2)
-    assert reconstruct_linear(pyr, build_bank(cubic_provider())).level == data.level
+    pyr = decompose_linear(data, cubic_provider(), 2)
+    assert reconstruct_linear(pyr, cubic_provider()).level == data.level
     with pytest.raises(SchemaError) as exc:
-        reconstruct_linear(pyr, build_bank(exponential_provider(2.0)))
+        reconstruct_linear(pyr, exponential_provider(2.0))
     assert "kind='cubic'" in str(exc.value) and "lam=2.0" in str(exc.value)
 
 
@@ -167,12 +165,12 @@ def test_bank_builds_only_the_levels_a_pyramid_uses(rng):
     """exp(60) passes the mask's overflow guard (|lambda| 2^-n <= 50) at
     levels 1 and finer only: a pyramid over levels 2..5 runs, and level 0
     is refused when asked for."""
-    bank = build_bank(exponential_provider(60.0))
+    provider = exponential_provider(60.0)
     data = periodic_sequence(rng.normal(size=(64, 1)), rng.normal(size=(64, 1)), level=6)
-    rec = reconstruct_linear(decompose_linear(data, bank, 4), bank)
+    rec = reconstruct_linear(decompose_linear(data, provider, 4), provider)
     assert sup_norm(seq_sub(rec, data)) <= 1e-12
     with pytest.raises(SchemaError, match="at level 0"):
-        bank.filters_at(0)
+        filters_at(provider, 0)
 
 
 def test_vanishing_moments_cubic_and_exponential():
@@ -185,7 +183,7 @@ def test_vanishing_moments_cubic_and_exponential():
 
 
 def test_cubic_bank_does_not_annihilate_quartic():
-    cub = build_bank(cubic_provider()).filters_at(2)
+    cub = filters_at(cubic_provider(), 2)
     r = vanishing_moment_residual(
         cub, lambda x: x**4, lambda x: 4 * x**3, 2, (-12, 12)
     )
@@ -193,7 +191,7 @@ def test_cubic_bank_does_not_annihilate_quartic():
 
 
 def test_probe_length_guard(rng):
-    filt = build_bank(cubic_provider()).filters_at(0)
+    filt = filters_at(cubic_provider(), 0)
     short = [periodic_sequence(rng.normal(size=(4, 1)), rng.normal(size=(4, 1)))]
     with pytest.raises(ValueError):
         biorthogonality_residuals(filt, short)

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 import reference_signals
 from geomwave import experiments
 from geomwave.errors import SchemaError
-from geomwave.filterbank import build_bank, vanishing_moment_residual
+from geomwave.filterbank import filters_at, vanishing_moment_residual
 from geomwave.manifolds import Euclidean, Sphere2
 from geomwave.predictors import (
     cubic_provider,
@@ -136,7 +136,7 @@ def test_sampler_matches_per_sample_sampler(preset, level):
 )
 def test_vanishing_moment_residual_matches_per_sample_sampler(lam, level, width):
     provider = cubic_provider() if lam is None else exponential_provider(lam)
-    filters = build_bank(provider).filters_at(level)
+    filters = filters_at(provider, level)
     ref = (
         reference_signals.poly_space(3)
         if lam is None

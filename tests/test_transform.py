@@ -10,7 +10,7 @@ import pytest
 from geomwave import transform
 from geomwave.errors import BaseMismatchError, DensityError, SchemaError
 from geomwave.experiments import default_config, geometry_and_fiber
-from geomwave.filterbank import build_bank, decompose_linear, dual_filter_details
+from geomwave.filterbank import decompose_linear, dual_filter_details
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
 from geomwave.sequences import HermiteSequence, periodic_sequence
@@ -195,7 +195,7 @@ def test_interior_window_refused_by_the_pyramid():
     with pytest.raises(SchemaError, match="got an interior window"):
         decompose_manifold(window, cubic_provider(), "midpoint", 2)
     with pytest.raises(SchemaError, match="got an interior window"):
-        decompose_linear(window, build_bank(cubic_provider()), 2)
+        decompose_linear(window, cubic_provider(), 2)
 
 
 def _zero_pyramid(c: HermiteSequence, levels: int) -> ManifoldPyramid:
@@ -249,9 +249,8 @@ def test_euclidean_reduction_matches_linear(rng):
     data = periodic_sequence(
         rng.normal(size=(32, m)), rng.normal(size=(32, m)), level=3
     )
-    bank = build_bank(cubic_provider())
-    ref = dual_filter_details(data, bank, 3)
-    lin = decompose_linear(data, bank, 3)
+    ref = dual_filter_details(data, cubic_provider(), 3)
+    lin = decompose_linear(data, cubic_provider(), 3)
     man = decompose_manifold(data, cubic_provider(), "midpoint", 3)
     for dr, dl, dm in zip(ref, lin.details, man.details):
         for d in (dl, dm):
@@ -283,7 +282,7 @@ def _nan_points_on_sphere(P, V):
 def _inf_vectors_through_linear(P, V):
     V[[9, 5], 2] = np.inf
     data = periodic_sequence(P, V, level=4)
-    return decompose_linear(data, build_bank(cubic_provider()), 2)
+    return decompose_linear(data, cubic_provider(), 2)
 
 
 def _off_sphere_points(P, V):
