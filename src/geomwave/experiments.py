@@ -38,7 +38,7 @@ from .filterbank import (
 from .manifolds import Euclidean, SO3Quat, Sphere2
 from .predictors import MaskProvider, cubic_provider, exponential_provider
 from .sequences import HermiteSequence, periodic_sequence, seq_sub, sup_norm
-from .signals import SignalSpec, get_preset, sample_signal
+from .signals import _MAX_WORDS, SignalSpec, get_preset, sample_signal
 from .transform import (
     RULES,
     ManifoldHermiteSeq,
@@ -199,6 +199,8 @@ def default_config() -> dict:
 
 # smallest valid value of each numeric config key
 _MINIMUM = {"seed": 0, "probes": 1, "cases": 1, "levels": 1, "perturb_mask": 0}
+# the finest level whose 16 * 2^levels random samples in R^3 numpy can index
+_MAX_LEVELS = (_MAX_WORDS // (16 * 3)).bit_length() - 1
 
 
 def parse_config(text: str) -> dict:
@@ -207,7 +209,7 @@ def parse_config(text: str) -> dict:
     Lines are ``key = value``; ``#`` starts a comment; ``[section]`` headers
     are allowed and ignored; values are booleans, numbers, or bare/quoted
     strings.  Unknown keys, and values that do not parse or fall outside
-    their range (``_MINIMUM``, finite), are rejected naming the line.
+    their range (``_MINIMUM``, ``_MAX_LEVELS``, finite), are rejected naming the line.
     """
     cfg = default_config()
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -238,6 +240,11 @@ def parse_config(text: str) -> dict:
             raise SchemaError(
                 f"config line {ln}: {key} must be {what} >= {_MINIMUM[key]}, "
                 f"got {value!r}"
+            )
+        if key == "levels" and number > _MAX_LEVELS:
+            raise SchemaError(
+                f"config line {ln}: levels must be <= {_MAX_LEVELS}, the finest "
+                f"whose random samples numpy can index, got {value!r}"
             )
         cfg[key] = number
     return cfg

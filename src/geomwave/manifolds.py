@@ -15,9 +15,11 @@ The round-sphere kernel calls numpy's ufuncs directly rather than through
 their Python wrappers, which cost more than the arithmetic on the small
 arrays of a pyramid level: ``_norm`` is the arithmetic ``np.linalg.norm``
 itself runs over one axis of a real array, and ``_clip`` is ``np.clip``'s.
-Each cut-locus guard is one NaN-ignoring reduction, ``np.fmax.reduce`` of
-the angles or ``np.fmin.reduce`` of the inner products, and builds the mask
-that names the failing entry only when it fires.  The zero masks of ``exp``
+Every cut-locus guard is one call of ``_refuse`` on its angles: one
+NaN-ignoring ``np.fmax.reduce`` against the one bound ``_CUT_LOCUS``, with
+the mask that names the failing entry built only when it fires.
+``_transport`` takes its ``arccos`` only when ``np.fmin.reduce`` of the
+inner products finds a pair past 2pi/3.  The zero masks of ``exp``
 (a zero tangent, by ``np.fmin.reduce``) and ``log`` (an equal pair, or a zero
 residual) are applied with ``np.where`` only when a zero is present.  Results
 are word for word those of the wrapped calls.
@@ -41,6 +43,8 @@ __all__ = [
 ]
 
 _CUT_LOCUS_MARGIN = 1e-6
+# the angle at which the round sphere's log, exp and transport refuse a pair
+_CUT_LOCUS = math.pi - _CUT_LOCUS_MARGIN
 # how far a point may be off M, or a vector off T_pM, and still be accepted
 _INVARIANT_TOL = 1e-9
 
@@ -74,10 +78,6 @@ class Manifold:
 
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Geodesic distance over the last axis."""
-        raise NotImplementedError
-
-    def injectivity_bound(self) -> float:
-        """Upper bound on |v| for which exp_p is invertible."""
         raise NotImplementedError
 
     def midpoint(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -135,9 +135,6 @@ class Euclidean(Manifold):
     def dist(self, p, q):
         return np.linalg.norm(np.asarray(q) - p, axis=-1)
 
-    def injectivity_bound(self):
-        return math.inf
-
     def midpoint(self, p, q):
         return 0.5 * (p + q)
 
@@ -147,11 +144,14 @@ _ANTIPODAL = (
 )
 
 
-def _raise_first(bad: np.ndarray, theta: np.ndarray, message: str):
-    """Raise CutLocusError at the first entry of the violation mask ``bad``
-    (``message`` is formatted with that entry's angle)."""
-    if not np.logical_or.reduce(bad, axis=None):
+def _refuse(theta: np.ndarray, message: str):
+    """Raise CutLocusError at the first entry of the angles ``theta``, shape
+    ``(..., 1)``, that reaches ``_CUT_LOCUS``, formatting ``message`` with
+    that angle.  NaN angles are ignored."""
+    if np.fmax.reduce(theta, axis=None, initial=0.0) < _CUT_LOCUS:
         return
+    theta = theta[..., 0]
+    bad = theta >= _CUT_LOCUS
     at = np.unravel_index(int(np.argmax(bad)), bad.shape)
     index = tuple(int(i) for i in at)
     if len(index) < 2:
@@ -179,12 +179,6 @@ def _clip(c: np.ndarray) -> np.ndarray:
 class _RoundSphere(Manifold):
     """Unit sphere in R^(d+1) with the round metric; closed-form geodesics."""
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-
-    def injectivity_bound(self):
-        return math.pi - _CUT_LOCUS_MARGIN
-
     def project_point(self, p):
         p = np.asarray(p, dtype=float)
         n = _norm(p)
@@ -205,11 +199,7 @@ class _RoundSphere(Manifold):
     def exp(self, p, v):
         p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
         theta = _norm(v)
-        if np.fmax.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():
-            _raise_first(
-                theta[..., 0] >= self.injectivity_bound(), theta[..., 0],
-                "tangent norm {:g} reaches the cut locus; data not dense enough",
-            )
+        _refuse(theta, "tangent norm {:g} reaches the cut locus; data not dense enough")
         if np.fmin.reduce(theta, axis=None, initial=np.inf) != 0.0:
             return np.cos(theta) * p + np.sin(theta) / theta * v
         zero = theta == 0.0
@@ -239,9 +229,7 @@ class _RoundSphere(Manifold):
         u = q - inner * p
         s = _norm(u)
         theta = np.arctan2(s, inner)
-        if np.fmax.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():
-            far = theta[..., 0] >= self.injectivity_bound()
-            _raise_first(~equal[..., 0] & far, theta[..., 0], _ANTIPODAL)
+        _refuse(theta, _ANTIPODAL)
         zero = equal | (s == 0.0)
         if not np.logical_or.reduce(zero, axis=None):
             return theta / s * u, c
@@ -253,8 +241,7 @@ class _RoundSphere(Manifold):
         # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
         # so the arccos test runs only on inputs with a pair below that
         if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:
-            theta = np.arccos(_clip(c[..., 0]))
-            _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
+            _refuse(np.arccos(_clip(c)), _ANTIPODAL)
         return v - _dot(q, v) / (1.0 + c) * (p + q)
 
     def dist(self, p, q):
@@ -266,9 +253,7 @@ class _RoundSphere(Manifold):
 
 class Sphere2(_RoundSphere):
     tag = "sphere2"
-
-    def __init__(self):
-        super().__init__(3)
+    ambient_dim = 3
 
 
 class SO3Quat(_RoundSphere):
@@ -276,9 +261,7 @@ class SO3Quat(_RoundSphere):
     round S^3 (a Cartan-Schouten connection up to scale)."""
 
     tag = "so3-quat"
-
-    def __init__(self):
-        super().__init__(4)
+    ambient_dim = 4
 
 
 def manifold_from_tag(tag: str) -> Manifold:

@@ -38,6 +38,9 @@ from .sequences import HermiteSequence
 
 __all__ = ["SignalSpec", "get_preset", "preset_names", "real_signal", "sample_signal"]
 
+# the most float64 words one numpy array can index
+_MAX_WORDS = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -202,16 +205,21 @@ def sample_signal(spec: SignalSpec, level: int) -> HermiteSequence:
     """Normalized Hermite samples c^[n]_i = (f(i/2^n), 2^-n f'(i/2^n)) on the
     preset's manifold, periodic or on the interior window of its domain.
     The curve is called once, on the whole grid; a periodic grid runs to
-    t = 1 to check that the curve closes up.
+    t = 1 to check that the curve closes up.  A level whose grid spacing or
+    sample array numpy cannot represent is a SchemaError.
     """
-    h = 2.0 ** (-level)
-    if spec.periodic:
-        if level < 0:
-            raise SchemaError(f"preset {spec.name} needs level >= 0, got {level}")
-        lo, hi = 0, 1 << level
-    else:
-        a, b = spec.domain
-        lo, hi = math.ceil(a / h), math.floor(b / h)
+    if spec.periodic and level < 0:
+        raise SchemaError(f"preset {spec.name} needs level >= 0, got {level}")
+    a, b = (0.0, 1.0) if spec.periodic else spec.domain
+    try:
+        h = 2.0 ** (-level)
+        # i / 2^level in [a, b]; ldexp is exact, and refuses an i past floats
+        lo, hi = math.ceil(math.ldexp(a, level)), math.floor(math.ldexp(b, level))
+        fits = (hi - lo + 1) * spec.manifold.ambient_dim <= _MAX_WORDS
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise SchemaError(f"preset {spec.name}: level {level} is out of numpy's range")
     t = np.arange(lo, hi + 1) * h
     shape = (len(t), spec.manifold.ambient_dim)
     P, V = (np.asarray(x, dtype=float) for x in spec.curve(t))

@@ -358,7 +358,7 @@ def decompose_manifold(
                 f"product {inner[i]:.3g} < 0: q and -q are the same rotation, "
                 "and the samples must have <q_i, q_(i+1 mod L)> >= 0"
             )
-    if levels < 0 or len(P) % (1 << levels) != 0:
+    if not 0 <= levels <= len(P).bit_length() or len(P) % (1 << levels) != 0:
         raise SchemaError(
             f"cannot decompose {len(P)} samples over {levels} levels: "
             "need levels >= 0 and a length divisible by 2^levels"

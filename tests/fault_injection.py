@@ -129,11 +129,25 @@ FAULTS = [
     Fault(
         "exp-guard-propagates-nan",
         "geomwave/manifolds.py",
-        "        if np.fmax.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():\n"
-        "            _raise_first(\n",
-        "        if np.maximum.reduce(theta, axis=None, initial=0.0) >= self.injectivity_bound():\n"
-        "            _raise_first(\n",
+        "    if np.fmax.reduce(theta, axis=None, initial=0.0) < _CUT_LOCUS:\n",
+        "    if np.maximum.reduce(theta, axis=None, initial=0.0) < _CUT_LOCUS:\n",
         ("tests/test_sphere_kernel_bitwise.py::test_nan_row_hides_no_mask_and_no_error",),
+    ),
+    Fault(
+        "cut-locus-bound-past-pi",
+        "geomwave/manifolds.py",
+        "_CUT_LOCUS = math.pi - _CUT_LOCUS_MARGIN\n",
+        "_CUT_LOCUS = math.pi + _CUT_LOCUS_MARGIN\n",
+        ("tests/test_manifolds.py::test_cut_locus_raises",
+         "tests/test_kernel_oracle.py::test_cut_locus_names_first_index"),
+    ),
+    Fault(
+        "transport-pre-gate-never-fires",
+        "geomwave/manifolds.py",
+        "        if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:\n",
+        "        if np.fmin.reduce(c, axis=None, initial=np.inf) < -1.5:\n",
+        ("tests/test_kernel_oracle.py::test_cut_locus_names_first_index",
+         "tests/test_sphere_kernel_bitwise.py::test_nan_row_hides_no_mask_and_no_error"),
     ),
     Fault(
         "sphere-transport-by-tangent-projection",

@@ -106,6 +106,58 @@ def test_bad_level_arguments_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and message in err, err
 
 
+def test_huge_level_counts_exit_2(tmp_path, capsys):
+    """A decompose level count far past the length is refused before 2^levels
+    is formed; a sample or decay level whose grid numpy cannot index, and a
+    verify config whose random samples it cannot index, are refused naming
+    the preset or the config line, and the level."""
+    s = str(tmp_path / "s.json")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels = 100\n")
+    assert run("sample", "--preset", "wobble", "--manifold", "sphere2",
+               "--level", "4", "--out", s) == 0
+    grid = "is out of numpy's range"
+    cases = [
+        (("decompose", "--in", s, "--levels", "1000000000000"),
+         "cannot decompose 16 samples over 1000000000000 levels"),
+        (("sample", "--preset", "wobble", "--manifold", "sphere2",
+          "--level", "100"),
+         f"preset wobble: level 100 {grid}"),
+        (("decay", "--preset", "poly3", "--manifold", "euclidean:1",
+          "--levels", "3:1000"),
+         f"preset poly3: level 1000 {grid}"),
+        (("decay", "--preset", "poly3", "--manifold", "euclidean:1",
+          "--levels", "3:1050"),
+         f"preset poly3: level 1050 {grid}"),
+        (("decay", "--preset", "poly3", "--manifold", "euclidean:1",
+          "--levels", "3:2000"),
+         f"preset poly3: level 2000 {grid}"),
+        (("decay", "--preset", "wobble", "--manifold", "sphere2",
+          "--levels", "3:63"),
+         f"preset wobble: level 63 {grid}"),
+        (("verify", "--config", str(cfg)),
+         "config line 1: levels must be <= 54, the finest whose random "
+         "samples numpy can index, got '100'"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+
+def test_decay_reports_exact_annihilation(tmp_path, capsys):
+    """A cubic on the cubic predictor has no details to fit a slope through:
+    decay says so, and still writes its table."""
+    out = str(tmp_path / "d.csv")
+    assert run("decay", "--preset", "poly3", "--manifold", "euclidean:1",
+               "--levels", "3:8", "--out", out) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "poly3: exact annihilation (all details <= 1e-12)",
+        f"wrote decay table to {out}",
+    ]
+
+
 def test_exp_lambda_too_large_for_level_exit_2(tmp_path, capsys):
     """An exp predictor whose |lambda| * 2^-level passes the overflow guard at
     the coarsest level is a schema error naming lambda and that level, raised

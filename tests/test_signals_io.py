@@ -491,6 +491,87 @@ def test_reader_names_first_bad_entry(tmp_path, container, fault):
     assert str(exc.value) == f"{path}.{container}{tail}"
 
 
+def _not_an_object(obj):
+    return [obj], "", "expected an object, got list"
+
+
+def _empty_data(obj):
+    obj["data"] = []
+    return obj, ".data", "expected a non-empty list"
+
+
+def _interior_boundary(obj):
+    obj["boundary"] = "interior"
+    return obj, ".boundary", "only 'periodic' is supported, got 'interior'"
+
+
+def _text_lambda(obj):
+    obj["predictor"] = {"kind": "exp", "lambda": "1.0"}
+    return obj, ".predictor.lambda", "expected a number"
+
+
+def _details_not_a_list(obj):
+    obj["details"] = {"0": obj["details"][0]}
+    return obj, ".details", "expected a list"
+
+
+def _short_detail_level(obj):
+    del obj["details"][1][-1]
+    return obj, ".details[1]", "expected a list of 8 detail entries"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_not_an_object, _empty_data, _interior_boundary, _text_lambda,
+     _details_not_a_list, _short_detail_level],
+    ids=lambda f: f.__name__[1:],
+)
+def test_reader_refuses_file_structure_at_its_path(tmp_path, fault):
+    """A file that is not an object, an empty sample list, an interior
+    boundary, a text exp lambda, details that are not a list, and a detail
+    level one entry short: each is a SchemaError naming its path."""
+    cN = sample_signal(get_preset("sphere2", "wobble"), 4)
+    path = str(tmp_path / "f.json")
+    if fault in (_empty_data, _interior_boundary, _not_an_object):
+        write_samples(cN, path)
+        read = read_samples
+    else:
+        write_pyramid(decompose_manifold(cN, cubic_provider(), "midpoint", 2), path)
+        read = read_pyramid
+    obj, where, message = fault(load(path))
+    save(obj, path)
+    with pytest.raises(SchemaError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}{where}: {message}"
+
+
+def test_sample_signal_refuses_grids_numpy_cannot_index():
+    """Beyond the CLI's cases: level 59, the first whose (2^59 + 1, 3)
+    sphere2 samples numpy cannot index; a periodic level past the float
+    range; and a negative level whose spacing 2^-level is not a float.
+    Each is a SchemaError naming the preset and the level."""
+    for tag, name, level in [
+        ("sphere2", "wobble", 59), ("so3-quat", "quatcurve", 10**12),
+        ("euclidean:1", "exp", -2000),
+    ]:
+        with pytest.raises(SchemaError) as exc:
+            sample_signal(get_preset(tag, name), level)
+        assert str(exc.value) == f"preset {name}: level {level} is out of numpy's range"
+
+
+def test_parse_config_refuses_levels_numpy_cannot_index():
+    """``levels`` up to 54 parses; 55, whose 16 * 2^55 random samples in R^3
+    numpy cannot index, is refused naming the line and the value."""
+    assert parse_config("levels = 54")["levels"] == 54
+    for bad in ("55", "1000000000000"):
+        with pytest.raises(SchemaError) as exc:
+            parse_config("cases = 5\nlevels = " + bad)
+        assert str(exc.value) == (
+            "config line 2: levels must be <= 54, the finest whose random "
+            f"samples numpy can index, got '{bad}'"
+        )
+
+
 def test_reader_rejects_wrong_dimension_throughout(tmp_path):
     path = str(tmp_path / "s.json")
     with open(path, "w") as fh:
