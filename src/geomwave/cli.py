@@ -1,7 +1,7 @@
 """Command-line interface: sample / decompose / reconstruct / decay / verify.
 
-Exit codes: 0 success, 2 schema or file error, 3 density (cut-locus) error,
-4 verification failure.
+Exit codes: 0 success, 2 schema, file or out-of-memory error, 3 density
+(cut-locus) error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -158,6 +158,10 @@ def main(argv=None) -> int:
     except GeomwaveError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except MemoryError as err:  # a size the input admits but memory cannot hold
+        reason = f": {err}" if str(err) else ""
+        print(f"error: {args.command}: out of memory{reason}", file=sys.stderr)
+        return SchemaError.exit_code
 
 
 def entry():

@@ -34,6 +34,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 STACK = "tests/test_decompose_stack.py::"
+EXP_MASK_TESTS = (
+    "tests/test_predictors.py::test_exponential_mask_exact_up_to_the_overflow_guard",
+    "tests/test_predictors.py::test_exponential_mask_reproduces_its_span",
+    "tests/test_acceptance.py::test_criterion_04_vanishing_moments",
+)
 
 
 class Fault(NamedTuple):
@@ -134,6 +139,13 @@ FAULTS = [
         ("tests/test_sphere_kernel_bitwise.py::test_nan_row_hides_no_mask_and_no_error",),
     ),
     Fault(
+        "exp-zero-gate-propagates-nan",
+        "geomwave/manifolds.py",
+        "        if np.fmin.reduce(theta, axis=None, initial=np.inf) != 0.0:\n",
+        "        if np.minimum.reduce(theta, axis=None, initial=np.inf) != 0.0:\n",
+        ("tests/test_sphere_kernel_bitwise.py::test_nan_row_hides_no_mask_and_no_error",),
+    ),
+    Fault(
         "cut-locus-bound-past-pi",
         "geomwave/manifolds.py",
         "_CUT_LOCUS = math.pi - _CUT_LOCUS_MARGIN\n",
@@ -156,6 +168,20 @@ FAULTS = [
         "        return v - _dot(q, v) * q\n",
         ("tests/test_manifolds.py::test_transport_isometry_and_reversal",
          "tests/test_acceptance.py::test_criterion_07_manifold_perfect_reconstruction"),
+    ),
+    Fault(
+        "exp-mask-tau-sign",
+        "geomwave/predictors.py",
+        "    tau = math.tanh(y / 2.0) / (4.0 * y)\n",
+        "    tau = -math.tanh(y / 2.0) / (4.0 * y)\n",
+        EXP_MASK_TESTS,
+    ),
+    Fault(
+        "exp-mask-mu-factor",
+        "geomwave/predictors.py",
+        "    mu = c / (2.0 * (c - _sinh1(y)))\n",
+        "    mu = c / (c - _sinh1(y))\n",
+        EXP_MASK_TESTS,
     ),
 ]
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import geomwave
+import geomwave.experiments
 from geomwave.cli import main
 from geomwave.io import write_samples
 from geomwave.manifolds import Sphere2
@@ -484,3 +485,47 @@ def test_sample_of_interior_preset_exit_2(tmp_path, capsys):
         f"error: {out}: only periodic samples can be written, got an interior window\n"
     )
     assert not out.exists()
+
+
+def test_exp_lambda_45_round_trip(tmp_path):
+    """|lambda| = 45 at level 0 is within the overflow guard: decompose makes
+    its masks and the pyramid reconstructs the samples."""
+    s = str(tmp_path / "s.json")
+    p = str(tmp_path / "p.json")
+    r = str(tmp_path / "r.json")
+    assert run("sample", "--preset", "trigblend", "--manifold", "euclidean:3",
+               "--level", "8", "--out", s) == 0
+    assert run("decompose", "--in", s, "--levels", "8", "--predictor", "exp",
+               "--lambda", "45", "--out", p) == 0
+    assert run("reconstruct", "--in", p, "--out", r) == 0
+    for key in ("p", "v"):
+        a = np.array([e[key] for e in load(s)["data"]])
+        b = np.array([e[key] for e in load(r)["data"]])
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    """A size the input admits but memory cannot hold ends in one error line
+    naming the command, with exit 2, not a traceback."""
+
+    def refuse(err):
+        def allocate(*args, **kwargs):
+            raise err
+        return allocate
+
+    numpy_err = MemoryError("Unable to allocate 8.00 TiB for an array")
+    monkeypatch.setattr(geomwave.experiments, "_random_data", refuse(numpy_err))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels = 40\n")
+    sample = ("sample", "--preset", "wobble", "--manifold", "sphere2", "--level", "40")
+    capsys.readouterr()
+    for argv, err, message in (
+        (sample, numpy_err, f"out of memory: {numpy_err}"),
+        (sample, MemoryError(), "out of memory"),
+        (("verify", "--config", str(cfg)), numpy_err, f"out of memory: {numpy_err}"),
+    ):
+        monkeypatch.setattr(geomwave.cli, "sample_signal", refuse(err))
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", str(out)) == 2, argv
+        assert capsys.readouterr().err == f"error: {argv[0]}: {message}\n"
+        assert not out.exists()

@@ -176,6 +176,31 @@ def test_exponential_mask_reproduces_its_span(lam, level, seed):
     assert abs(out[1] - h / 2 * df(h / 2)) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("lam_h", [0.2, 5.0, 20.0, 30.0, 39.102000217960004, 45.0, 49.9])
+def test_exponential_mask_exact_up_to_the_overflow_guard(lam_h, sign, level):
+    """Every lambda * h the overflow guard admits gets a mask that reproduces
+    1, x, e^(lx) and e^(-lx) at the midpoint, value and normalized derivative,
+    within 1e-13 times the largest |datum|: the output cancels data up to
+    e^(|l| h), so the bound scales with the data, not with the output."""
+    h = 2.0 ** (-level)
+    lam = sign * lam_h / h
+    mask = exponential_hermite_mask(lam, level)
+    for f, df in (
+        (lambda x: 1.0, lambda x: 0.0),
+        (lambda x: x, lambda x: 1.0),
+        (lambda x: math.exp(lam * x), lambda x: lam * math.exp(lam * x)),
+        (lambda x: math.exp(-lam * x), lambda x: -lam * math.exp(-lam * x)),
+    ):
+        left = np.array([f(0.0), h * df(0.0)])
+        right = np.array([f(h), h * df(h)])
+        out = mask.block(1) @ left + mask.block(-1) @ right
+        tol = 1e-13 * max(np.abs(left).max(), np.abs(right).max())
+        assert abs(out[0] - f(h / 2)) <= tol
+        assert abs(out[1] - h / 2 * df(h / 2)) <= tol
+
+
 def test_exponential_mask_interpolatory_and_limits():
     for lam in (0.5, 1.0, 2.0):
         for level in range(7):
