@@ -18,11 +18,16 @@ itself runs over one axis of a real array, and ``_clip`` is ``np.clip``'s.
 Every cut-locus guard is one call of ``_refuse`` on its angles: one
 NaN-ignoring ``np.fmax.reduce`` against the one bound ``_CUT_LOCUS``, with
 the mask that names the failing entry built only when it fires.
-``_transport`` takes its ``arccos`` only when ``np.fmin.reduce`` of the
-inner products finds a pair past 2pi/3.  The zero masks of ``exp``
-(a zero tangent, by ``np.fmin.reduce``) and ``log`` (an equal pair, or a zero
-residual) are applied with ``np.where`` only when a zero is present.  Results
-are word for word those of the wrapped calls.
+``_transport`` and ``midpoint`` share one guard, ``_refuse_antipodes``,
+which takes its ``arccos`` only when ``np.fmin.reduce`` of the inner
+products finds a pair past 2pi/3, and then of the lesser of the inner
+product and the cosine between the points' directions, so that a pair a
+rounding error off the sphere on either side is refused.  The midpoint is
+the chord
+(p + q)/|p + q|.  The zero masks of ``exp`` (a zero tangent, by
+``np.fmin.reduce``) and ``log`` (an equal pair, or a zero residual) are
+applied with ``np.where`` only when a zero is present.  Results are word
+for word those of the wrapped calls.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ __all__ = [
 ]
 
 _CUT_LOCUS_MARGIN = 1e-6
-# the angle at which the round sphere's log, exp and transport refuse a pair
+# the angle at which every guard of the round sphere refuses a pair
 _CUT_LOCUS = math.pi - _CUT_LOCUS_MARGIN
 # how far a point may be off M, or a vector off T_pM, and still be accepted
 _INVARIANT_TOL = 1e-9
@@ -81,7 +86,8 @@ class Manifold:
         raise NotImplementedError
 
     def midpoint(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return self.exp(p, 0.5 * self.log(p, q))
+        """The geodesic midpoint ``exp(p, log(p, q) / 2)``."""
+        raise NotImplementedError
 
     def project_point(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(p, dtype=float)
@@ -157,6 +163,20 @@ def _refuse(theta: np.ndarray, message: str):
     if len(index) < 2:
         index = index[0] if index else None
     raise CutLocusError(message.format(float(theta[at])), index)
+
+
+def _refuse_antipodes(p: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """The guard of the pairs (p, q) given c = <p, q>: ``_refuse`` on the
+    arccos of the lesser of c and the cosine c / (|p| |q|) between their
+    directions.  The cosine refuses a pair a little inside the sphere, whose
+    c reads farther from the antipode than the pair is; c refuses a pair a
+    little outside it, whose 1 + c, the divisor of the transport, can reach
+    zero before the angle between the directions reaches the margin."""
+    # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
+    # so the arccos test runs only on inputs with a pair below that
+    if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:
+        cos = np.fmin(c, c / (_norm(p) * _norm(q)))
+        _refuse(np.arccos(_clip(cos)), _ANTIPODAL)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,11 +258,16 @@ class _RoundSphere(Manifold):
     def _transport(self, p, v, q, c):
         """Transport of v from T_p to T_q given c = <p, q>: closed form along
         the minimal geodesic, for v tangent at p."""
-        # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
-        # so the arccos test runs only on inputs with a pair below that
-        if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:
-            _refuse(np.arccos(_clip(c)), _ANTIPODAL)
+        _refuse_antipodes(p, q, c)
         return v - _dot(q, v) / (1.0 + c) * (p + q)
+
+    def midpoint(self, p, q):
+        """The chord midpoint (p + q) / |p + q|, the geodesic midpoint of
+        two points that are not antipodal, behind ``transport``'s guard."""
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        _refuse_antipodes(p, q, _dot(p, q))
+        s = p + q
+        return s / _norm(s)
 
     def dist(self, p, q):
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)

@@ -156,10 +156,32 @@ FAULTS = [
     Fault(
         "transport-pre-gate-never-fires",
         "geomwave/manifolds.py",
-        "        if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:\n",
-        "        if np.fmin.reduce(c, axis=None, initial=np.inf) < -1.5:\n",
+        "    if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:\n",
+        "    if np.fmin.reduce(c, axis=None, initial=np.inf) < -1.5:\n",
         ("tests/test_kernel_oracle.py::test_cut_locus_names_first_index",
-         "tests/test_sphere_kernel_bitwise.py::test_nan_row_hides_no_mask_and_no_error"),
+         "tests/test_sphere_kernel_bitwise.py::test_nan_row_hides_no_mask_and_no_error",
+         "tests/test_manifolds.py::test_midpoint_refuses_antipodes"),
+    ),
+    Fault(
+        "antipode-guard-angle-off-sphere",
+        "geomwave/manifolds.py",
+        "        cos = np.fmin(c, c / (_norm(p) * _norm(q)))\n",
+        "        cos = c\n",
+        ("tests/test_manifolds.py::test_midpoint_refuses_antipodes",),
+    ),
+    Fault(
+        "antipode-guard-angle-directions-only",
+        "geomwave/manifolds.py",
+        "        cos = np.fmin(c, c / (_norm(p) * _norm(q)))\n",
+        "        cos = c / (_norm(p) * _norm(q))\n",
+        ("tests/test_manifolds.py::test_transport_refuses_stretched_near_antipodes",),
+    ),
+    Fault(
+        "midpoint-chord-unnormalized",
+        "geomwave/manifolds.py",
+        "        return s / _norm(s)\n",
+        "        return 0.5 * s\n",
+        ("tests/test_accuracy_80bit.py::test_midpoint_within_rounding_of_80bit_chord",),
     ),
     Fault(
         "sphere-transport-by-tangent-projection",

@@ -1,6 +1,6 @@
 """The round-sphere kernel as it was written with ``np.linalg.norm``,
 ``np.clip`` and ``np.all``: exp, log, parallel transport, the fused
-log-transport, the midpoint, the distance, ``project_point`` and
+log-transport, the chord midpoint, the distance, ``project_point`` and
 ``check_point`` on the unit sphere in R^d.  The differential test requires
 ``geomwave.manifolds``' ``_RoundSphere``, which calls the same ufuncs
 directly, to give the same words, the same result types and the same
@@ -80,7 +80,10 @@ class RoundSphere:
         return y, self._transport(p, v, m, c)
 
     def midpoint(self, p, q):
-        return self.exp(p, 0.5 * self.log(p, q))
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        self._refuse_antipodes(p, q, _dot(p, q))
+        s = p + q
+        return s / np.linalg.norm(s, axis=-1, keepdims=True)
 
     def _log(self, p, q):
         """log_p(q), and the inner product c = <p, q> it was built from."""
@@ -101,12 +104,19 @@ class RoundSphere:
     def _transport(self, p, v, q, c):
         """Transport of v from T_p to T_q given c = <p, q>: closed form along
         the minimal geodesic, for v tangent at p."""
+        self._refuse_antipodes(p, q, c)
+        return v - _dot(q, v) / (1.0 + c) * (p + q)
+
+    def _refuse_antipodes(self, p, q, c):
+        """The cut-locus guard of the pairs (p, q) given c = <p, q>, on the
+        lesser of c and the cosine of the angle between their directions."""
         # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
         # so the arccos test runs only on inputs with a pair below that
         if (c < -0.5).any():
-            theta = np.arccos(np.clip(c[..., 0], -1.0, 1.0))
+            n = np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1)
+            cos = np.fmin(c[..., 0], c[..., 0] / n)
+            theta = np.arccos(np.clip(cos, -1.0, 1.0))
             _raise_first(theta >= self.injectivity_bound(), theta, _ANTIPODAL)
-        return v - _dot(q, v) / (1.0 + c) * (p + q)
 
     def dist(self, p, q):
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)

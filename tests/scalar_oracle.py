@@ -67,6 +67,7 @@ class ScalarRoundSphere:
         return math.atan2(np.linalg.norm(u), inner)
 
     def midpoint(self, p, q):
+        """The geodesic form, independent of the kernel's chord."""
         return self.exp(p, 0.5 * self.log(p, q))
 
 

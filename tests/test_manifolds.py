@@ -15,7 +15,7 @@ from geomwave.manifolds import (
     _CUT_LOCUS_MARGIN,
     manifold_from_tag,
 )
-from random_cases import random_point, random_tangent
+from random_cases import random_point, random_tangent, random_tangents
 
 MANIFOLDS = [Sphere2(), SO3Quat(), Euclidean(3)]
 
@@ -43,13 +43,14 @@ def test_transport_isometry_and_reversal(M, rng):
 
 @pytest.mark.parametrize("M", MANIFOLDS, ids=lambda M: M.tag)
 def test_midpoint_symmetry(M, rng):
+    """The midpoint is equidistant, and midpoint(q, p) is midpoint(p, q) word
+    for word: on every manifold it is a function of p + q."""
     for _ in range(200):
         p = random_point(M, rng)
         q = M.exp(p, random_tangent(M, rng, p, scale=float(rng.uniform(0.01, 2.0))))
         mid = M.midpoint(p, q)
         assert abs(M.dist(p, mid) - M.dist(mid, q)) <= 1e-11
-        other = M.midpoint(q, p)
-        assert M.dist(mid, other) <= 1e-11
+        assert M.midpoint(q, p).tobytes() == mid.tobytes()
 
 
 @pytest.mark.parametrize("M", [Sphere2(), SO3Quat()], ids=lambda M: M.tag)
@@ -86,6 +87,62 @@ def test_cut_locus_raises():
         M.log(p, np.array([-1.0, 0.0, 0.0]))
     # just inside the bound is fine
     M.exp(p, np.array([0.0, math.pi - 1e-3, 0.0]))
+
+
+@pytest.mark.parametrize("M", [Sphere2(), SO3Quat()], ids=lambda M: M.tag)
+def test_midpoint_refuses_antipodes(M, rng):
+    """The midpoint refuses a pair within the margin of the cut locus with
+    log's message, at the first such row; a pair just outside the margin
+    passes.  Exact antipodes 1e-10 inside the sphere, which the invariant
+    tolerance accepts, are refused too: the guard measures the angle
+    between the points' directions."""
+    p = random_point(M, rng, (6,))
+    e = M.project_tangent(p, random_point(M, rng, (6,)))
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    q = M.exp(p, e)
+
+    def set_gap(row, gap):
+        """Put q[row] at angle pi - gap from p[row]."""
+        q[row] = math.cos(math.pi - gap) * p[row] + math.sin(math.pi - gap) * e[row]
+
+    set_gap(4, 0.5 * _CUT_LOCUS_MARGIN)
+    set_gap(2, 0.0)
+    with pytest.raises(CutLocusError) as exc:
+        M.midpoint(p, q)
+    with pytest.raises(CutLocusError) as log_exc:
+        M.log(p, q)
+    assert (str(exc.value), exc.value.index) == (str(log_exc.value), 2)
+    set_gap(2, 2.0 * _CUT_LOCUS_MARGIN)
+    set_gap(4, 2.0 * _CUT_LOCUS_MARGIN)
+    assert np.isfinite(M.midpoint(p, q)).all()
+    inside = (1.0 - 1e-10) * p
+    assert M.check_point(inside).all()
+    with pytest.raises(CutLocusError) as exc:
+        M.midpoint(inside, -inside)
+    assert exc.value.index == 0
+
+
+@pytest.mark.parametrize("M", [Sphere2(), SO3Quat()], ids=lambda M: M.tag)
+def test_transport_refuses_stretched_near_antipodes(M, rng):
+    """Points stretched 5e-10 off the sphere, which the invariant tolerance
+    accepts, at angle pi - 1e-5 (past the margin): <p, q> is below -1, so
+    transport's divisor 1 + <p, q> is negative.  transport and log_transport
+    refuse the pair rather than return a vector of the wrong sign."""
+    p = random_point(M, rng, (3,))
+    e = M.project_tangent(p, random_point(M, rng, (3,)))
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    gap = 10.0 * _CUT_LOCUS_MARGIN
+    q = math.cos(math.pi - gap) * p + math.sin(math.pi - gap) * e
+    p, q = (1.0 + 5e-10) * p, (1.0 + 5e-10) * q
+    assert M.check_point(p).all() and M.check_point(q).all()
+    assert (1.0 + np.einsum("...i,...i->...", p, q) < 0.0).all()
+    v = random_tangents(M, rng, p, 0.5)
+    with pytest.raises(CutLocusError) as exc:
+        M.transport(p, v, q)
+    assert exc.value.index == 0
+    with pytest.raises(CutLocusError) as exc:
+        M.log_transport(q, p, v)
+    assert exc.value.index == 0
 
 
 def test_euclidean_degenerate_ops(rng):

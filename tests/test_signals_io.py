@@ -350,13 +350,18 @@ def test_verify_suite_reports_flat_log_fault(monkeypatch):
 
 def test_verify_suite_reports_any_check_that_raises(monkeypatch):
     """A library error in any check, not only in a round trip, fails each of
-    that check's results with the error as the note; the report is whole."""
+    that check's results with the error as the note; the report is whole.
+    The fault is injected into the sphere's ``_log``, which ``log`` and
+    ``log_transport`` call, and the patch must be reached."""
+    calls = []
 
-    def log(self, p, q):
+    def _log(self, p, q):
+        calls.append(self.tag)
         raise CutLocusError("injected")
 
-    monkeypatch.setattr(Sphere2, "log", log)
+    monkeypatch.setattr(Sphere2, "_log", _log)
     rep = verify_suite({"probes": 2, "cases": 5})
+    assert calls
     assert [c.name for c in rep.checks] == [name for name, _ in _VERIFY_CHECKS]
     failed = {c.name: c.note for c in rep.checks if not c.passed}
     assert failed == {
