@@ -15,6 +15,13 @@ The round-sphere kernel calls numpy's ufuncs directly rather than through
 their Python wrappers, which cost more than the arithmetic on the small
 arrays of a pyramid level: ``_norm`` is the arithmetic ``np.linalg.norm``
 itself runs over one axis of a real array, and ``_clip`` is ``np.clip``'s.
+Each reduction over the coordinate axis (``_norm``, ``Euclidean.dist`` and
+``log``'s equal-row test) first builds its product column-major, so that
+numpy reduces with one long loop per coordinate rather than one loop of 3
+or 4 entries per row; each row is still summed in coordinate order, word
+for word as the row-major product gives it (but for the sign of a NaN in a
+row that holds NaNs of both signs).
+
 Every cut-locus guard is one call of ``_refuse`` on its angles: one
 NaN-ignoring ``np.fmax.reduce`` against the one bound ``_CUT_LOCUS``, with
 the mask that names the failing entry built only when it fires.
@@ -139,7 +146,10 @@ class Euclidean(Manifold):
         return np.asarray(v, dtype=float)
 
     def dist(self, p, q):
-        return np.linalg.norm(np.asarray(q) - p, axis=-1)
+        d = np.subtract(q, p, order="F")
+        if d.dtype.kind != "f":  # np.linalg.norm's cast of an integer difference
+            d = d.astype(float)
+        return np.sqrt(np.add.reduce(np.multiply(d, d, order="F"), axis=-1))
 
     def midpoint(self, p, q):
         return 0.5 * (p + q)
@@ -175,7 +185,9 @@ def _refuse_antipodes(p: np.ndarray, q: np.ndarray, c: np.ndarray):
     # where c >= -0.5 the angle is at most 2pi/3, far from the cut locus,
     # so the arccos test runs only on inputs with a pair below that
     if np.fmin.reduce(c, axis=None, initial=np.inf) < -0.5:
-        cos = np.fmin(c, c / (_norm(p) * _norm(q)))
+        # a zero row's cosine is NaN, and fmin keeps its c
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos = np.fmin(c, c / (_norm(p) * _norm(q)))
         _refuse(np.arccos(_clip(cos)), _ANTIPODAL)
 
 
@@ -187,8 +199,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, kept as a length-1 axis: the
     arithmetic ``np.linalg.norm(x, axis=-1, keepdims=True)`` runs on a real
-    array, without its Python wrapper."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    array, without its Python wrapper.  The squares are laid out
+    column-major, so the sum runs one loop over all rows per coordinate,
+    adding the coordinates in the same order (for fewer than 8 of them,
+    numpy's row-major sum is sequential too)."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, order="F"), axis=-1, keepdims=True))
 
 
 def _clip(c: np.ndarray) -> np.ndarray:
@@ -243,7 +258,7 @@ class _RoundSphere(Manifold):
 
     def _log(self, p, q):
         """log_p(q), and the inner product c = <p, q> it was built from."""
-        equal = np.logical_and.reduce(p == q, axis=-1, keepdims=True)
+        equal = np.logical_and.reduce(np.equal(p, q, order="F"), axis=-1, keepdims=True)
         c = _dot(p, q)
         inner = _clip(c)
         u = q - inner * p

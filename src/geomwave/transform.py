@@ -200,20 +200,22 @@ def _odd_outputs(
     # tap t feeds odd output 2i+1 from input i + (1 - t) // 2; the tap axis
     # holds every piece's taps in ascending t
     ts = sorted({tap[0] for mask, _, _, _ in window for tap in mask.odd_taps})
-    if len(window) == 1:  # a view, not a copy: leftpoint bases cost nothing
-        _, step, first, stop = window[0]
-        here = points[first * step : stop * step : step]
+    # logical axes are (output, tap, coordinate), so errors name the output
+    # first; the memory is tap-major, and log_transport keeps that layout
+    shifts = [(1 - t) // 2 for t in ts]
+    p = _wrapped(points, window, shifts)
+    # the base rows i are the shift-0 tap's, copied contiguous: a strided
+    # view would make every map over them run one short loop per row
+    if 0 in shifts:
+        here = p[:, shifts.index(0)].copy()
     else:
         here = _wrapped(points, window, [0])[:, 0]
     if rule == "leftpoint":
         m = here
     else:
         m = M.midpoint(here, _wrapped(points, window, [1])[:, 0])
-    # logical axes are (output, tap, coordinate), so errors name the output
-    # first; the memory is tap-major, and log_transport keeps that layout
-    shifts = [(1 - t) // 2 for t in ts]
-    p, v = _wrapped(points, window, shifts), _wrapped(vectors, window, shifts)
     del here
+    v = _wrapped(vectors, window, shifts)
     for (_, step, _, _), s, e in zip(window, starts, starts[1:]):
         if step > 1:
             v[s:e] *= step

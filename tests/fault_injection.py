@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 STACK = "tests/test_decompose_stack.py::"
+COLUMNS = "tests/test_column_reductions.py::"
 EXP_MASK_TESTS = (
     "tests/test_predictors.py::test_exponential_mask_exact_up_to_the_overflow_guard",
     "tests/test_predictors.py::test_exponential_mask_reproduces_its_span",
@@ -116,6 +117,21 @@ FAULTS = [
         (STACK + "test_windows_bitwise_equal_level_loop",),
     ),
     Fault(
+        "base-rows-from-another-tap",
+        "geomwave/transform.py",
+        "        here = p[:, shifts.index(0)].copy()\n",
+        "        here = p[:, shifts.index(0) - 1].copy()\n",
+        (STACK + "test_pyramid_bitwise_equals_level_loop",
+         STACK + "test_wide_mask_step_bitwise_equals_reference"),
+    ),
+    Fault(
+        "base-rows-fallback-shift",
+        "geomwave/transform.py",
+        "        here = _wrapped(points, window, [0])[:, 0]\n",
+        "        here = _wrapped(points, window, [1])[:, 0]\n",
+        (STACK + "test_wide_mask_step_bitwise_equals_reference",),
+    ),
+    Fault(
         "filters-at-bt-sign",
         "geomwave/filterbank.py",
         "        blocks.append((-1.0) ** (1 - k) * Dinv @ A.block(1 - k).T)\n",
@@ -175,6 +191,30 @@ FAULTS = [
         "        cos = np.fmin(c, c / (_norm(p) * _norm(q)))\n",
         "        cos = c / (_norm(p) * _norm(q))\n",
         ("tests/test_manifolds.py::test_transport_refuses_stretched_near_antipodes",),
+    ),
+    Fault(
+        "norm-product-unsquared",
+        "geomwave/manifolds.py",
+        'np.add.reduce(np.multiply(x, x, order="F"), axis=-1, keepdims=True)',
+        'np.add.reduce(np.abs(x, order="F"), axis=-1, keepdims=True)',
+        (COLUMNS + "test_norm_words_equal_row_major",
+         "tests/test_manifolds.py::test_exp_log_roundtrip"),
+    ),
+    Fault(
+        "dist-product-unsquared",
+        "geomwave/manifolds.py",
+        '        return np.sqrt(np.add.reduce(np.multiply(d, d, order="F"), axis=-1))\n',
+        '        return np.sqrt(np.add.reduce(np.abs(d, order="F"), axis=-1))\n',
+        (COLUMNS + "test_euclidean_dist_words_equal_linalg_norm",
+         COLUMNS + "test_euclidean_dist_of_lists_and_integers"),
+    ),
+    Fault(
+        "log-equal-rows-of-p-alone",
+        "geomwave/manifolds.py",
+        'np.equal(p, q, order="F")',
+        'np.equal(p, p, order="F")',
+        (COLUMNS + "test_equal_rows_log_to_zero",
+         COLUMNS + "test_log_equal_row_mask_is_row_major"),
     ),
     Fault(
         "midpoint-chord-unnormalized",

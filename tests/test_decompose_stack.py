@@ -217,7 +217,8 @@ def test_benchmark_size_bitwise_equals_level_loop(tag, rule, kind):
 def test_wide_mask_step_bitwise_equals_reference(tag, rule, log2_length, data):
     """An interpolatory mask on [-5, 5] has odd taps reading inputs i - 2
     to i + 3; on sequences as short as one sample those shifts wrap around
-    more than once.  One step, or its cut-locus error, is the reference's
+    more than once.  Without its tap 1, no tap reads the base rows i.  One
+    step, or its cut-locus error, is the reference's
     (``np.take(..., mode="wrap")``) word for word."""
     M = MANIFOLDS[tag]
     L = 1 << log2_length
@@ -225,6 +226,8 @@ def test_wide_mask_step_bitwise_equals_reference(tag, rule, log2_length, data):
     blocks = np.zeros((11, 2, 2))
     blocks[5] = diag_d()
     blocks[::2] = 0.3 * rng.normal(size=(6, 2, 2))  # the odd taps -5, ..., 5
+    if data.draw(st.booleans(), label="without tap 1"):
+        blocks[6] = 0.0
     mask = Mask(-5, blocks)
     P, V = closed_curve(M, rng, L, 0.3, 0.1)
     c = ManifoldHermiteSeq(M, P, V, level=log2_length)

@@ -1,6 +1,7 @@
 """Geometry kernel: exp/log/transport/distance on sphere, SO(3), Euclidean."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,22 @@ def test_transport_refuses_stretched_near_antipodes(M, rng):
     with pytest.raises(CutLocusError) as exc:
         M.log_transport(q, p, v)
     assert exc.value.index == 0
+
+
+def test_antipode_guard_silent_on_zero_rows():
+    """A zero row beside a pair past 2pi/3 makes the guard's cosine 0/0.
+    The guard still refuses the antipodal pair at index 0, and passes a
+    pair at angle 2.5 with finite rows, without a floating-point warning."""
+    M = Sphere2()
+    p = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CutLocusError) as exc:
+            M.transport(p, np.zeros((2, 3)), -p)
+        assert exc.value.index == 0
+        q = np.array([[math.cos(2.5), math.sin(2.5), 0.0], [0.0, 0.0, 0.0]])
+        v = np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.0]])
+        assert np.isfinite(M.transport(p, v, q)).all()
 
 
 def test_euclidean_degenerate_ops(rng):

@@ -321,10 +321,15 @@ def test_verify_suite_reports_transport_fault(monkeypatch):
     round trip fails its base audit and the numerator exponent drops to 1.
     Both come back as failed checks, not as an exception."""
     transport = Sphere2.transport
-    monkeypatch.setattr(
-        Sphere2, "transport", lambda self, p, v, q: 0.9 * transport(self, p, v, q)
-    )
+    calls = []
+
+    def scaled(self, p, v, q):
+        calls.append(None)
+        return 0.9 * transport(self, p, v, q)
+
+    monkeypatch.setattr(Sphere2, "transport", scaled)
     rep = verify_suite({"probes": 2, "cases": 5})
+    assert calls  # the fault was reached, so the failures below are its
     failed = {c.name: c for c in rep.checks if not c.passed}
     assert not rep.passed
     rt = failed["manifold perfect reconstruction [sphere2]"]
