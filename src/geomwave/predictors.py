@@ -36,11 +36,6 @@ __all__ = [
 _LAMBDA_SWITCH = 1e-6
 _LAMBDA_OVERFLOW = 50.0
 
-# math.exp and math.pow entrywise: numpy's SIMD exp and power differ from the
-# C library's in the last bit for some arguments; these keep samples bitwise.
-libm_exp = np.vectorize(math.exp, otypes=[float])
-libm_pow = np.vectorize(math.pow, otypes=[float])
-
 
 def cubic_hermite_mask() -> Mask:
     """Stationary mask of the two-point cubic Hermite midpoint scheme."""
@@ -173,8 +168,8 @@ def poly_space(degree: int) -> tuple:
     basis functions with exact derivatives, as array functions of x."""
     elems = []
     for d in range(degree + 1):
-        f = (lambda d: lambda x: libm_pow(x, d))(d)
-        df = (lambda d: lambda x: d * libm_pow(x, d - 1))(d) if d else np.zeros_like
+        f = (lambda d: lambda x: x**d)(d)
+        df = (lambda d: lambda x: d * x ** (d - 1))(d) if d else np.zeros_like
         elems.append((f"x^{d}", f, df))
     return tuple(elems)
 
@@ -184,8 +179,8 @@ def exponential_space(lam: float) -> tuple:
     return (
         ("1", np.ones_like, np.zeros_like),
         ("x", lambda x: x, np.ones_like),
-        ("e^{lx}", lambda x: libm_exp(lam * x), lambda x: lam * libm_exp(lam * x)),
-        ("e^{-lx}", lambda x: libm_exp(-lam * x), lambda x: -lam * libm_exp(-lam * x)),
+        ("e^{lx}", lambda x: np.exp(lam * x), lambda x: lam * np.exp(lam * x)),
+        ("e^{-lx}", lambda x: np.exp(-lam * x), lambda x: -lam * np.exp(-lam * x)),
     )
 
 

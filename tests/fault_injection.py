@@ -232,6 +232,27 @@ FAULTS = [
          "tests/test_acceptance.py::test_criterion_07_manifold_perfect_reconstruction"),
     ),
     Fault(
+        "transport-divisor-off-by-2^-47",
+        "geomwave/manifolds.py",
+        "        return v - _dot(q, v) / (1.0 + c) * (p + q)\n",
+        "        return v - _dot(q, v) / ((1.0 + c) * (1.0 + 2.0**-47)) * (p + q)\n",
+        ("tests/test_kernel_oracle.py::test_kernel_matches_oracle",),
+    ),
+    Fault(
+        "sampler-accepts-non-finite",
+        "geomwave/signals.py",
+        "    if not (np.isfinite(P).all() and np.isfinite(V).all()):\n",
+        "    if False:\n",
+        ("tests/test_signals_array.py::test_sampler_refuses_non_finite_samples",),
+    ),
+    Fault(
+        "preset-in-double",
+        "geomwave/signals.py",
+        "        e = np.exp(lam * t)\n",
+        "        e = np.exp(lam * t).astype(float)\n",
+        ("tests/test_signals_array.py::test_presets_and_elements_within_rounding_of_80bit",),
+    ),
+    Fault(
         "exp-mask-tau-sign",
         "geomwave/predictors.py",
         "    tau = math.tanh(y / 2.0) / (4.0 * y)\n",

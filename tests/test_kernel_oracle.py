@@ -1,5 +1,7 @@
-"""Differential tests: the array geometry kernel and the array subdivision
-step against the per-point reference in ``scalar_oracle``."""
+"""The array geometry kernel and the array subdivision step against the
+extended-precision reference in ``reference_80bit``; the cut-locus errors
+name the first failing entry; the fused ``log_transport`` against separate
+calls, byte for byte."""
 
 import math
 
@@ -8,23 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_80bit
 from geomwave.errors import CutLocusError
 from geomwave.manifolds import Euclidean, SO3Quat, Sphere2
 from geomwave.predictors import cubic_provider, exponential_provider
 from geomwave.transform import ManifoldHermiteSeq, manifold_subdivide_once
 from random_cases import random_point, random_tangent, random_tangents
-from scalar_oracle import scalar_manifold, scalar_subdivide_once
+from reference_80bit import error_in_eps, requires_80bit
 
 MANIFOLDS = {M.tag: M for M in (Sphere2(), SO3Quat(), Euclidean(3))}
-TOL = 1e-13
-
-
-def rows(f, *arrays):
-    """Apply a per-point function row by row over the leading axes."""
-    d = arrays[0].shape[-1]
-    flat = [a.reshape(-1, d) for a in arrays]
-    out = [f(*args) for args in zip(*flat)]
-    return np.array(out).reshape(arrays[0].shape[:-1] + np.shape(out[0]))
+# the bounds of the maps and of the step, in eps times max(1, |reference|)
+MAP_BOUND = 16.0
+STEP_BOUND = 4.0
 
 
 def pick(rng, shape, count):
@@ -35,6 +32,7 @@ def pick(rng, shape, count):
 SHAPES = st.sampled_from([(7,), (1,), (3, 5), (2, 1)])
 
 
+@requires_80bit
 @settings(max_examples=40, deadline=None)
 @given(
     tag=st.sampled_from(sorted(MANIFOLDS)),
@@ -42,28 +40,38 @@ SHAPES = st.sampled_from([(7,), (1,), (3, 5), (2, 1)])
     seed=st.integers(0, 10**6),
 )
 def test_kernel_matches_oracle(tag, shape, seed):
-    """exp/log/transport/dist/midpoint on (L, d) and (B, L, d) arrays agree
-    with the per-point oracle, equal pairs included."""
+    """exp/log/transport/dist/midpoint on (L, d) and (B, L, d) arrays, equal
+    pairs included, are within 16 eps max(1, |x|) of the extended-precision
+    reference x, at angles up to 2.5 and tangents up to 3.  The points q
+    and the tangents w are projected onto M and T_pM once more, so that they
+    lie on it to rounding: the reference maps the directions of its points,
+    and one projection of a random vector nearly parallel to p leaves a
+    tangent whose normal part is hundreds of eps of its length, which moved
+    the kernel's transport by up to 98 eps against it.  The largest errors measured over 30,000
+    draws were 12.2 eps (sphere2 transport; 12.8 over 60,000 draws of
+    both spheres), 11.0 (so3-quat transport), 3.1 (log), 2.8 (exp), 2.0
+    (midpoint), 1.4 (dist) and 0.5 on euclidean:3.  The transport's is the
+    loss of its divisor 1 + <p, q> (see test_accuracy_80bit).  The retired
+    double-precision oracle held the maps to 1e-13, 450 eps."""
     M = MANIFOLDS[tag]
-    S = scalar_manifold(M)
+    G = reference_80bit.geometry(M)
     rng = np.random.default_rng(seed)
     p = random_point(M, rng, shape)
     v = random_tangents(M, rng, p, 2.5)
-    q = M.exp(p, random_tangents(M, rng, p, 2.5))
+    q = M.project_point(M.exp(p, M.project_tangent(p, random_tangents(M, rng, p, 2.5))))
     flat_q = q.reshape(-1, M.ambient_dim)
     for i in pick(rng, shape, 1 + flat_q.shape[0] // 3):
         flat_q[i] = p.reshape(-1, M.ambient_dim)[i]  # equal pairs
-    w = random_tangents(M, rng, p, 3.0)
+    w = M.project_tangent(p, random_tangents(M, rng, p, 3.0))
     checks = [
-        (M.exp(p, v), rows(S.exp, p, v)),
-        (M.log(p, q), rows(S.log, p, q)),
-        (M.transport(p, w, q), rows(S.transport, p, w, q)),
-        (M.dist(p, q), rows(S.dist, p, q)),
-        (M.midpoint(p, q), rows(S.midpoint, p, q)),
+        (M.exp(p, v), G.exp(p, v)),
+        (M.log(p, q), G.log(p, q)),
+        (M.transport(p, w, q), G.transport(p, w, q)),
+        (M.dist(p, q)[..., None], G.dist(p, q)[..., None]),
+        (M.midpoint(p, q), G.midpoint(p, q)),
     ]
     for got, want in checks:
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= TOL
+        assert error_in_eps(got, want) <= MAP_BOUND
     # equal pairs: log is exactly zero
     equal = np.all(p == q, axis=-1)
     assert not M.log(p, q)[equal].any()
@@ -77,9 +85,8 @@ def test_kernel_matches_oracle(tag, shape, seed):
 )
 def test_cut_locus_names_first_index(tag, shape, seed):
     """Antipodal pairs and over-long tangents raise at the first failing
-    entry (row-major), where the oracle raises too."""
+    entry (row-major)."""
     M = MANIFOLDS[tag]
-    S = scalar_manifold(M)
     rng = np.random.default_rng(seed)
     p = random_point(M, rng, shape)
     q = M.exp(p, random_tangents(M, rng, p, 2.0))
@@ -92,23 +99,21 @@ def test_cut_locus_names_first_index(tag, shape, seed):
     flat_v = v.reshape(-1, M.ambient_dim)
     flat_q[bad] = -flat_p[bad]
     flat_v[bad] *= math.pi / np.linalg.norm(flat_v[bad], axis=-1, keepdims=True)
-    for call, scalar, args in (
-        (M.log, S.log, (p, q)),
-        (M.midpoint, S.midpoint, (p, q)),
-        (lambda a, b: M.transport(a, v, b), lambda a, b, w: S.transport(a, w, b),
-         (p, q, v)),
-        (M.exp, S.exp, (p, v)),
+    for call in (
+        lambda: M.log(p, q),
+        lambda: M.midpoint(p, q),
+        lambda: M.transport(p, v, q),
+        lambda: M.exp(p, v),
     ):
         with pytest.raises(CutLocusError) as exc:
-            call(*args[:2])
+            call()
         assert exc.value.index == want
         assert f"index {want}" in str(exc.value)
-        with pytest.raises(CutLocusError):
-            scalar(*(a[first] for a in args))
 
 
 def smooth_curve(M, rng, length, step=0.2):
-    """A closed random curve of short geodesic steps, with tangents."""
+    """A random walk of short geodesic steps, with tangents; taken as a
+    periodic curve, its closing step is of any length."""
     P = [random_point(M, rng)]
     for _ in range(length - 1):
         P.append(M.exp(P[-1], random_tangent(M, rng, P[-1], scale=step)))
@@ -116,6 +121,7 @@ def smooth_curve(M, rng, length, step=0.2):
     return P, random_tangents(M, rng, P, step)
 
 
+@requires_80bit
 @settings(max_examples=40, deadline=None)
 @given(
     tag=st.sampled_from(sorted(MANIFOLDS)),
@@ -126,15 +132,24 @@ def smooth_curve(M, rng, length, step=0.2):
     seed=st.integers(0, 10**6),
 )
 def test_subdivide_matches_oracle(tag, rule, kind, length, level, seed):
+    """One subdivision step of a periodic walk of geodesic steps of 0.2
+    (its closing step is of any length) is within 4 eps of the
+    extended-precision step.  The points and vectors are projected onto M
+    once more: the chain of exp calls leaves points up to 105 eps off the
+    sphere, and the reference steps their directions.  The largest error
+    measured over 20,000 draws on the spheres was 1.7 eps; without the
+    projection it was 87 eps."""
     M = MANIFOLDS[tag]
     rng = np.random.default_rng(seed)
     provider = cubic_provider() if kind == "cubic" else exponential_provider(1.0)
     mask = provider.mask_at(level)
     P, V = smooth_curve(M, rng, length)
+    P = M.project_point(P)
+    V = M.project_tangent(P, V)
     out = manifold_subdivide_once(mask, ManifoldHermiteSeq(M, P, V, level), rule)
-    want_p, want_v = scalar_subdivide_once(mask, M, P, V, rule)
-    assert np.abs(out.points - want_p).max() <= TOL
-    assert np.abs(out.vectors - want_v).max() <= TOL
+    want_p, want_v = reference_80bit.subdivide_once(mask, M, P, V, rule)
+    assert error_in_eps(out.points, want_p) <= STEP_BOUND
+    assert error_in_eps(out.vectors, want_v) <= STEP_BOUND
 
 
 def outcome(call):
