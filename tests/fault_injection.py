@@ -250,7 +250,7 @@ FAULTS = [
         "geomwave/signals.py",
         "        e = np.exp(lam * t)\n",
         "        e = np.exp(lam * t).astype(float)\n",
-        ("tests/test_signals_array.py::test_presets_and_elements_within_rounding_of_80bit",),
+        ("tests/test_signals_array.py::test_array_presets_match_scalar_presets",),
     ),
     Fault(
         "exp-mask-tau-sign",
